@@ -149,52 +149,6 @@ def decodable_subset(instance: MacInstance) -> tuple[int, ...]:
     return ()
 
 
-def _max_margin_violator(
-    members: Sequence[int],
-    rates: Mapping[int, float],
-    powers: Mapping[int, float],
-    denom: float,
-) -> tuple[int, ...] | None:
-    """Most-violating nonempty subset of ``members`` for a single-receiver cut.
-
-    Margin of T is sum(R_T) - log2(1 + P_T / denom); T violates when the
-    margin is >= -EPS_BITS.  Exhaustive up to the exact limit, otherwise a
-    heuristic family of prefixes and index ranges is scanned.
-    """
-    ordered = sorted(members)
-    k = len(ordered)
-    best: tuple[float, tuple[int, ...]] | None = None
-
-    def consider(subset: tuple[int, ...]) -> None:
-        nonlocal best
-        r = sum(rates[j] for j in subset)
-        p = sum(powers[j] for j in subset)
-        margin = r - math.log2(1.0 + p / denom)
-        if margin < -EPS_BITS:
-            return
-        if best is None or margin > best[0] or (margin == best[0] and subset < best[1]):
-            best = (margin, subset)
-
-    if k <= _EXACT_SUBSET_LIMIT:
-        for mask in range(1, 1 << k):
-            consider(tuple(ordered[b] for b in range(k) if mask >> b & 1))
-    else:
-        seen: set[tuple[int, ...]] = set()
-        by_rate = sorted(ordered, key=lambda j: (-rates[j], j))
-        by_margin = sorted(
-            ordered, key=lambda j: (-(rates[j] - math.log2(1.0 + powers[j] / denom)), j)
-        )
-        for chain in (by_rate, by_margin):
-            for end in range(1, k + 1):
-                seen.add(tuple(sorted(chain[:end])))
-        for lo in range(k):
-            for hi in range(lo + 1, k + 1):
-                seen.add(tuple(ordered[lo:hi]))
-        for subset in sorted(seen):
-            consider(subset)
-    return None if best is None else best[1]
-
-
 def peel_decodable_subset(instance: MacInstance) -> tuple[int, ...]:
     """Decodable subset found by peeling off most-violating groups.
 
@@ -202,20 +156,17 @@ def peel_decodable_subset(instance: MacInstance) -> tuple[int, ...]:
     crediting its power to the noise seen by the survivors, until every
     remaining constraint holds.  When the whole-set sum-rate constraint holds
     the survivors are nonempty; each peel can erode the feasibility margin by
-    at most EPS_BITS, which is negligible away from region boundaries.
+    at most EPS_BITS, which is negligible away from region boundaries.  This
+    is the one-round case of :func:`multi_block_decodable_subset`.
     """
-    members = list(range(instance.m))
-    rates = dict(enumerate(instance.rates))
-    powers = dict(enumerate(instance.powers))
-    denom = instance.noise + instance.interference
-    while members:
-        worst = _max_margin_violator(members, rates, powers, denom)
-        if worst is None:
-            break
-        denom += sum(powers[j] for j in worst)
-        gone = set(worst)
-        members = [j for j in members if j not in gone]
-    return tuple(members)
+    single_round = MultiBlockInstance(
+        instance.rates,
+        instance.powers,
+        instance.noise,
+        blocks=(0,) * instance.m,
+        interference=instance.interference,
+    )
+    return multi_block_decodable_subset(single_round).decoded
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +497,49 @@ class _MultiBlockEvaluator:
     def margin(self, subset: frozenset[int]) -> float:
         return sum(self.inst.rates[j] for j in subset) - self.rhs(subset)
 
+    def margins(self, members: Sequence[int]) -> np.ndarray:
+        """``margin`` of every subset of ``members`` at once.
+
+        Entry ``mask`` is the subset holding ``members[b]`` for each set bit
+        b.  A transmission adds its power to the masks that meet its trigger:
+        its own member bit plus the bits of the members it repeats.  Powers
+        are summed in the order ``rhs`` uses and every distinct per-round
+        power goes through ``math.log2``, so the capacity side is bitwise
+        equal to ``rhs``.
+        """
+        inst = self.inst
+        bit = {j: 1 << b for b, j in enumerate(members)}
+
+        def trigger(targets: Iterable[int]) -> int:
+            out = 0
+            for h in targets:
+                out |= bit.get(h, 0)
+            return out
+
+        masks = np.arange(1 << len(members), dtype=np.int64)
+        total = np.zeros(len(masks))
+        for k in self.rounds:
+            sends = [
+                (inst.powers[j], bit.get(j, 0) | trigger(inst.helps[j]))
+                for j in self.members_in[k]
+                if j not in self.removed and inst.usable[j]
+            ]
+            sends.extend(
+                (inst.carriers[c_idx].power, trigger(inst.carriers[c_idx].helps))
+                for c_idx in self.carriers_in[k]
+                if c_idx not in self.deadened
+            )
+            if not sends:
+                continue
+            q = np.zeros(len(masks))
+            for p, t in sends:
+                q += p * ((masks & t) != 0)
+            values, inverse = np.unique(q, return_inverse=True)
+            d = self.base_noise[k] + self.extra_noise[k]
+            logs = [math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in values.tolist()]
+            total += np.array(logs)[inverse]
+        return _subset_sums([inst.rates[j] for j in members]) - total
+
     def remove_closure(self, subset: Iterable[int]) -> None:
         """Drop a violating subset plus everything its loss contaminates.
 
@@ -572,10 +566,24 @@ class _MultiBlockEvaluator:
                 self.extra_noise[c.block] += c.power
 
     def worst_violator(self) -> tuple[int, ...] | None:
+        """Survivor subset with the largest margin at or above ``-EPS_BITS``.
+
+        Exact ties go to the lexicographically smallest member tuple.  Up to
+        ``_EXACT_SUBSET_LIMIT`` survivors every subset is scored; beyond it a
+        heuristic family of prefixes and index ranges is scanned.
+        """
         surv = sorted(self.survivors())
         k = len(surv)
         if k == 0:
             return None
+        if k <= _EXACT_SUBSET_LIMIT:
+            margins = self.margins(surv)[1:]
+            top = margins.max()
+            if top < -EPS_BITS:
+                return None
+            ties = (np.flatnonzero(margins == top) + 1).tolist()
+            return min(tuple(surv[b] for b in range(k) if mask >> b & 1) for mask in ties)
+
         best: tuple[float, tuple[int, ...]] | None = None
 
         def consider(subset: tuple[int, ...]) -> None:
@@ -586,21 +594,17 @@ class _MultiBlockEvaluator:
             if best is None or margin > best[0] or (margin == best[0] and subset < best[1]):
                 best = (margin, subset)
 
-        if k <= _EXACT_SUBSET_LIMIT:
-            for mask in range(1, 1 << k):
-                consider(tuple(surv[b] for b in range(k) if mask >> b & 1))
-        else:
-            seen: set[tuple[int, ...]] = set()
-            by_rate = sorted(surv, key=lambda j: (-self.inst.rates[j], j))
-            by_margin = sorted(surv, key=lambda j: (self.margin(frozenset([j])), j), reverse=True)
-            for chain in (by_rate, by_margin):
-                for end in range(1, k + 1):
-                    seen.add(tuple(sorted(chain[:end])))
-            for lo in range(k):
-                for hi in range(lo + 1, k + 1):
-                    seen.add(tuple(surv[lo:hi]))
-            for subset in sorted(seen):
-                consider(subset)
+        seen: set[tuple[int, ...]] = set()
+        by_rate = sorted(surv, key=lambda j: (-self.inst.rates[j], j))
+        by_margin = sorted(surv, key=lambda j: (self.margin(frozenset([j])), j), reverse=True)
+        for chain in (by_rate, by_margin):
+            for end in range(1, k + 1):
+                seen.add(tuple(sorted(chain[:end])))
+        for lo in range(k):
+            for hi in range(lo + 1, k + 1):
+                seen.add(tuple(surv[lo:hi]))
+        for subset in sorted(seen):
+            consider(subset)
         return None if best is None else best[1]
 
 
@@ -610,13 +614,8 @@ def multi_block_feasible(instance: MultiBlockInstance) -> bool:
         raise CapacityLimitError(
             f"{instance.m} members exceeds the exact limit of {_TWO_BLOCK_LIMIT}"
         )
-    ev = _MultiBlockEvaluator(instance)
-    members = list(range(instance.m))
-    for mask in range(1, 1 << instance.m):
-        subset = frozenset(members[b] for b in range(instance.m) if mask >> b & 1)
-        if ev.margin(subset) >= -EPS_BITS:
-            return False
-    return True
+    margins = _MultiBlockEvaluator(instance).margins(range(instance.m))
+    return bool(np.all(margins[1:] < -EPS_BITS))
 
 
 def multi_block_decodable_subset(instance: MultiBlockInstance) -> MultiBlockResult:

@@ -28,7 +28,12 @@ from typing import Iterable, Sequence
 
 from .binning import build_binning, decode_from_side_info
 from .errors import PreconditionError
-from .mac_region import HelperCarrier, MultiBlockInstance, multi_block_decodable_subset
+from .mac_region import (
+    HelperCarrier,
+    MultiBlockInstance,
+    MultiBlockResult,
+    multi_block_decodable_subset,
+)
 from .topology import (
     PowerMatrix,
     Schedule,
@@ -179,8 +184,14 @@ def _decode_closure(
     powers: PowerMatrix,
     rate: float,
     noise: float,
+    solved: dict[tuple, MultiBlockResult],
 ) -> DecodeRecord:
-    """Joint decode at ``node`` after block ``block``."""
+    """Joint decode at ``node`` after block ``block``.
+
+    ``solved`` memoizes region solves for the current run.  A solve depends
+    on round ids only through their differences, so its key holds them
+    shifted to start at 0, and the same pool a block later is a hit.
+    """
     due_missing = sorted(
         (j, beta)
         for j, k in lag.items()
@@ -212,7 +223,7 @@ def _decode_closure(
 
         helps: list[frozenset[int]] = [frozenset() for _ in members]
         usable = [True] * len(members)
-        carriers: list[HelperCarrier] = []
+        carriers: list[tuple[int, float, frozenset[int]]] = []
         round_noise: dict[int, float] = {}
         for beta in range(first_round, block + 1):
             for sender in sorted(lag):
@@ -235,24 +246,39 @@ def _decode_closure(
                         usable[index[sender]] = False
                         round_noise[beta] = round_noise.get(beta, 0.0) + p
                 elif all(m in targets for m in unknown):
-                    carriers.append(
-                        HelperCarrier(beta, p, frozenset(targets[m] for m in unknown))
-                    )
+                    carriers.append((beta, p, frozenset(targets[m] for m in unknown)))
                 else:
                     round_noise[beta] = round_noise.get(beta, 0.0) + p
 
-        instance = MultiBlockInstance(
-            rates=tuple(rate for _ in members),
-            powers=tuple(powers.pair(j, node) for j in members),
-            noise=noise,
-            blocks=tuple(frontier[j] for j in members),
-            helps=tuple(helps),
-            carriers=tuple(carriers),
-            interference=static_interference,
-            block_interference=tuple(sorted(round_noise.items())),
-            usable=tuple(usable),
+        member_powers = tuple(powers.pair(j, node) for j in members)
+        blocks = tuple(frontier[j] for j in members)
+        block_noise = tuple(sorted(round_noise.items()))
+        # Every instance field, with round ids relative to the first round.
+        key = (
+            rate,
+            noise,
+            static_interference,
+            member_powers,
+            tuple(b - first_round for b in blocks),
+            tuple(helps),
+            tuple(usable),
+            tuple((b - first_round, p, h) for b, p, h in carriers),
+            tuple((b - first_round, p) for b, p in block_noise),
         )
-        result = multi_block_decodable_subset(instance)
+        result = solved.get(key)
+        if result is None:
+            instance = MultiBlockInstance(
+                rates=tuple(rate for _ in members),
+                powers=member_powers,
+                noise=noise,
+                blocks=blocks,
+                helps=tuple(helps),
+                carriers=tuple(HelperCarrier(*c) for c in carriers),
+                interference=static_interference,
+                block_interference=block_noise,
+                usable=tuple(usable),
+            )
+            result = solved[key] = multi_block_decodable_subset(instance)
         if sum_rate_ok is None:
             sum_rate_ok = result.sum_rate_ok
         if not result.decoded:
@@ -308,6 +334,7 @@ def run_schedule(
     decode_rows: list[tuple[DecodeRecord, ...]] = []
     snapshots = [tuple(frozenset(s) for s in know)]
     completion: list[int | None] = [None] * n
+    solved: dict[tuple, MultiBlockResult] = {}
 
     for b in range(1, blocks + 1):
         tx_rows.append(
@@ -317,7 +344,7 @@ def run_schedule(
         updated = []
         for i in range(n):
             rec = _decode_closure(
-                i, b, know[i], tx_rows, lag[i], static[i], powers, rate, topology.noise
+                i, b, know[i], tx_rows, lag[i], static[i], powers, rate, topology.noise, solved
             )
             records.append(rec)
             if rec.success:

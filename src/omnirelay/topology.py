@@ -115,10 +115,10 @@ class Topology:
         n = len(self.distances)
         if n < 2:
             raise ValueError("topology needs at least two nodes")
-        if self.power <= 0:
-            raise ValueError("transmit power must be positive")
-        if self.noise <= 0:
-            raise ValueError("noise power must be positive")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError("transmit power must be finite and positive")
+        if not (math.isfinite(self.noise) and self.noise > 0):
+            raise ValueError("noise power must be finite and positive")
         for i, row in enumerate(self.distances):
             if len(row) != n:
                 raise ValueError("distance matrix must be square")
@@ -634,10 +634,14 @@ def parse_topology_text(
                     gain = exponential(float(parts[2]))
                 else:
                     raise fail(lineno, f"unknown gain preset {parts[1]!r}")
-            elif key == "power":
-                power = float(parts[1])
-            elif key == "noise":
-                noise = float(parts[1])
+            elif key in ("power", "noise"):
+                value = float(parts[1])
+                if not math.isfinite(value):
+                    raise fail(lineno, f"{key} must be finite")
+                if key == "power":
+                    power = value
+                else:
+                    noise = value
             elif key == "pos":
                 node = int(parts[1])
                 coords = tuple(float(x) for x in parts[2:])

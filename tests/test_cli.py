@@ -205,6 +205,17 @@ def test_error_codes(capsys, tmp_path):
     broken = tmp_path / "broken.txt"
     broken.write_text("nodes 2\ngain wat\n", encoding="utf-8")
     assert_fails(capsys, ["analyze", "--topology", str(broken)], "E_TOPOLOGY")
+    for flag, value in (("--power", "nan"), ("--noise", "inf")):
+        assert_fails(
+            capsys,
+            ["analyze", "--preset", "regular-line", "--n", "5", flag, value],
+            "E_VALUE",
+        )
+    non_finite = tmp_path / "non_finite.txt"
+    non_finite.write_text(
+        "nodes 2\ngain const\npower nan\nnoise 1\npos 1 0\npos 2 1\n", encoding="utf-8"
+    )
+    assert_fails(capsys, ["analyze", "--topology", str(non_finite)], "E_TOPOLOGY")
 
 
 def test_bad_gain_spec(capsys):

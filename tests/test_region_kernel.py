@@ -1,0 +1,241 @@
+"""The all-subsets margin kernel against the scalar evaluator, its tie-break,
+round-shift invariance, and the simulator's per-run solve memo."""
+
+import random
+
+import pytest
+
+from omnirelay import protocol_sim
+from omnirelay.mac_region import (
+    EPS_BITS,
+    HelperCarrier,
+    MultiBlockInstance,
+    _MultiBlockEvaluator,
+    multi_block_decodable_subset,
+)
+from omnirelay.protocol_sim import run_distance_regulated
+from omnirelay.topology import power_law, regular_line, ring
+
+
+def adjacency(n, closed=False):
+    if closed:
+        return [frozenset({(i - 1) % n, (i + 1) % n}) for i in range(n)]
+    return [frozenset(x for x in (i - 1, i + 1) if 0 <= x < n) for i in range(n)]
+
+
+def build_instance(rng, common_rate):
+    """Random instance with helps, carriers, unusable members and round noise."""
+    m = rng.randint(1, 8)
+    rounds = rng.randint(1, 4)
+    blocks = [rng.randint(1, rounds) for _ in range(m)]
+    rate = rng.uniform(0.0, 1.5)
+    rates = [rate if common_rate else rng.uniform(0.0, 1.5) for _ in range(m)]
+    powers = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(m)]
+    helps = [
+        frozenset(h for h in range(m) if blocks[h] < blocks[j] and rng.random() < 0.4)
+        for j in range(m)
+    ]
+    carriers = []
+    for _ in range(rng.randint(0, 3)):
+        block = rng.randint(2, rounds + 1)
+        targets = frozenset(h for h in range(m) if blocks[h] < block and rng.random() < 0.6)
+        if targets:
+            carriers.append(HelperCarrier(block, 10.0 ** rng.uniform(-1.0, 1.0), targets))
+    return MultiBlockInstance(
+        tuple(rates),
+        tuple(powers),
+        rng.uniform(0.5, 2.0),
+        blocks=tuple(blocks),
+        helps=tuple(helps),
+        carriers=tuple(carriers),
+        interference=rng.choice([0.0, rng.uniform(0.0, 1.0)]),
+        block_interference=tuple(
+            (b, rng.uniform(0.0, 2.0)) for b in range(1, rounds + 2) if rng.random() < 0.4
+        ),
+        usable=tuple(rng.random() < 0.8 for _ in range(m)),
+    )
+
+
+def evaluator_states(inst, rng):
+    """A fresh evaluator and one after peeling a random subset with its closure."""
+    yield _MultiBlockEvaluator(inst)
+    ev = _MultiBlockEvaluator(inst)
+    ev.remove_closure(rng.sample(range(inst.m), rng.randint(1, inst.m)))
+    yield ev
+
+
+def subset_of(members, mask):
+    return frozenset(members[b] for b in range(len(members)) if mask >> b & 1)
+
+
+def scalar_worst_violator(ev):
+    """The subset-at-a-time search: largest margin, lexicographic tie-break."""
+    surv = sorted(ev.survivors())
+    best = None
+    for mask in range(1, 1 << len(surv)):
+        subset = tuple(sorted(subset_of(surv, mask)))
+        margin = ev.margin(frozenset(subset))
+        if margin < -EPS_BITS:
+            continue
+        if best is None or margin > best[0] or (margin == best[0] and subset < best[1]):
+            best = (margin, subset)
+    return None if best is None else best[1]
+
+
+def assert_kernel_matches(ev, common_rate):
+    for members in (sorted(ev.survivors()), list(range(ev.inst.m))):
+        margins = ev.margins(members)
+        assert margins.shape == (1 << len(members),)
+        for mask in range(1 << len(members)):
+            scalar = ev.margin(subset_of(members, mask))
+            if common_rate:
+                # Equal rates sum the same in any order, and the capacity
+                # side is bitwise equal to rhs, so the margins are too.
+                assert margins[mask] == scalar
+            else:
+                assert margins[mask] == pytest.approx(scalar, rel=0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# kernel against the scalar evaluator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("common_rate", [False, True])
+def test_margins_match_the_scalar_evaluator(common_rate):
+    rng = random.Random(131 + common_rate)
+    for _ in range(150):
+        inst = build_instance(rng, common_rate)
+        for ev in evaluator_states(inst, rng):
+            assert_kernel_matches(ev, common_rate)
+
+
+def test_worst_violator_matches_the_scalar_search():
+    rng = random.Random(137)
+    for _ in range(200):
+        inst = build_instance(rng, common_rate=True)
+        for ev in evaluator_states(inst, rng):
+            assert ev.worst_violator() == scalar_worst_violator(ev)
+
+
+def test_peel_matches_the_scalar_search():
+    rng = random.Random(139)
+    for _ in range(100):
+        inst = build_instance(rng, common_rate=True)
+        ev = _MultiBlockEvaluator(inst)
+        while (worst := scalar_worst_violator(ev)) is not None:
+            ev.remove_closure(worst)
+        assert multi_block_decodable_subset(inst).decoded == tuple(sorted(ev.survivors()))
+
+
+def test_margins_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.randoms(use_true_random=False), st.booleans())
+    def check(rng, common_rate):
+        inst = build_instance(rng, common_rate)
+        for ev in evaluator_states(inst, rng):
+            assert_kernel_matches(ev, common_rate)
+            if common_rate:
+                assert ev.worst_violator() == scalar_worst_violator(ev)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# exact ties
+# ---------------------------------------------------------------------------
+
+
+def test_tied_violators_peel_in_lexicographic_order():
+    # Equal powers, one member per round: round k sees noise k, so member k
+    # has capacity log2(1 + 1/k).  Every rate sits 2**-31 bits below its
+    # capacity, inside the EPS_BITS slack, so all four singletons violate
+    # with exactly the same margin and every larger subset violates less.
+    probe = _MultiBlockEvaluator(
+        MultiBlockInstance((0.0,) * 4, (1.0,) * 4, 1.0, blocks=(1, 2, 3, 4))
+    )
+    rates = tuple(probe.rhs(frozenset({j})) - 2.0**-31 for j in range(4))
+    inst = MultiBlockInstance(rates, (1.0,) * 4, 1.0, blocks=(1, 2, 3, 4))
+    ev = _MultiBlockEvaluator(inst)
+    assert len({ev.margin(frozenset({j})) for j in range(4)}) == 1
+    peeled = []
+    while (worst := ev.worst_violator()) is not None:
+        peeled.append(worst)
+        ev.remove_closure(worst)
+    assert peeled == [(0,), (1,), (2,), (3,)]
+
+
+def test_tie_break_is_lexicographic_not_by_mask():
+    # Mirror-symmetric powers: {1} and {0, 1, 2} both have margin exactly 0.
+    # Mask order would pick {1} (mask 2); the tuple (0, 1, 2) is smaller.
+    inst = MultiBlockInstance((1.0,) * 3, (3.0, 1.0, 3.0), 1.0, blocks=(1, 1, 1))
+    ev = _MultiBlockEvaluator(inst)
+    assert ev.margin(frozenset({1})) == ev.margin(frozenset({0, 1, 2})) == 0.0
+    assert ev.worst_violator() == (0, 1, 2)
+    assert scalar_worst_violator(ev) == (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# round shifts and the simulator memo
+# ---------------------------------------------------------------------------
+
+
+def shifted(inst, offset):
+    return MultiBlockInstance(
+        inst.rates,
+        inst.powers,
+        inst.noise,
+        blocks=tuple(b + offset for b in inst.blocks),
+        helps=inst.helps,
+        carriers=tuple(HelperCarrier(c.block + offset, c.power, c.helps) for c in inst.carriers),
+        interference=inst.interference,
+        block_interference=tuple((b + offset, p) for b, p in inst.block_interference),
+        usable=inst.usable,
+    )
+
+
+def test_results_are_invariant_under_round_shifts():
+    rng = random.Random(149)
+    for _ in range(100):
+        inst = build_instance(rng, common_rate=rng.random() < 0.5)
+        result = multi_block_decodable_subset(inst)
+        for offset in (1, 7, 250):
+            assert multi_block_decodable_subset(shifted(inst, offset)) == result
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    calls = []
+    solve = protocol_sim.multi_block_decodable_subset
+
+    def recording(instance):
+        calls.append(instance)
+        return solve(instance)
+
+    monkeypatch.setattr(protocol_sim, "multi_block_decodable_subset", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "topo, one_hop, rate, blocks",
+    [
+        (ring(6, 1.0, power_law(2.0), 10.0, 1.0), adjacency(6, closed=True), 1.0, 40),
+        # Above the all-cast bound (0.665), so decodes fail and peel.
+        (regular_line(7, 1.0, power_law(2.0), 10.0, 1.0), adjacency(7), 0.7, 12),
+    ],
+    ids=["ring", "line-over-bound"],
+)
+def test_memo_solves_each_shifted_instance_once_per_run(solver_calls, topo, one_hop, rate, blocks):
+    first = run_distance_regulated(topo, one_hop, rate, blocks).to_dict()
+    per_run = len(solver_calls)
+    keys = [shifted(inst, -min(inst.round_ids())) for inst in solver_calls]
+    assert 0 < per_run == len(set(keys))
+
+    # A second run in the same process starts from an empty memo.
+    second = run_distance_regulated(topo, one_hop, rate, blocks).to_dict()
+    assert len(solver_calls) == 2 * per_run
+    assert solver_calls[per_run:] == solver_calls[:per_run]
+    assert first == second

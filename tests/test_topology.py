@@ -122,6 +122,23 @@ def test_bad_scalars_rejected():
         regular_line(3, 0.0, constant(), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("power, noise", [
+    (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_non_finite_power_and_noise_rejected(power, noise):
+    with pytest.raises(ValueError, match="finite"):
+        regular_line(3, 1.0, constant(), power, noise)
+
+
+@pytest.mark.parametrize("row", ["power nan", "power inf", "noise nan", "noise inf"])
+def test_parse_rejects_non_finite_power_and_noise(row):
+    key = row.split()[0]
+    other = "noise 1" if key == "power" else "power 1"
+    text = f"nodes 2\ngain const\n{row}\n{other}\npos 1 0\npos 2 1\n"
+    with pytest.raises(TopologyFormatError, match=f"line 3: {key} must be finite"):
+        parse_topology_text(text)
+
+
 def test_positions_must_share_dimension():
     with pytest.raises(ValueError):
         topology_from_positions([(0.0,), (1.0, 2.0)], constant(), 1.0, 1.0)
