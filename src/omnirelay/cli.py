@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .binning import build_binning, decode_from_side_info, verify_binning_property
 from .errors import (
@@ -160,8 +160,8 @@ def _resolve_rate(spec: str, topology: Topology) -> float:
     if spec == "auto":
         return 0.999 * allcast_rate_bound(topology)
     value = float(spec)
-    if value < 0:
-        raise ValueError("rate must be nonnegative")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("rate must be finite and nonnegative")
     return value
 
 
@@ -388,8 +388,15 @@ def _add_topology_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ``ValueError`` (``E_VALUE``)."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omnirelay",
         description="All-cast relay protocol analysis and simulation.",
     )
@@ -442,9 +449,8 @@ _ERROR_CODES = [
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except tuple(t for t, _ in _ERROR_CODES) as exc:
         for exc_type, code in _ERROR_CODES:

@@ -4,9 +4,10 @@ Everything here works on abstract instances: per-sender rates and received
 powers at one receiver, a noise floor, and optional static interference.
 Feasibility of a rate tuple is the usual simultaneous-decoding region (every
 nonempty sender subset satisfies its sum-rate constraint); on top of that sit
-searches for the largest decodable subset when the full set is out of reach,
-a two-block region in which later transmissions help earlier messages, and a
-multi-block generalization of it used by the protocol simulator.
+searches for the largest decodable subset when the full set is out of reach.
+There is one region model, the multi-block region in which later
+transmissions repeat earlier messages; the one-receiver multiple-access
+region is its one-round case.
 
 All constraints are evaluated strictly with a fixed slack of ``EPS_BITS``
 bits, so boundary points count as infeasible on either route.
@@ -15,9 +16,9 @@ bits, so boundary points count as infeasible on either route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,16 +26,15 @@ from .errors import CapacityLimitError
 
 EPS_BITS = 1e-9
 
-_FEASIBLE_LIMIT = 24
+_FEASIBLE_LIMIT = 20
 _EXACT_SUBSET_LIMIT = 16
-_TWO_BLOCK_LIMIT = 20
 
 
-def _as_floats(values: Iterable[float], label: str, minimum: float = 0.0) -> tuple[float, ...]:
+def _as_floats(values: Iterable[float], label: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
     for v in out:
-        if not math.isfinite(v) or v < minimum:
-            raise ValueError(f"{label} must be finite and >= {minimum}")
+        if not math.isfinite(v) or v < 0.0:
+            raise ValueError(f"{label} must be finite and >= 0.0")
     return out
 
 
@@ -82,37 +82,39 @@ def _power_thresholds(rate_sums: np.ndarray) -> np.ndarray:
     return np.exp2(rate_sums + EPS_BITS) - 1.0
 
 
+def _one_round(
+    instance: MacInstance, members: Sequence[int] | None = None
+) -> MultiBlockInstance:
+    """One-round multi-block instance of ``members`` (default: every sender).
+
+    Member ``b`` of the result is sender ``members[b]``; the power of every
+    other sender joins the interference.
+    """
+    if members is None:
+        members = range(instance.m)
+    inside = set(members)
+    outside = sum(instance.powers[j] for j in range(instance.m) if j not in inside)
+    return MultiBlockInstance(
+        tuple(instance.rates[j] for j in members),
+        tuple(instance.powers[j] for j in members),
+        instance.noise,
+        blocks=(0,) * len(members),
+        interference=instance.interference + outside,
+    )
+
+
 def mac_feasible(instance: MacInstance) -> bool:
     """Whole-set simultaneous decodability of the rate tuple."""
-    m = instance.m
-    if m > _FEASIBLE_LIMIT:
-        raise CapacityLimitError(f"{m} senders exceeds the exact limit of {_FEASIBLE_LIMIT}")
-    rate_sums = _subset_sums(instance.rates)
-    power_sums = _subset_sums(instance.powers)
-    need = _power_thresholds(rate_sums)
-    denom = instance.noise + instance.interference
-    return bool(np.all(power_sums[1:] > need[1:] * denom))
+    return multi_block_feasible(_one_round(instance))
 
 
 def self_decodable(instance: MacInstance, subset: Iterable[int]) -> bool:
     """Can ``subset`` be decoded with the rest of the senders left as noise?"""
     members = sorted(set(subset))
-    m = instance.m
     for j in members:
-        if not 0 <= j < m:
+        if not 0 <= j < instance.m:
             raise ValueError(f"sender index {j} out of range")
-    if not members:
-        return False
-    if len(members) > _FEASIBLE_LIMIT:
-        raise CapacityLimitError(
-            f"{len(members)} senders exceeds the exact limit of {_FEASIBLE_LIMIT}"
-        )
-    outside = sum(instance.powers[j] for j in range(m) if j not in set(members))
-    denom = instance.noise + instance.interference + outside
-    rate_sums = _subset_sums([instance.rates[j] for j in members])
-    power_sums = _subset_sums([instance.powers[j] for j in members])
-    need = _power_thresholds(rate_sums)
-    return bool(np.all(power_sums[1:] > need[1:] * denom))
+    return bool(members) and multi_block_feasible(_one_round(instance, members))
 
 
 def decodable_subset(instance: MacInstance) -> tuple[int, ...]:
@@ -159,168 +161,7 @@ def peel_decodable_subset(instance: MacInstance) -> tuple[int, ...]:
     at most EPS_BITS, which is negligible away from region boundaries.  This
     is the one-round case of :func:`multi_block_decodable_subset`.
     """
-    single_round = MultiBlockInstance(
-        instance.rates,
-        instance.powers,
-        instance.noise,
-        blocks=(0,) * instance.m,
-        interference=instance.interference,
-    )
-    return multi_block_decodable_subset(single_round).decoded
-
-
-# ---------------------------------------------------------------------------
-# two-block region
-# ---------------------------------------------------------------------------
-
-
-def _normalize_helps(
-    helps: Mapping[int, Iterable[int]] | Sequence[Iterable[int]] | None,
-    m: int,
-) -> tuple[frozenset[int], ...]:
-    if helps is None:
-        return tuple(frozenset() for _ in range(m))
-    if isinstance(helps, Mapping):
-        rows = [frozenset(helps.get(j, ())) for j in range(m)]
-    else:
-        rows = [frozenset(s) for s in helps]
-        if len(rows) != m:
-            raise ValueError("helps must have one entry per sender")
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class TwoBlockInstance:
-    """Two transmission rounds at one receiver; round-2 senders may help round-1 messages.
-
-    ``helps[j]`` lists the earlier-round senders whose messages sender j's
-    transmission also carries.  Round-1 senders are decoded against the base
-    noise; round-2 constraints see the whole round-1 power as interference.
-    """
-
-    rates: tuple[float, ...]
-    powers: tuple[float, ...]
-    noise: float
-    block1: frozenset[int]
-    block2: frozenset[int]
-    helps: tuple[frozenset[int], ...] = field(default=())
-    interference: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", _as_floats(self.rates, "rates"))
-        object.__setattr__(self, "powers", _as_floats(self.powers, "powers"))
-        object.__setattr__(self, "block1", frozenset(self.block1))
-        object.__setattr__(self, "block2", frozenset(self.block2))
-        m = len(self.rates)
-        if len(self.powers) != m:
-            raise ValueError("rates and powers must have equal length")
-        if m == 0:
-            raise ValueError("an instance needs at least one sender")
-        if self.noise <= 0:
-            raise ValueError("noise must be positive")
-        if self.interference < 0:
-            raise ValueError("interference must be nonnegative")
-        if self.block1 & self.block2:
-            raise ValueError("round sets must be disjoint")
-        if self.block1 | self.block2 != frozenset(range(m)):
-            raise ValueError("round sets must cover all senders")
-        helps = _normalize_helps(self.helps if self.helps else None, m)
-        object.__setattr__(self, "helps", helps)
-        for j, targets in enumerate(helps):
-            if targets and j not in self.block2:
-                raise ValueError(f"sender {j} is not in round 2 and cannot help")
-            if not targets <= self.block1:
-                raise ValueError(f"help targets of sender {j} must be round-1 senders")
-
-    @property
-    def m(self) -> int:
-        return len(self.rates)
-
-    def helped_by(self) -> dict[int, frozenset[int]]:
-        """Inverse help map: round-1 sender -> round-2 senders helping it."""
-        out: dict[int, set[int]] = {i: set() for i in self.block1}
-        for j, targets in enumerate(self.helps):
-            for i in targets:
-                out[i].add(j)
-        return {i: frozenset(s) for i, s in out.items()}
-
-    @classmethod
-    def from_maps(
-        cls,
-        rates: Iterable[float],
-        powers: Iterable[float],
-        noise: float,
-        block1: Iterable[int],
-        block2: Iterable[int],
-        helps: Mapping[int, Iterable[int]] | Sequence[Iterable[int]] | None = None,
-        helped_by: Mapping[int, Iterable[int]] | None = None,
-        interference: float = 0.0,
-    ) -> "TwoBlockInstance":
-        """Build from either direction of the help relation, cross-checking both."""
-        rates = tuple(float(r) for r in rates)
-        m = len(rates)
-        if helps is None and helped_by is None:
-            raise ValueError("provide helps, helped_by, or both")
-        forward = _normalize_helps(helps, m) if helps is not None else None
-        if helped_by is not None:
-            derived = [set() for _ in range(m)]
-            for i, senders in helped_by.items():
-                for j in senders:
-                    if not 0 <= j < m:
-                        raise ValueError(f"helper index {j} out of range")
-                    derived[j].add(i)
-            backward = tuple(frozenset(s) for s in derived)
-            if forward is not None and forward != backward:
-                raise ValueError("helps and helped_by describe different relations")
-            forward = backward
-        return cls(
-            rates,
-            tuple(float(p) for p in powers),
-            float(noise),
-            frozenset(block1),
-            frozenset(block2),
-            forward,
-            float(interference),
-        )
-
-
-def two_block_feasible(instance: TwoBlockInstance) -> bool:
-    """Check every subset constraint of the two-round region.
-
-    For a subset S the useful round-2 power covers S's own round-2 senders
-    plus every round-2 sender whose help targets meet S's round-1 part.
-    """
-    m = instance.m
-    if m > _TWO_BLOCK_LIMIT:
-        raise CapacityLimitError(f"{m} senders exceeds the exact limit of {_TWO_BLOCK_LIMIT}")
-    mask1 = 0
-    for i in instance.block1:
-        mask1 |= 1 << i
-    mask2 = 0
-    for j in instance.block2:
-        mask2 |= 1 << j
-
-    rate_sums = _subset_sums(instance.rates)
-    power_sums = _subset_sums(instance.powers)
-
-    # active[s] = round-2 senders whose help targets meet s (round-1 bits only).
-    contrib = [0] * m
-    for j, targets in enumerate(instance.helps):
-        for i in targets:
-            contrib[i] |= 1 << j
-    active = np.zeros(1 << m, dtype=np.int64)
-    for b in range(m):
-        if contrib[b]:
-            view = active.reshape(-1, 2, 1 << b)
-            view[:, 1, :] |= contrib[b]
-
-    masks = np.arange(1 << m, dtype=np.int64)
-    part1 = masks & mask1
-    part2 = (masks & mask2) | active
-    d1 = instance.noise + instance.interference
-    d2 = d1 + float(power_sums[mask1])
-    rhs = np.log2(1.0 + power_sums[part1] / d1) + np.log2(1.0 + power_sums[part2] / d2)
-    return bool(np.all(rate_sums[1:] < rhs[1:] - EPS_BITS))
+    return multi_block_decodable_subset(_one_round(instance)).decoded
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +229,16 @@ class MultiBlockInstance:
         if self.interference < 0:
             raise ValueError("interference must be nonnegative")
         object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
-        object.__setattr__(self, "helps", _normalize_helps(self.helps or None, m))
+        helps = tuple(frozenset(s) for s in self.helps) or (frozenset(),) * m
+        if len(helps) != m:
+            raise ValueError("helps must have one entry per sender")
+        object.__setattr__(self, "helps", helps)
         object.__setattr__(self, "carriers", tuple(self.carriers))
         usable = self.usable or tuple(True for _ in range(m))
         if len(usable) != m:
             raise ValueError("usable must have one flag per member")
         object.__setattr__(self, "usable", tuple(bool(u) for u in usable))
-        if isinstance(self.block_interference, Mapping):
-            pairs = tuple(sorted(self.block_interference.items()))
-        else:
-            pairs = tuple(sorted((int(b), float(p)) for b, p in self.block_interference))
+        pairs = tuple(sorted((int(b), float(p)) for b, p in self.block_interference))
         for _, p in pairs:
             if p < 0:
                 raise ValueError("block interference must be nonnegative")
@@ -610,9 +451,9 @@ class _MultiBlockEvaluator:
 
 def multi_block_feasible(instance: MultiBlockInstance) -> bool:
     """Whole-set feasibility across every member-subset constraint."""
-    if instance.m > _TWO_BLOCK_LIMIT:
+    if instance.m > _FEASIBLE_LIMIT:
         raise CapacityLimitError(
-            f"{instance.m} members exceeds the exact limit of {_TWO_BLOCK_LIMIT}"
+            f"{instance.m} members exceeds the exact limit of {_FEASIBLE_LIMIT}"
         )
     margins = _MultiBlockEvaluator(instance).margins(range(instance.m))
     return bool(np.all(margins[1:] < -EPS_BITS))

@@ -22,6 +22,7 @@ blocks in hand.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -308,8 +309,8 @@ def run_schedule(
     warnings: Iterable[str] = (),
 ) -> SimulationTrace:
     """Simulate ``blocks`` rounds of the protocol under an explicit schedule."""
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError("rate must be finite and nonnegative")
     if blocks < 0:
         raise ValueError("block count must be nonnegative")
     n = topology.n

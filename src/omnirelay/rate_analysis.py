@@ -77,8 +77,8 @@ def ordered_line_conditions(topology: Topology, rate: float) -> RateReport:
     pair.  All constraints scale linearly with the rate, so the verdict is
     monotone and safe to bisect on.
     """
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError("rate must be finite and nonnegative")
     order = distance_ordering_check(topology)
     if order is None:
         raise PreconditionError("the topology admits no distance ordering")

@@ -79,15 +79,15 @@ class GainFunction:
 
 def power_law(alpha: float) -> GainFunction:
     """Received power decays as d^-alpha (amplitude gain d^(-alpha/2))."""
-    if alpha < 0:
-        raise ValueError("power-law exponent must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError("power-law exponent must be finite and nonnegative")
     return GainFunction("power-law", float(alpha))
 
 
 def exponential(gamma: float) -> GainFunction:
     """Amplitude gain exp(-gamma * d)."""
-    if gamma < 0:
-        raise ValueError("exponential decay rate must be nonnegative")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("exponential decay rate must be finite and nonnegative")
     return GainFunction("exponential", float(gamma))
 
 

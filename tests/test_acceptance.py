@@ -18,11 +18,10 @@ from omnirelay.cli import main
 from omnirelay.mac_region import (
     EPS_BITS,
     MacInstance,
-    TwoBlockInstance,
+    MultiBlockInstance,
     decodable_subset,
-    mac_feasible,
+    multi_block_feasible,
     peel_decodable_subset,
-    two_block_feasible,
 )
 from omnirelay.protocol_sim import interference_accounting, run_distance_regulated
 from omnirelay.rate_analysis import (
@@ -115,12 +114,11 @@ def test_criterion_3_two_block_identities():
     rng = random.Random(77)
     for _ in range(500):
         inst = random_mac(rng, max_m=6)
-        members = frozenset(range(inst.m))
-        only_first = TwoBlockInstance(inst.rates, inst.powers, inst.noise, members, frozenset())
-        only_second = TwoBlockInstance(inst.rates, inst.powers, inst.noise, frozenset(), members)
-        plain = mac_feasible(inst)
-        assert two_block_feasible(only_first) == plain
-        assert two_block_feasible(only_second) == plain
+        only_first = MultiBlockInstance(inst.rates, inst.powers, inst.noise, blocks=(1,) * inst.m)
+        only_second = MultiBlockInstance(inst.rates, inst.powers, inst.noise, blocks=(2,) * inst.m)
+        plain = oracle_self_decodable(inst, tuple(range(inst.m)))
+        assert multi_block_feasible(only_first) == plain
+        assert multi_block_feasible(only_second) == plain
 
         # Wherever a subset A violates its constraint while the full set is
         # fine, the complement must fit the leftover capacity with A's power

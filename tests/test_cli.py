@@ -216,6 +216,12 @@ def test_error_codes(capsys, tmp_path):
         "nodes 2\ngain const\npower nan\nnoise 1\npos 1 0\npos 2 1\n", encoding="utf-8"
     )
     assert_fails(capsys, ["analyze", "--topology", str(non_finite)], "E_TOPOLOGY")
+    for flag, value in (("--rate", "nan"), ("--rate", "inf"), ("--power", "-inf"), ("--n", "abc")):
+        assert_fails(
+            capsys,
+            ["analyze", "--preset", "regular-line", "--n", "5", "--power", "10", flag, value],
+            "E_VALUE",
+        )
 
 
 def test_bad_gain_spec(capsys):

@@ -12,14 +12,12 @@ from omnirelay.mac_region import (
     HelperCarrier,
     MacInstance,
     MultiBlockInstance,
-    TwoBlockInstance,
     decodable_subset,
     mac_feasible,
     multi_block_decodable_subset,
     multi_block_feasible,
     peel_decodable_subset,
     self_decodable,
-    two_block_feasible,
 )
 
 
@@ -105,7 +103,7 @@ def test_instance_validation():
 
 
 def test_sender_count_caps():
-    big = MacInstance((0.01,) * 25, (1.0,) * 25, 1.0)
+    big = MacInstance((0.01,) * 21, (1.0,) * 21, 1.0)
     with pytest.raises(CapacityLimitError):
         mac_feasible(big)
     mid = MacInstance((0.01,) * 17, (1.0,) * 17, 1.0)
@@ -235,23 +233,30 @@ def test_difference_identity():
 
 
 def two_block(rates, powers, block1, block2, helps=None, noise=1.0, interference=0.0):
-    return TwoBlockInstance.from_maps(
-        rates, powers, noise, block1, block2, helps=helps, interference=interference
+    """Round-1 senders ``block1`` and round-2 senders ``block2``; ``helps`` maps
+    a round-2 sender to the round-1 senders it repeats."""
+    assert set(block1) | set(block2) == set(range(len(rates)))
+    helps = helps or {}
+    return MultiBlockInstance(
+        rates, powers, noise,
+        blocks=tuple(1 if j in block1 else 2 for j in range(len(rates))),
+        helps=tuple(frozenset(helps.get(j, ())) for j in range(len(rates))),
+        interference=interference,
     )
 
 
 def test_two_round_example_low_rates():
     inst = two_block((0.4, 0.4), (1.0, 4.0), {0}, {1}, helps={1: {0}})
-    assert two_block_feasible(inst)
+    assert multi_block_feasible(inst)
 
 
 def test_two_round_example_helper_carries_the_day():
     # Rate 1.2 exceeds what round 1 alone supports; the round-2 repeat of
     # message 0 closes the gap, and removing it breaks feasibility again.
     helped = two_block((1.2, 0.4), (1.0, 4.0), {0}, {1}, helps={1: {0}})
-    assert two_block_feasible(helped)
+    assert multi_block_feasible(helped)
     alone = two_block((1.2, 0.4), (1.0, 4.0), {0}, {1}, helps={})
-    assert not two_block_feasible(alone)
+    assert not multi_block_feasible(alone)
 
 
 def test_degenerate_partitions_reduce_to_one_round():
@@ -259,10 +264,11 @@ def test_degenerate_partitions_reduce_to_one_round():
     for _ in range(100):
         inst = random_instance(rng)
         members = set(range(inst.m))
-        first = TwoBlockInstance(inst.rates, inst.powers, inst.noise, frozenset(members), frozenset())
-        second = TwoBlockInstance(inst.rates, inst.powers, inst.noise, frozenset(), frozenset(members))
-        assert two_block_feasible(first) == mac_feasible(inst)
-        assert two_block_feasible(second) == mac_feasible(inst)
+        first = two_block(inst.rates, inst.powers, members, set(), noise=inst.noise)
+        second = two_block(inst.rates, inst.powers, set(), members, noise=inst.noise)
+        expect = subset_ok(inst.rates, inst.powers, members, inst.noise)
+        assert multi_block_feasible(first) == expect
+        assert multi_block_feasible(second) == expect
 
 
 def test_two_block_matches_direct_enumeration():
@@ -291,41 +297,7 @@ def test_two_block_matches_direct_enumeration():
                         return False
             return True
 
-        assert two_block_feasible(inst) == direct()
-
-
-def test_two_block_validation():
-    with pytest.raises(ValueError):
-        TwoBlockInstance((0.1, 0.1), (1.0, 1.0), 1.0, frozenset({0}), frozenset({0, 1}))
-    with pytest.raises(ValueError):
-        TwoBlockInstance((0.1, 0.1), (1.0, 1.0), 1.0, frozenset({0}), frozenset())
-    with pytest.raises(ValueError):
-        # Round-1 senders cannot help.
-        TwoBlockInstance(
-            (0.1, 0.1), (1.0, 1.0), 1.0, frozenset({0}), frozenset({1}),
-            helps=(frozenset({1}), frozenset()),
-        )
-    with pytest.raises(ValueError):
-        # Help targets must sit in round 1.
-        TwoBlockInstance(
-            (0.1, 0.1, 0.1), (1.0, 1.0, 1.0), 1.0, frozenset({0}), frozenset({1, 2}),
-            helps=(frozenset(), frozenset({2}), frozenset()),
-        )
-
-
-def test_from_maps_cross_checks_both_directions():
-    kwargs = dict(
-        rates=(0.4, 0.4), powers=(1.0, 4.0), noise=1.0, block1={0}, block2={1}
-    )
-    fwd = TwoBlockInstance.from_maps(**kwargs, helps={1: {0}})
-    bwd = TwoBlockInstance.from_maps(**kwargs, helped_by={0: {1}})
-    both = TwoBlockInstance.from_maps(**kwargs, helps={1: {0}}, helped_by={0: {1}})
-    assert fwd == bwd == both
-    assert fwd.helped_by() == {0: frozenset({1})}
-    with pytest.raises(ValueError, match="different relations"):
-        TwoBlockInstance.from_maps(**kwargs, helps={1: {0}}, helped_by={0: frozenset()})
-    with pytest.raises(ValueError):
-        TwoBlockInstance.from_maps(**kwargs)
+        assert multi_block_feasible(inst) == direct()
 
 
 # ---------------------------------------------------------------------------
@@ -344,29 +316,6 @@ def test_single_round_reduces_to_mac():
         result = multi_block_decodable_subset(multi)
         assert result.decoded == peel_decodable_subset(inst)
         assert not result.guarantee_based
-
-
-def test_two_rounds_reduce_to_two_block():
-    rng = random.Random(89)
-    for _ in range(100):
-        m = rng.randint(2, 5)
-        rates = tuple(rng.uniform(0.0, 1.5) for _ in range(m))
-        powers = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(m))
-        block1 = set(rng.sample(range(m), rng.randint(1, m - 1)))
-        block2 = set(range(m)) - block1
-        helps = tuple(
-            frozenset(i for i in block1 if rng.random() < 0.4) if j in block2 else frozenset()
-            for j in range(m)
-        )
-        two = TwoBlockInstance(
-            rates, powers, 1.0, frozenset(block1), frozenset(block2), helps
-        )
-        multi = MultiBlockInstance(
-            rates, powers, 1.0,
-            blocks=tuple(1 if j in block1 else 2 for j in range(m)),
-            helps=helps,
-        )
-        assert multi_block_feasible(multi) == two_block_feasible(two)
 
 
 def test_examples_across_two_rounds():

@@ -55,7 +55,7 @@ def test_gain_label_round_trip(label):
 
 
 def test_gain_parse_rejects_junk():
-    for bad in ["pl", "pl:x", "foo:1", "2.0"]:
+    for bad in ["pl", "pl:x", "foo:1", "2.0", "pl:nan", "pl:inf", "exp:inf"]:
         with pytest.raises(ValueError):
             GainFunction.parse(bad)
     with pytest.raises(ValueError):
@@ -420,6 +420,7 @@ def test_load_topology_file(tmp_path):
             "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\nhop 1 2\n",
             "hop rows",
         ),
+        ("nodes 2\ngain pl inf\npower 1\nnoise 1\npos 1 0\npos 2 1\n", "line 2: malformed 'gain'"),
     ],
 )
 def test_parse_structural_errors(text, fragment):
