@@ -245,6 +245,25 @@ def two_block(rates, powers, block1, block2, helps=None, noise=1.0, interference
     )
 
 
+def oracle_two_block_feasible(rates, powers, block1, block2, helps, noise=1.0):
+    """Two-block region by plain enumeration: every nonempty sender set ``s``
+    needs sum-rate below round 1's capacity over ``s & block1`` plus round 2's
+    over the round-2 senders in ``s`` or repeating a member of ``s & block1``,
+    with all of round 1 heard as noise in round 2."""
+    m = len(rates)
+    p1 = sum(powers[i] for i in block1)
+    for size in range(1, m + 1):
+        for s in combinations(range(m), size):
+            s = set(s)
+            s1 = s & set(block1)
+            s2 = (s & set(block2)) | {j for j in block2 if helps[j] & s1}
+            cap = math.log2(1.0 + sum(powers[i] for i in s1) / noise)
+            cap += math.log2(1.0 + sum(powers[j] for j in s2) / (noise + p1))
+            if not sum(rates[i] for i in s) < cap - EPS_BITS:
+                return False
+    return True
+
+
 def test_two_round_example_low_rates():
     inst = two_block((0.4, 0.4), (1.0, 4.0), {0}, {1}, helps={1: {0}})
     assert multi_block_feasible(inst)
@@ -283,21 +302,33 @@ def test_two_block_matches_direct_enumeration():
             j: frozenset(i for i in block1 if rng.random() < 0.4) for j in block2
         }
         inst = two_block(rates, powers, block1, block2, helps=helps)
+        assert multi_block_feasible(inst) == oracle_two_block_feasible(
+            rates, powers, block1, block2, helps
+        )
 
-        def direct():
-            p1 = sum(powers[i] for i in block1)
-            for size in range(1, m + 1):
-                for s in combinations(range(m), size):
-                    s = set(s)
-                    s1 = s & block1
-                    s2 = (s & block2) | {j for j in block2 if helps[j] & s1}
-                    cap = math.log2(1.0 + sum(powers[i] for i in s1) / 1.0)
-                    cap += math.log2(1.0 + sum(powers[j] for j in s2) / (1.0 + p1))
-                    if not sum(rates[i] for i in s) < cap - EPS_BITS:
-                        return False
-            return True
 
-        assert multi_block_feasible(inst) == direct()
+def test_two_rounds_reduce_to_two_block():
+    # A MultiBlockInstance with two nonempty rounds, built directly from its
+    # per-sender block and help tuples, is the two-block region.
+    rng = random.Random(89)
+    for _ in range(100):
+        m = rng.randint(2, 5)
+        rates = tuple(rng.uniform(0.0, 1.5) for _ in range(m))
+        powers = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(m))
+        block1 = set(rng.sample(range(m), rng.randint(1, m - 1)))
+        block2 = set(range(m)) - block1
+        helps = tuple(
+            frozenset(i for i in block1 if rng.random() < 0.4) if j in block2 else frozenset()
+            for j in range(m)
+        )
+        multi = MultiBlockInstance(
+            rates, powers, 1.0,
+            blocks=tuple(1 if j in block1 else 2 for j in range(m)),
+            helps=helps,
+        )
+        assert multi_block_feasible(multi) == oracle_two_block_feasible(
+            rates, powers, block1, block2, helps
+        )
 
 
 # ---------------------------------------------------------------------------
