@@ -86,6 +86,9 @@ def _parse_ints(text: str, label: str) -> tuple[int, ...]:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    hop_radius = getattr(args, "hop_radius", None)
+    if hop_radius is not None and not (math.isfinite(hop_radius) and hop_radius >= 0):
+        raise ValueError("hop radius must be finite and nonnegative")
     return ExperimentConfig(
         command=args.command,
         topology_path=getattr(args, "topology", None),
@@ -104,7 +107,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         rate_spec=str(getattr(args, "rate", "auto")),
         blocks=getattr(args, "blocks", 8),
         seed=getattr(args, "seed", 0),
-        hop_radius=getattr(args, "hop_radius", None),
+        hop_radius=hop_radius,
         payload_sizes=(
             _parse_ints(args.payload_sizes, "payload size")
             if getattr(args, "payload_sizes", None)

@@ -8,6 +8,13 @@ decode sets make due, using the multi-block region from
 decode outcomes, completion latency, and can replay a concrete payload
 through the deterministic binning layer to confirm end-to-end consistency.
 
+A receiver's knowledge of each scheduled source is always a prefix of that
+source's blocks: it grows only by whole due sets, and the decode of a source
+is attempted oldest-missing-first.  The simulator therefore keeps one
+counter per scheduled source next to the knowledge set, and a decode reads
+those counters, so its cost depends on its decode window (the blocks from
+the oldest attempted message to the current one), not on the block index.
+
 Modeling choices worth knowing about: a receiver attempts the oldest
 missing message of every scheduled source each block, even ones that are
 not yet due, so fresh neighbour traffic is treated as decodable signal
@@ -25,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .binning import build_binning, decode_from_side_info
 from .errors import PreconditionError
@@ -159,7 +166,9 @@ class SimulationTrace:
         }
 
 
-def _build_transmission(sender: int, block: int, known: set[Message], schedule: Schedule) -> Transmission:
+def _build_transmission(
+    sender: int, block: int, known: AbstractSet[Message], schedule: Schedule
+) -> Transmission:
     bundle = {(sender, block)}
     skipped = []
     for k, members in enumerate(schedule.encode_sets[sender], start=1):
@@ -178,7 +187,7 @@ def _build_transmission(sender: int, block: int, known: set[Message], schedule: 
 def _decode_closure(
     node: int,
     block: int,
-    know: set[Message],
+    upto: dict[int, int],
     transmissions: Sequence[Sequence[Transmission]],
     lag: dict[int, int],
     static_interference: float,
@@ -189,17 +198,18 @@ def _decode_closure(
 ) -> DecodeRecord:
     """Joint decode at ``node`` after block ``block``.
 
+    ``upto[j]`` is the last block of scheduled source ``j`` the node knows:
+    its knowledge of ``j`` is always the prefix ``(j, 1) .. (j, upto[j])``.
+    The peel advances a copy of these counters.
+
     ``solved`` memoizes region solves for the current run.  A solve depends
     on round ids only through their differences, so its key holds them
     shifted to start at 0, and the same pool a block later is a hit.
     """
-    due_missing = sorted(
-        (j, beta)
-        for j, k in lag.items()
-        for beta in range(1, block - k + 2)
-        if (j, beta) not in know
-    )
-    work = set(know)
+    due_missing = [
+        (j, beta) for j in sorted(lag) for beta in range(upto[j] + 1, block - lag[j] + 2)
+    ]
+    done = dict(upto)
     decoded_total: list[Message] = []
     sum_rate_ok: bool | None = None
 
@@ -207,13 +217,7 @@ def _decode_closure(
         # Attempt the oldest missing message of every scheduled source, due
         # or not; messages beyond their decode deadline are opportunistic
         # extras and only the due ones count toward success.
-        frontier: dict[int, int] = {}
-        for j in lag:
-            beta = 1
-            while (j, beta) in work:
-                beta += 1
-            if beta <= block:
-                frontier[j] = beta
+        frontier = {j: done[j] + 1 for j in lag if done[j] < block}
         if not frontier:
             break
 
@@ -231,7 +235,7 @@ def _decode_closure(
                 if sender == node:
                     continue
                 tx = transmissions[beta - 1][sender]
-                unknown = {m for m in tx.bundle if m not in work and m[0] != node}
+                unknown = {m for m in tx.bundle if m[1] > done.get(m[0], 0) and m[0] != node}
                 if not unknown:
                     continue
                 p = powers.pair(sender, node)
@@ -285,11 +289,11 @@ def _decode_closure(
         if not result.decoded:
             break
         for idx in result.decoded:
-            msg = (members[idx], frontier[members[idx]])
-            work.add(msg)
-            decoded_total.append(msg)
+            j = members[idx]
+            done[j] = frontier[j]
+            decoded_total.append((j, frontier[j]))
 
-    missing = tuple(m for m in due_missing if m not in work)
+    missing = tuple((j, beta) for j, beta in due_missing if beta > done[j])
     return DecodeRecord(
         node=node,
         block=block,
@@ -330,10 +334,13 @@ def run_schedule(
         for i in range(n)
     ]
 
-    know: list[set[Message]] = [set() for _ in range(n)]
+    # know[i] holds exactly the prefixes that upto[i] counts; see
+    # _decode_closure.  Snapshots share these frozensets.
+    know: list[frozenset[Message]] = [frozenset()] * n
+    upto = [dict.fromkeys(lag[i], 0) for i in range(n)]
     tx_rows: list[tuple[Transmission, ...]] = []
     decode_rows: list[tuple[DecodeRecord, ...]] = []
-    snapshots = [tuple(frozenset(s) for s in know)]
+    snapshots = [tuple(know)]
     completion: list[int | None] = [None] * n
     solved: dict[tuple, MultiBlockResult] = {}
 
@@ -342,21 +349,19 @@ def run_schedule(
             tuple(_build_transmission(l, b, know[l], schedule) for l in range(n))
         )
         records = []
-        updated = []
         for i in range(n):
             rec = _decode_closure(
-                i, b, know[i], tx_rows, lag[i], static[i], powers, rate, topology.noise, solved
+                i, b, upto[i], tx_rows, lag[i], static[i], powers, rate, topology.noise, solved
             )
             records.append(rec)
-            if rec.success:
+            if rec.success and rec.targets:
                 # Extras stay in the decode record only; the knowledge state
                 # advances by the schedule so latency reflects the due lags.
-                updated.append(set(know[i]) | set(rec.targets))
-            else:
-                updated.append(set(know[i]))
-        know = updated
+                know[i] = know[i].union(rec.targets)
+                for j, beta in rec.targets:
+                    upto[i][j] = beta
         decode_rows.append(tuple(records))
-        snapshots.append(tuple(frozenset(s) for s in know))
+        snapshots.append(tuple(know))
         for i in range(n):
             if completion[i] is None and all(
                 (j, 1) in know[i] for j in range(n) if j != i
@@ -446,13 +451,14 @@ def payload_demo(
 
     reports = []
     for i in range(n):
-        known_msgs = set(trace.knowledge[trace.blocks][i])
+        known_msgs = trace.knowledge[trace.blocks][i]
         own = {(i, beta) for beta in range(1, trace.blocks + 1)}
         values: dict[Message, int] = {m: truth[m] for m in own}
+        placeable = known_msgs | own
         held = [
             entry
             for entry in prepared
-            if entry[0].sender != i and set(entry[0].bundle) <= known_msgs | own
+            if entry[0].sender != i and entry[0].bundle <= placeable
         ]
         mismatches = []
         progress = True

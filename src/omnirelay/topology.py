@@ -162,9 +162,13 @@ def topology_from_positions(
             pts.append((float(p),))
         else:
             pts.append(tuple(float(x) for x in p))
+    if len(pts) < 2:
+        raise ValueError("topology needs at least two nodes")
     dims = {len(p) for p in pts}
     if len(dims) > 1:
         raise ValueError("all positions must share one dimension")
+    if not all(math.isfinite(x) for p in pts for x in p):
+        raise ValueError("node positions must be finite")
     arr = np.asarray(pts, dtype=float)
     diff = arr[:, None, :] - arr[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))

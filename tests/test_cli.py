@@ -1,9 +1,14 @@
 """Command-line interface: outputs, determinism and error codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import omnirelay
 from omnirelay.cli import main
 
 
@@ -222,6 +227,34 @@ def test_error_codes(capsys, tmp_path):
             ["analyze", "--preset", "regular-line", "--n", "5", "--power", "10", flag, value],
             "E_VALUE",
         )
+    # Fewer than two nodes, also where an empty position list reaches numpy.
+    assert_fails(capsys, ["simulate", "--preset", "regular-line", "--n", "0"], "E_VALUE")
+    assert_fails(
+        capsys, ["sweep", "--preset", "regular-line", "--sweep-n", "2,0"], "E_VALUE"
+    )
+    for command in ("simulate", "sweep"):
+        for value in ("nan", "inf", "-1"):
+            assert_fails(
+                capsys,
+                [command, "--preset", "regular-line", "--n", "4", "--hop-radius", value],
+                "E_VALUE",
+            )
+
+
+def test_non_finite_spacing_is_one_error_line():
+    # Run out of process: pytest would capture a numpy RuntimeWarning
+    # instead of letting it reach stderr.
+    src = pathlib.Path(omnirelay.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "omnirelay.cli", "simulate", "--preset", "regular-line",
+         "--n", "4", "--d0", "inf"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("E_VALUE:")
+    assert done.stderr.count("\n") == 1
 
 
 def test_bad_gain_spec(capsys):

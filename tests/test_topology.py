@@ -1,6 +1,7 @@
 """Geometry, received powers, hop layers, schedules and the text format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,24 @@ def test_parse_rejects_non_finite_power_and_noise(row):
 def test_positions_must_share_dimension():
     with pytest.raises(ValueError):
         topology_from_positions([(0.0,), (1.0, 2.0)], constant(), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("positions", [[], [0.0], [(1.0, 2.0)]])
+def test_positions_need_two_nodes(positions):
+    with pytest.raises(ValueError, match="at least two nodes"):
+        topology_from_positions(positions, constant(), 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [[0.0, math.inf], [0.0, math.nan, 2.0], [(0.0, 0.0), (1.0, -math.inf)]],
+)
+def test_positions_must_be_finite(positions):
+    # Rejected before any arithmetic, so numpy emits no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positions must be finite"):
+            topology_from_positions(positions, constant(), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
