@@ -58,7 +58,8 @@ class BinAssignment:
 def build_binning(sizes: Iterable[int]) -> BinAssignment:
     """Modular-sum binning with bin count equal to the largest slot alphabet."""
     sizes = tuple(int(s) for s in sizes)
-    assignment = BinAssignment(sizes, max(sizes))
+    # An empty bundle is rejected by BinAssignment, not by max().
+    assignment = BinAssignment(sizes, max(sizes, default=0))
     return assignment
 
 

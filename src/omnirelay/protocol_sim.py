@@ -10,10 +10,11 @@ through the deterministic binning layer to confirm end-to-end consistency.
 
 A receiver's knowledge of each scheduled source is always a prefix of that
 source's blocks: it grows only by whole due sets, and the decode of a source
-is attempted oldest-missing-first.  The simulator therefore keeps one
-counter per scheduled source next to the knowledge set, and a decode reads
-those counters, so its cost depends on its decode window (the blocks from
-the oldest attempted message to the current one), not on the block index.
+is attempted oldest-missing-first.  So one counter per scheduled source is
+the simulator's only knowledge state; a decode reads those counters, so its
+cost depends on its decode window (the blocks from the oldest attempted
+message to the current one), not on the block index.  A trace derives its
+per-block knowledge snapshots from its decode records on first read.
 
 Modeling choices worth knowing about: a receiver attempts the oldest
 missing message of every scheduled source each block, even ones that are
@@ -32,7 +33,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .binning import build_binning, decode_from_side_info
 from .errors import PreconditionError
@@ -117,9 +119,13 @@ class SimulationTrace:
     blocks: int
     transmissions: tuple[tuple[Transmission, ...], ...]
     decodes: tuple[tuple[DecodeRecord, ...], ...]
-    knowledge: tuple[tuple[frozenset[Message], ...], ...]
     completion_block: tuple[int | None, ...]
     warnings: tuple[str, ...] = ()
+
+    @cached_property
+    def knowledge(self) -> tuple[tuple[frozenset[Message], ...], ...]:
+        """Every node's decoded messages after blocks 0, 1, ..., ``blocks``."""
+        return tuple(_knowledge_states(self))
 
     def all_success(self) -> bool:
         return all(rec.success for row in self.decodes for rec in row)
@@ -166,8 +172,19 @@ class SimulationTrace:
         }
 
 
+def _knowledge_states(trace: SimulationTrace) -> Iterator[tuple[frozenset[Message], ...]]:
+    """Each node's known set after every block, replayed from the decode records."""
+    know: list[frozenset[Message]] = [frozenset()] * trace.topology.n
+    yield tuple(know)
+    for row in trace.decodes:
+        for rec in row:
+            if rec.success and rec.targets:
+                know[rec.node] = know[rec.node].union(rec.targets)
+        yield tuple(know)
+
+
 def _build_transmission(
-    sender: int, block: int, known: AbstractSet[Message], schedule: Schedule
+    sender: int, block: int, upto: dict[int, int], schedule: Schedule
 ) -> Transmission:
     bundle = {(sender, block)}
     skipped = []
@@ -177,7 +194,7 @@ def _build_transmission(
             continue
         for j in sorted(members):
             msg = (j, src_block)
-            if msg in known:
+            if src_block <= upto.get(j, 0):
                 bundle.add(msg)
             else:
                 skipped.append(msg)
@@ -194,7 +211,7 @@ def _decode_closure(
     powers: PowerMatrix,
     rate: float,
     noise: float,
-    solved: dict[tuple, MultiBlockResult],
+    solved: dict[MultiBlockInstance, MultiBlockResult],
 ) -> DecodeRecord:
     """Joint decode at ``node`` after block ``block``.
 
@@ -202,9 +219,10 @@ def _decode_closure(
     its knowledge of ``j`` is always the prefix ``(j, 1) .. (j, upto[j])``.
     The peel advances a copy of these counters.
 
-    ``solved`` memoizes region solves for the current run.  A solve depends
-    on round ids only through their differences, so its key holds them
-    shifted to start at 0, and the same pool a block later is a hit.
+    ``solved`` memoizes region solves for the current run, keyed by the
+    instance.  A solve depends on round ids only through their differences,
+    so the instance holds them shifted to start at 0, and the same pool a
+    block later is a hit.
     """
     due_missing = [
         (j, beta) for j in sorted(lag) for beta in range(upto[j] + 1, block - lag[j] + 2)
@@ -255,35 +273,20 @@ def _decode_closure(
                 else:
                     round_noise[beta] = round_noise.get(beta, 0.0) + p
 
-        member_powers = tuple(powers.pair(j, node) for j in members)
-        blocks = tuple(frontier[j] for j in members)
-        block_noise = tuple(sorted(round_noise.items()))
-        # Every instance field, with round ids relative to the first round.
-        key = (
-            rate,
-            noise,
-            static_interference,
-            member_powers,
-            tuple(b - first_round for b in blocks),
-            tuple(helps),
-            tuple(usable),
-            tuple((b - first_round, p, h) for b, p, h in carriers),
-            tuple((b - first_round, p) for b, p in block_noise),
+        instance = MultiBlockInstance(
+            rates=tuple(rate for _ in members),
+            powers=tuple(powers.pair(j, node) for j in members),
+            noise=noise,
+            blocks=tuple(frontier[j] - first_round for j in members),
+            helps=tuple(helps),
+            carriers=tuple(HelperCarrier(b - first_round, p, h) for b, p, h in carriers),
+            interference=static_interference,
+            block_interference=tuple((b - first_round, p) for b, p in round_noise.items()),
+            usable=tuple(usable),
         )
-        result = solved.get(key)
+        result = solved.get(instance)
         if result is None:
-            instance = MultiBlockInstance(
-                rates=tuple(rate for _ in members),
-                powers=member_powers,
-                noise=noise,
-                blocks=blocks,
-                helps=tuple(helps),
-                carriers=tuple(HelperCarrier(*c) for c in carriers),
-                interference=static_interference,
-                block_interference=block_noise,
-                usable=tuple(usable),
-            )
-            result = solved[key] = multi_block_decodable_subset(instance)
+            result = solved[instance] = multi_block_decodable_subset(instance)
         if sum_rate_ok is None:
             sum_rate_ok = result.sum_rate_ok
         if not result.decoded:
@@ -334,19 +337,16 @@ def run_schedule(
         for i in range(n)
     ]
 
-    # know[i] holds exactly the prefixes that upto[i] counts; see
-    # _decode_closure.  Snapshots share these frozensets.
-    know: list[frozenset[Message]] = [frozenset()] * n
+    # Node i knows (j, beta) iff beta <= upto[i][j]; see _decode_closure.
     upto = [dict.fromkeys(lag[i], 0) for i in range(n)]
     tx_rows: list[tuple[Transmission, ...]] = []
     decode_rows: list[tuple[DecodeRecord, ...]] = []
-    snapshots = [tuple(know)]
     completion: list[int | None] = [None] * n
-    solved: dict[tuple, MultiBlockResult] = {}
+    solved: dict[MultiBlockInstance, MultiBlockResult] = {}
 
     for b in range(1, blocks + 1):
         tx_rows.append(
-            tuple(_build_transmission(l, b, know[l], schedule) for l in range(n))
+            tuple(_build_transmission(l, b, upto[l], schedule) for l in range(n))
         )
         records = []
         for i in range(n):
@@ -354,17 +354,15 @@ def run_schedule(
                 i, b, upto[i], tx_rows, lag[i], static[i], powers, rate, topology.noise, solved
             )
             records.append(rec)
-            if rec.success and rec.targets:
+            if rec.success:
                 # Extras stay in the decode record only; the knowledge state
                 # advances by the schedule so latency reflects the due lags.
-                know[i] = know[i].union(rec.targets)
                 for j, beta in rec.targets:
                     upto[i][j] = beta
         decode_rows.append(tuple(records))
-        snapshots.append(tuple(know))
         for i in range(n):
             if completion[i] is None and all(
-                (j, 1) in know[i] for j in range(n) if j != i
+                upto[i].get(j, 0) >= 1 for j in range(n) if j != i
             ):
                 completion[i] = b
 
@@ -375,7 +373,6 @@ def run_schedule(
         blocks=blocks,
         transmissions=tuple(tx_rows),
         decodes=tuple(decode_rows),
-        knowledge=tuple(snapshots),
         completion_block=tuple(completion),
         warnings=tuple(warnings),
     )
@@ -449,9 +446,11 @@ def payload_demo(
             bin_index = assignment.bin_of([truth[m] for m in slots])
             prepared.append((tx, slots, assignment, bin_index))
 
+    for final in _knowledge_states(trace):
+        pass
     reports = []
     for i in range(n):
-        known_msgs = trace.knowledge[trace.blocks][i]
+        known_msgs = final[i]
         own = {(i, beta) for beta in range(1, trace.blocks + 1)}
         values: dict[Message, int] = {m: truth[m] for m in own}
         placeable = known_msgs | own

@@ -269,14 +269,18 @@ def build_power_matrix(topology: Topology) -> PowerMatrix:
     """Evaluate the gain on every pairwise distance and square into received power.
 
     Raises ModelViolationError if the sampled gain is negative, non-finite, or
-    increases anywhere over the sorted pairwise distances.
+    increases anywhere over the sorted pairwise distances, or if a received
+    power, a receiver's total, or that total over the noise is not finite.
     """
     n = topology.n
     dist = topology.distance_matrix()
     unique = sorted({dist[i][j] for i in range(n) for j in range(n) if i != j})
     gains = {}
     for d in unique:
-        g = float(topology.gain(d))
+        try:
+            g = float(topology.gain(d))
+        except OverflowError:
+            g = math.inf
         if not math.isfinite(g) or g < 0:
             raise ModelViolationError(f"gain at distance {d} is {g}; must be finite and >= 0")
         gains[d] = g
@@ -287,10 +291,21 @@ def build_power_matrix(topology: Topology) -> PowerMatrix:
                 "the model requires a non-increasing gain"
             )
     received = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                received[i, j] = gains[dist[i][j]] ** 2 * topology.power
+    for j in range(n):
+        try:
+            column = [
+                gains[dist[i][j]] ** 2 * topology.power if i != j else 0.0 for i in range(n)
+            ]
+        except OverflowError:
+            column = [math.inf]
+        # Checked in Python, before a numpy reduction can overflow with a warning.
+        total = sum(column)
+        if not math.isfinite(total / topology.noise):
+            raise ModelViolationError(
+                f"received power at node {j} overflows: total {total} over noise "
+                f"{topology.noise} is not finite"
+            )
+        received[:, j] = column
     return PowerMatrix(received)
 
 

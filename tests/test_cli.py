@@ -201,6 +201,9 @@ def test_error_codes(capsys, tmp_path):
         ["bin-demo", "--sizes", "2,2", "--values", "9,0"],
         "E_PRECONDITION",
     )
+    assert run(capsys, "bin-demo", "--sizes", ",", "--values", ",") == (
+        1, "", "E_VALUE: a bundle needs at least one slot\n"
+    )
     assert_fails(capsys, ["analyze"], "E_VALUE")  # neither file nor preset
     assert_fails(
         capsys,
@@ -241,19 +244,31 @@ def test_error_codes(capsys, tmp_path):
             )
 
 
-def test_non_finite_spacing_is_one_error_line():
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("simulate", "--n", "4", "--d0", "inf"), "E_VALUE"),
+        # Received power that overflows: in the gain itself, in a receiver's
+        # total, and in that total over the noise.
+        (("analyze", "--n", "3", "--gain", "pl:1000", "--d0", "0.01"), "E_MODEL"),
+        (("simulate", "--n", "3", "--power", "1e308"), "E_MODEL"),
+        (("simulate", "--n", "3", "--power", "1e200", "--noise", "1e-200"), "E_MODEL"),
+    ],
+    ids=["d0-inf", "gain-overflow", "total-overflow", "snr-overflow"],
+)
+def test_non_finite_spacing_is_one_error_line(argv, code):
     # Run out of process: pytest would capture a numpy RuntimeWarning
     # instead of letting it reach stderr.
     src = pathlib.Path(omnirelay.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
+    command, *flags = argv
     done = subprocess.run(
-        [sys.executable, "-m", "omnirelay.cli", "simulate", "--preset", "regular-line",
-         "--n", "4", "--d0", "inf"],
+        [sys.executable, "-m", "omnirelay.cli", command, "--preset", "regular-line", *flags],
         capture_output=True, text=True, env=env, check=False,
     )
     assert done.returncode == 1
     assert done.stdout == ""
-    assert done.stderr.startswith("E_VALUE:")
+    assert done.stderr.startswith(code + ":")
     assert done.stderr.count("\n") == 1
 
 

@@ -1,18 +1,21 @@
 """The counter-based decode against the set-based decode it replaced.
 
-``reference_decode_closure`` is the simulator's joint decode from when a
-receiver's knowledge was a plain set of messages that every decode scanned
-from block 1.  ``reference_run`` drives it with ``run_schedule``'s block loop
-over such sets.  The simulator now keeps one counter per scheduled source
-instead; these tests check that both give the same transmissions, decode
-records and knowledge snapshots, and that the invariant the counters rest on
-holds: a receiver's knowledge of each source is a prefix of its blocks.
+``reference_decode_closure`` and ``reference_build_transmission`` are the
+simulator's joint decode and relay bundling from when a receiver's knowledge
+was a plain set of messages that every decode scanned from block 1.
+``reference_run`` drives them with ``run_schedule``'s block loop over such
+sets and stores a knowledge snapshot per block.  The simulator now keeps one
+counter per scheduled source instead and derives its snapshots from the
+decode records; these tests check that both give the same transmissions,
+decode records and knowledge snapshots, and that the invariant the counters
+rest on holds: a receiver's knowledge of each source is a prefix of its
+blocks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 import pytest
 
@@ -26,12 +29,12 @@ from omnirelay.protocol_sim import (
     DecodeRecord,
     Message,
     Transmission,
-    _build_transmission,
     run_distance_regulated,
 )
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import (
     PowerMatrix,
+    Schedule,
     arc,
     build_power_matrix,
     distance_regulated_schedule,
@@ -40,6 +43,24 @@ from omnirelay.topology import (
     regular_line,
     ring,
 )
+
+
+def reference_build_transmission(
+    sender: int, block: int, known: AbstractSet[Message], schedule: Schedule
+) -> Transmission:
+    bundle = {(sender, block)}
+    skipped = []
+    for k, members in enumerate(schedule.encode_sets[sender], start=1):
+        src_block = block - k
+        if src_block < 1:
+            continue
+        for j in sorted(members):
+            msg = (j, src_block)
+            if msg in known:
+                bundle.add(msg)
+            else:
+                skipped.append(msg)
+    return Transmission(sender, block, frozenset(bundle), tuple(sorted(skipped)))
 
 
 def reference_decode_closure(
@@ -184,7 +205,9 @@ def reference_run(topology, one_hop, rate, blocks):
     snapshots = [tuple(frozenset(s) for s in know)]
     solved: dict[tuple, MultiBlockResult] = {}
     for b in range(1, blocks + 1):
-        tx_rows.append(tuple(_build_transmission(l, b, know[l], schedule) for l in range(n)))
+        tx_rows.append(
+            tuple(reference_build_transmission(l, b, know[l], schedule) for l in range(n))
+        )
         records = []
         updated = []
         for i in range(n):
@@ -241,6 +264,14 @@ def test_counter_decode_matches_the_set_reference(kind, n, share):
     assert trace.transmissions == transmissions
     assert trace.decodes == decodes
     assert trace.knowledge == knowledge
+
+
+def test_knowledge_is_derived_on_first_read():
+    kind, n, share = "ring", 5, 1.001
+    topology, one_hop, rate, blocks = build_case(kind, n, share)
+    trace = run_distance_regulated(topology, one_hop, rate, blocks)
+    assert "knowledge" not in vars(trace)
+    assert trace.knowledge == reference_run(topology, one_hop, rate, blocks)[2]
 
 
 def test_the_reference_grid_covers_failures_and_successes():
