@@ -6,9 +6,13 @@ non-decreasing distances moving outward along the ordering),
 ``ordered_line_conditions`` evaluates a sufficient condition for a common
 rate: each receiver must either jointly decode a far group together with the
 whole opposite side, or decode the opposite side while deferring the far
-group to relayed copies.  ``verify_regular_line_achievability`` replays, on
-an equally spaced line, the argument that those conditions follow from the
-rate ceiling alone, step by numeric step.
+group to relayed copies.  Every such condition reads ``log2(1 + S/D) >
+count * rate`` with S, D and count independent of the rate, so the
+conditions are one rate-independent table, built once per call;
+``max_achievable_rate`` bisects over that table.
+``verify_regular_line_achievability`` replays, on an equally spaced line,
+the argument that those conditions follow from the rate ceiling alone, step
+by numeric step, against limits likewise computed once.
 """
 
 from __future__ import annotations
@@ -68,6 +72,81 @@ class RateReport:
         return min(self.entries, key=lambda e: e.best_margin())
 
 
+def _line_table(topology: Topology) -> tuple[tuple[int, ...], list[tuple]]:
+    """The ordering and the rate-independent rows of the ordered-line conditions.
+
+    One row per ``ConditionEntry``, in entry order: ``(position, kind, lo, hi,
+    joint_count, joint_cap, defer_count, defer_cap)``.  The far group is
+    ``ordering[lo:hi]``, a branch's margin at ``rate`` is ``cap - count * rate``
+    (``_row_margins``), and the defer pair is None on sum rows.
+    """
+    order = distance_ordering_check(topology)
+    if order is None:
+        raise PreconditionError("the topology admits no distance ordering")
+    n = topology.n
+    powers = build_power_matrix(topology)
+    noise = topology.noise
+
+    # into[b][a]: received power at position b from position a (both 0-based).
+    # Each signal is its own sum() over a slice of into[pos], in position
+    # order.  A running prefix sum would be O(1) per entry, but it rounds
+    # differently from sum() (which compensates from Python 3.12 on), and
+    # that would move printed rates.
+    into = [[powers.pair(order[a], order[b]) for a in range(n)] for b in range(n)]
+
+    def capacity(signal: float, denom: float) -> float:
+        return math.log2(1.0 + signal / denom)
+
+    rows: list[tuple] = []
+    for pos in range(n):
+        i = pos + 1
+        col = into[pos]
+        total = sum(col[:pos] + col[pos + 1:])
+        rows.append((i, "sum", 0, 0, n - 1, capacity(total, noise), None, None))
+        if i == 1 or i == n:
+            continue
+        right_all = sum(col[i:])
+        left_all = sum(col[: i - 1])
+        for far in range(1, i - 1):
+            far_power = sum(col[:far])
+            rows.append((
+                i, "far-left", 0, far,
+                far + n - i, capacity(far_power + right_all, noise),
+                n - i, capacity(right_all, far_power + noise),
+            ))
+        for far in range(i + 2, n + 1):
+            far_power = sum(col[far - 1:])
+            rows.append((
+                i, "far-right", far - 1, n,
+                i + n - far, capacity(left_all + far_power, noise),
+                i - 1, capacity(left_all, far_power + noise),
+            ))
+    return tuple(order), rows
+
+
+def _row_margins(row: tuple, rate: float) -> tuple[float, float | None, bool]:
+    """Joint margin, defer margin (None on a sum row) and verdict of a row at ``rate``."""
+    _, _, _, _, joint_count, joint_cap, defer_count, defer_cap = row
+    joint = joint_cap - joint_count * rate
+    if defer_count is None:
+        return joint, None, joint > EPS_BITS
+    defer = defer_cap - defer_count * rate
+    return joint, defer, max(joint, defer) > EPS_BITS
+
+
+def _all_rows_hold(rows: list[tuple], rate: float) -> bool:
+    """Whether ``_row_margins(row, rate)`` holds on every row; inlined, as the
+    bisection calls it once per step on every row of the table."""
+    for _, _, _, _, joint_count, joint_cap, defer_count, defer_cap in rows:
+        joint = joint_cap - joint_count * rate
+        if defer_count is None:
+            if not joint > EPS_BITS:
+                return False
+        elif not max(joint, defer_cap - defer_count * rate) > EPS_BITS:
+            return False
+    return True
+
+
 def ordered_line_conditions(topology: Topology, rate: float) -> RateReport:
     """Evaluate the per-receiver decode-or-defer conditions at a common rate.
 
@@ -79,75 +158,28 @@ def ordered_line_conditions(topology: Topology, rate: float) -> RateReport:
     """
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
-    order = distance_ordering_check(topology)
-    if order is None:
-        raise PreconditionError("the topology admits no distance ordering")
-    n = topology.n
-    powers = build_power_matrix(topology)
-    noise = topology.noise
-
-    # q[a][b]: received power at position b from position a (both 0-based).
-    q = [[powers.pair(order[a], order[b]) for b in range(n)] for a in range(n)]
-
-    def margin(count: int, signal: float, denom: float) -> float:
-        return math.log2(1.0 + signal / denom) - count * rate
-
+    order, rows = _line_table(topology)
     entries: list[ConditionEntry] = []
-    for pos in range(n):
-        i = pos + 1
-        total = sum(q[a][pos] for a in range(n) if a != pos)
-        m = margin(n - 1, total, noise)
+    for row in rows:
+        position, kind, lo, hi = row[:4]
+        joint, defer, holds = _row_margins(row, rate)
         entries.append(
             ConditionEntry(
-                receiver=order[pos],
-                position=i,
-                kind="sum",
-                far_group=(),
-                joint_margin=m,
-                defer_margin=None,
-                holds=m > EPS_BITS,
+                receiver=order[position - 1],
+                position=position,
+                kind=kind,
+                far_group=order[lo:hi],
+                joint_margin=joint,
+                defer_margin=defer,
+                holds=holds,
             )
         )
-        if i == 1 or i == n:
-            continue
-        right_all = sum(q[a][pos] for a in range(i, n))
-        left_all = sum(q[a][pos] for a in range(0, i - 1))
-        for far in range(1, i - 1):
-            far_power = sum(q[a][pos] for a in range(0, far))
-            joint = margin(far + n - i, far_power + right_all, noise)
-            defer = margin(n - i, right_all, far_power + noise)
-            entries.append(
-                ConditionEntry(
-                    receiver=order[pos],
-                    position=i,
-                    kind="far-left",
-                    far_group=tuple(order[a] for a in range(0, far)),
-                    joint_margin=joint,
-                    defer_margin=defer,
-                    holds=max(joint, defer) > EPS_BITS,
-                )
-            )
-        for far in range(i + 2, n + 1):
-            far_power = sum(q[a][pos] for a in range(far - 1, n))
-            joint = margin(i + n - far, left_all + far_power, noise)
-            defer = margin(i - 1, left_all, far_power + noise)
-            entries.append(
-                ConditionEntry(
-                    receiver=order[pos],
-                    position=i,
-                    kind="far-right",
-                    far_group=tuple(order[a] for a in range(far - 1, n)),
-                    joint_margin=joint,
-                    defer_margin=defer,
-                    holds=max(joint, defer) > EPS_BITS,
-                )
-            )
 
     achievable = all(e.holds for e in entries)
     binding = min(e.best_margin() for e in entries)
     return RateReport(
         rate=rate,
-        ordering=tuple(order),
+        ordering=order,
         entries=tuple(entries),
         achievable=achievable,
         binding_margin=binding,
@@ -158,19 +190,21 @@ def max_achievable_rate(topology: Topology, tol: float = 1e-6) -> float:
     """Largest common rate passing the ordered-line conditions, by bisection.
 
     The rate ceiling is an exclusive upper end (its sum constraint fails
-    there by construction), so the search runs on [0, ceiling].
+    there by construction), so the search runs on [0, ceiling].  The
+    conditions are tabulated once; a step only re-evaluates the margins.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be finite and positive")
     hi = allcast_rate_bound(topology)
+    _, rows = _line_table(topology)
     lo = 0.0
-    if not ordered_line_conditions(topology, lo).achievable:
+    if not _all_rows_hold(rows, lo):
         return 0.0
     for _ in range(_BISECT_ITERATIONS):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0
-        if ordered_line_conditions(topology, mid).achievable:
+        if _all_rows_hold(rows, mid):
             lo = mid
         else:
             hi = mid
@@ -247,54 +281,63 @@ def verify_regular_line_achievability(
     rates = [0.999 * bound] + [bound * rng.random() for _ in range(samples - 1)]
 
     steps: list[CheckWitness] = []
-    verified = True
-    checked = 0
 
-    def record(description: str, rate: float | None, holds: bool) -> bool:
-        nonlocal verified
-        if not holds:
-            verified = False
-            steps.append(CheckWitness(description, rate, holds))
-        return holds
+    def fail(description: str, rate: float | None) -> None:
+        steps.append(CheckWitness(description, rate, False))
 
     # Rate-independent: concavity carries the ceiling down to every prefix.
     for k in range(1, n):
-        checked += 1
         lhs = (k / (n - 1)) * math.log2(1.0 + prefix[n - 1] / noise)
         rhs = math.log2(1.0 + prefix[k] / noise)
-        record(f"prefix {k} concavity step", None, lhs <= rhs + 1e-12)
+        if not lhs <= rhs + 1e-12:
+            fail(f"prefix {k} concavity step", None)
 
-    def strict(count: int, signal: float, denom: float, rate: float) -> bool:
-        return count * rate < math.log2(1.0 + signal / denom) - EPS_BITS
+    # A check "count * rate < log2(1 + signal / denom) - EPS_BITS" compares
+    # the rate against a rate-independent limit, computed once here.
+    def limit(signal: float, denom: float) -> float:
+        return math.log2(1.0 + signal / denom) - EPS_BITS
+
+    sum_limits = [(k, limit(prefix[k], noise)) for k in range(1, n)]
+    # Left-side far groups; the mirror symmetry of equal spacing makes
+    # the right-side cases identical under i -> n + 1 - i.  Per group:
+    # label, joint and defer (count, limit), and for a group too far to
+    # join directly its self-check and near-group (count, limit) pairs.
+    far_checks = []
+    for i in range(3, n):
+        right_all = prefix[n - i]
+        for far in range(1, i - 1):
+            far_power = prefix[i - 1] - prefix[i - 1 - far]
+            joint = (far + n - i, limit(far_power + right_all, noise))
+            defer = (n - i, limit(right_all, far_power + noise))
+            if i - far <= n - i + 1:
+                self_check = near = None
+            else:
+                self_check = (far, limit(far_power, noise))
+                near = (i - 1 - far, limit(prefix[i - 1 - far], far_power + noise))
+            far_checks.append((f"receiver {i} far-left {far}", joint, defer, self_check, near))
 
     for rate in rates:
-        for k in range(1, n):
-            checked += 1
-            record(f"prefix {k} sum constraint", rate, strict(k, prefix[k], noise, rate))
-        # Left-side far groups; the mirror symmetry of equal spacing makes
-        # the right-side cases identical under i -> n + 1 - i.
-        for i in range(3, n):
-            right_all = prefix[n - i]
-            for far in range(1, i - 1):
-                checked += 1
-                far_power = prefix[i - 1] - prefix[i - 1 - far]
-                joint_ok = strict(far + n - i, far_power + right_all, noise, rate)
-                defer_ok = strict(n - i, right_all, far_power + noise, rate)
-                label = f"receiver {i} far-left {far}"
-                if i - far <= n - i + 1:
-                    record(f"{label}: joint decode", rate, joint_ok)
-                elif strict(far, far_power, noise, rate):
-                    record(f"{label}: joint decode after far group self-check", rate, joint_ok)
-                else:
-                    near_power = prefix[i - 1 - far]
-                    near_ok = strict(i - 1 - far, near_power, far_power + noise, rate)
-                    record(f"{label}: near group behind far noise", rate, near_ok)
-                    record(f"{label}: defer", rate, defer_ok)
+        for k, sum_limit in sum_limits:
+            if not k * rate < sum_limit:
+                fail(f"prefix {k} sum constraint", rate)
+        for label, joint, defer, self_check, near in far_checks:
+            if self_check is None:
+                if not joint[0] * rate < joint[1]:
+                    fail(f"{label}: joint decode", rate)
+            elif self_check[0] * rate < self_check[1]:
+                if not joint[0] * rate < joint[1]:
+                    fail(f"{label}: joint decode after far group self-check", rate)
+            else:
+                if not near[0] * rate < near[1]:
+                    fail(f"{label}: near group behind far noise", rate)
+                if not defer[0] * rate < defer[1]:
+                    fail(f"{label}: defer", rate)
 
+    checked = (n - 1) + len(rates) * (len(sum_limits) + len(far_checks))
     return RegularLineCheck(
         bound=bound,
         rates=tuple(rates),
         conditions_checked=checked,
-        verified=verified,
+        verified=not steps,
         steps=tuple(steps),
     )

@@ -47,6 +47,23 @@ GOLDEN = [
          "--payload-sizes", "4", "--rate", "1.0289210676946254"),
         "e3e3eb169f85ec6b31c30627a826cc92ed62178b446793a1988aa54ea5bfc94c",
     ),
+    (
+        # The line-analyze benchmark shape (the benchmark adds --rate and --seed).
+        ("analyze", "--preset", "regular-line", "--n", "100", "--power", "10"),
+        "c33d1922cbe7b384555ae919f8153678e17219fd0ef0ba6f8e7bc60f1dbe8caf",
+    ),
+    (
+        # Uneven line: a far-left entry binds, max_rate (0.591) ends well
+        # below the bound (0.7295) and the verifier does not apply.
+        ("analyze", "--preset", "line", "--spacings", "1,2,0.5,3,1", "--power", "10"),
+        "63f475f306db91c65cdb80f6b6b974fedb75744a3ad5b64d750b5460f96fa6c7",
+    ),
+    (
+        # A rate above this line's bound (0.464).
+        ("analyze", "--preset", "line", "--spacings", "1,2,0.5,3,1", "--power", "10",
+         "--gain", "exp:0.5", "--rate", "0.5"),
+        "17f5af4da0e4d092908d9dd753cd3d78b95befaf358082f19cb836f4b4191c01",
+    ),
 ]
 
 
@@ -61,6 +78,9 @@ GOLDEN = [
         "analyze-line-40",
         "ring-6-120-payload",
         "ring-6-120-over-bound",
+        "analyze-line-100",
+        "analyze-uneven-line",
+        "analyze-uneven-line-over-bound",
     ],
 )
 def test_cli_output_is_pinned(capsys, argv, digest):

@@ -132,6 +132,40 @@ def test_uneven_line_binds_on_an_interior_pair():
     assert ordered_line_conditions(t, mx * 0.99).achievable
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
+def test_max_rate_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # An infinite tolerance used to return 0.0 without a bisection step, and
+    # a NaN one used to run all steps.
+    t = regular_line(4, 1.0, power_law(2.0), 10.0, 1.0)
+    with pytest.raises(ValueError):
+        max_achievable_rate(t, tol=tol)
+
+
+def test_max_rate_bisection_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.lists(st.floats(0.2, 4.0), min_size=1, max_size=7),
+        st.sampled_from([power_law(2.0), power_law(4.0), exponential(0.7), constant()]),
+        st.sampled_from([1.0, 10.0, 100.0]),
+        st.sampled_from([1e-3, 1e-6, 1e-9]),
+    )
+    def check(gaps, gain, power, tol):
+        coords = [0.0]
+        for g in gaps:
+            coords.append(coords[-1] + g)
+        t = general_line(coords, gain, power, 1.0)
+        bound = allcast_rate_bound(t)
+        r = max_achievable_rate(t, tol)
+        # r passes (unless nothing does), and one tolerance above it fails.
+        assert r == 0.0 or ordered_line_conditions(t, r).achievable
+        assert not ordered_line_conditions(t, min(r + tol, bound)).achievable
+
+    check()
+
+
 def test_conditions_require_an_ordering():
     square = topology_from_positions(
         [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], constant(), 1.0, 1.0
