@@ -159,9 +159,9 @@ def _topology_hash(topology: Topology, one_hop=None) -> str:
     return digest[:12]
 
 
-def _resolve_rate(spec: str, topology: Topology) -> float:
+def _resolve_rate(spec: str, bound: float) -> float:
     if spec == "auto":
-        return 0.999 * allcast_rate_bound(topology)
+        return 0.999 * bound
     value = float(spec)
     if not (math.isfinite(value) and value >= 0):
         raise ValueError("rate must be finite and nonnegative")
@@ -224,7 +224,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         {"key": "rate_bound", "value": bound},
     ]
     if ordering is not None:
-        rate = _resolve_rate(cfg.rate_spec, topology)
+        rate = _resolve_rate(cfg.rate_spec, bound)
         report = ordered_line_conditions(topology, rate)
         best = max_achievable_rate(topology)
         binding = report.binding_entry()
@@ -256,14 +256,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     topology, one_hop = _build_topology(cfg)
     if one_hop is None:
         one_hop = _default_one_hop(topology, cfg.hop_radius)
-    rate = _resolve_rate(cfg.rate_spec, topology)
+    bound = allcast_rate_bound(topology)
+    rate = _resolve_rate(cfg.rate_spec, bound)
     trace = run_distance_regulated(topology, one_hop, rate, cfg.blocks)
     noise_reports = interference_accounting(trace)
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "command": "simulate",
         "topology_hash": _topology_hash(topology, one_hop),
-        "rate_bound": allcast_rate_bound(topology),
+        "rate_bound": bound,
         "interference": [
             {"node": r.node, "undecoded": list(r.undecoded), "power": r.power}
             for r in noise_reports
@@ -318,7 +319,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             topology, _ = _build_topology(sub)
             one_hop = _default_one_hop(topology, cfg.hop_radius)
             bound = allcast_rate_bound(topology)
-            rate = _resolve_rate(cfg.rate_spec, topology)
+            rate = _resolve_rate(cfg.rate_spec, bound)
             trace = run_distance_regulated(topology, one_hop, rate, cfg.blocks)
             completion = [c for c in trace.completion_block if c is not None]
             results.append(

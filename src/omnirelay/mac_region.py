@@ -3,21 +3,21 @@
 Everything here works on abstract instances: per-sender rates and received
 powers at one receiver, a noise floor, and optional static interference.
 Feasibility of a rate tuple is the usual simultaneous-decoding region (every
-nonempty sender subset satisfies its sum-rate constraint); on top of that sit
-searches for the largest decodable subset when the full set is out of reach.
+nonempty sender subset satisfies its sum-rate constraint); on top of that sits
+a peel that finds a decodable subset when the full set is out of reach.
 There is one region model, the multi-block region in which later
 transmissions repeat earlier messages; the one-receiver multiple-access
-region is its one-round case.
+region is its one-round case, ``MultiBlockInstance(rates, powers, noise,
+blocks=(0,) * m, interference=i)``.
 
 All constraints are evaluated strictly with a fixed slack of ``EPS_BITS``
-bits, so boundary points count as infeasible on either route.
+bits, so boundary points count as infeasible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,135 +38,12 @@ def _as_floats(values: Iterable[float], label: str) -> tuple[float, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class MacInstance:
-    """One receiver, several senders: rates, received powers, noise, interference."""
-
-    rates: tuple[float, ...]
-    powers: tuple[float, ...]
-    noise: float
-    interference: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", _as_floats(self.rates, "rates"))
-        object.__setattr__(self, "powers", _as_floats(self.powers, "powers"))
-        if len(self.rates) != len(self.powers):
-            raise ValueError("rates and powers must have equal length")
-        if not self.rates:
-            raise ValueError("an instance needs at least one sender")
-        if self.noise <= 0:
-            raise ValueError("noise must be positive")
-        if self.interference < 0:
-            raise ValueError("interference must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return len(self.rates)
-
-
 def _subset_sums(values: Sequence[float]) -> np.ndarray:
     """sums[mask] = sum of values over the bits of mask."""
     sums = np.zeros(1)
     for v in values:
         sums = np.concatenate([sums, sums + v])
     return sums
-
-
-def _power_thresholds(rate_sums: np.ndarray) -> np.ndarray:
-    """Per-mask minimum signal-to-denominator ratio for a strict constraint.
-
-    ``R < log2(1 + p/d) - EPS_BITS``  is equivalent to  ``p > t * d`` with
-    ``t = 2 ** (R + EPS_BITS) - 1``; the multiplicative form avoids a log per
-    subset check.
-    """
-    return np.exp2(rate_sums + EPS_BITS) - 1.0
-
-
-def _one_round(
-    instance: MacInstance, members: Sequence[int] | None = None
-) -> MultiBlockInstance:
-    """One-round multi-block instance of ``members`` (default: every sender).
-
-    Member ``b`` of the result is sender ``members[b]``; the power of every
-    other sender joins the interference.
-    """
-    if members is None:
-        members = range(instance.m)
-    inside = set(members)
-    outside = sum(instance.powers[j] for j in range(instance.m) if j not in inside)
-    return MultiBlockInstance(
-        tuple(instance.rates[j] for j in members),
-        tuple(instance.powers[j] for j in members),
-        instance.noise,
-        blocks=(0,) * len(members),
-        interference=instance.interference + outside,
-    )
-
-
-def mac_feasible(instance: MacInstance) -> bool:
-    """Whole-set simultaneous decodability of the rate tuple."""
-    return multi_block_feasible(_one_round(instance))
-
-
-def self_decodable(instance: MacInstance, subset: Iterable[int]) -> bool:
-    """Can ``subset`` be decoded with the rest of the senders left as noise?"""
-    members = sorted(set(subset))
-    for j in members:
-        if not 0 <= j < instance.m:
-            raise ValueError(f"sender index {j} out of range")
-    return bool(members) and multi_block_feasible(_one_round(instance, members))
-
-
-def decodable_subset(instance: MacInstance) -> tuple[int, ...]:
-    """Largest sender subset decodable with its complement treated as noise.
-
-    Exhaustive over subsets in descending cardinality; among equal-size
-    candidates the one earliest in index-lexicographic order wins, which also
-    makes the result deterministic.  Empty tuple when nothing is decodable.
-    """
-    m = instance.m
-    if m > _EXACT_SUBSET_LIMIT:
-        raise CapacityLimitError(f"{m} senders exceeds the exact limit of {_EXACT_SUBSET_LIMIT}")
-    rate_sums = _subset_sums(instance.rates)
-    power_sums = _subset_sums(instance.powers)
-    need = (_power_thresholds(rate_sums) * 1.0).tolist()
-    psums = power_sums.tolist()
-    total_power = psums[-1]
-    base = instance.noise + instance.interference
-    for size in range(m, 0, -1):
-        for combo in combinations(range(m), size):
-            s = 0
-            for j in combo:
-                s |= 1 << j
-            denom = base + (total_power - psums[s])
-            t = s
-            ok = True
-            while t:
-                if psums[t] <= need[t] * denom:
-                    ok = False
-                    break
-                t = (t - 1) & s
-            if ok:
-                return combo
-    return ()
-
-
-def peel_decodable_subset(instance: MacInstance) -> tuple[int, ...]:
-    """Decodable subset found by peeling off most-violating groups.
-
-    Repeatedly drop the subset with the largest constraint violation,
-    crediting its power to the noise seen by the survivors, until every
-    remaining constraint holds.  When the whole-set sum-rate constraint holds
-    the survivors are nonempty; each peel can erode the feasibility margin by
-    at most EPS_BITS, which is negligible away from region boundaries.  This
-    is the one-round case of :func:`multi_block_decodable_subset`.
-    """
-    return multi_block_decodable_subset(_one_round(instance)).decoded
-
-
-# ---------------------------------------------------------------------------
-# multi-block region
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -224,10 +101,10 @@ class MultiBlockInstance:
             raise ValueError("rates, powers and blocks must have equal length")
         if m == 0:
             raise ValueError("an instance needs at least one member")
-        if self.noise <= 0:
-            raise ValueError("noise must be positive")
-        if self.interference < 0:
-            raise ValueError("interference must be nonnegative")
+        if not (math.isfinite(self.noise) and self.noise > 0):
+            raise ValueError("noise must be finite and positive")
+        if not (math.isfinite(self.interference) and self.interference >= 0):
+            raise ValueError("interference must be finite and nonnegative")
         object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
         helps = tuple(frozenset(s) for s in self.helps) or (frozenset(),) * m
         if len(helps) != m:
@@ -240,8 +117,8 @@ class MultiBlockInstance:
         object.__setattr__(self, "usable", tuple(bool(u) for u in usable))
         pairs = tuple(sorted((int(b), float(p)) for b, p in self.block_interference))
         for _, p in pairs:
-            if p < 0:
-                raise ValueError("block interference must be nonnegative")
+            if not (math.isfinite(p) and p >= 0):
+                raise ValueError("block interference must be finite and nonnegative")
         object.__setattr__(self, "block_interference", pairs)
         for j, targets in enumerate(self.helps):
             for h in targets:
@@ -271,16 +148,10 @@ class MultiBlockInstance:
 
 @dataclass(frozen=True)
 class MultiBlockResult:
-    """Outcome of a decodable-subset search on a multi-block instance.
-
-    ``guarantee_based`` flags results whose nonemptiness rests on the peel
-    argument for more than two rounds rather than the exactly analyzed one-
-    and two-round cases.
-    """
+    """Outcome of a decodable-subset search on a multi-block instance."""
 
     decoded: tuple[int, ...]
     sum_rate_ok: bool
-    guarantee_based: bool
 
 
 class _MultiBlockEvaluator:
@@ -463,17 +334,19 @@ def multi_block_decodable_subset(instance: MultiBlockInstance) -> MultiBlockResu
     """Largest member subset the receiver can decode, found by peeling.
 
     Violating groups are peeled off (with closure over bundles that repeat
-    them) until the remaining constraints hold.  ``sum_rate_ok`` reports the
-    whole-set sum-rate constraint of the untouched instance, a quick
-    diagnostic for why decoding fell short.
+    them) until the remaining constraints hold.  When the whole-set sum-rate
+    constraint holds the survivors are nonempty; each peel can erode the
+    feasibility margin by at most ``EPS_BITS``, which is negligible away from
+    region boundaries.  ``sum_rate_ok`` reports the whole-set sum-rate
+    constraint of the untouched instance, a quick diagnostic for why decoding
+    fell short.
     """
     ev = _MultiBlockEvaluator(instance)
     full = frozenset(range(instance.m))
     sum_rate_ok = ev.margin(full) < -EPS_BITS
-    guarantee = len({instance.blocks[j] for j in range(instance.m)}) > 2
     while True:
         worst = ev.worst_violator()
         if worst is None:
             break
         ev.remove_closure(worst)
-    return MultiBlockResult(tuple(sorted(ev.survivors())), sum_rate_ok, guarantee)
+    return MultiBlockResult(tuple(sorted(ev.survivors())), sum_rate_ok)

@@ -22,6 +22,8 @@ from .errors import ModelViolationError, TopologyFormatError
 GainLike = Callable[[float], float]
 
 _DIST_TOL = 1e-9
+# Largest n for which distance_ordering_check tries every labeling (n! work).
+_EXHAUSTIVE_ORDER_LIMIT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +580,11 @@ def _canonical(order: Sequence[int]) -> tuple[int, ...]:
     return order if order[0] <= order[-1] else order[::-1]
 
 
-def distance_ordering_check(
-    topology: Topology, *, exhaustive_limit: int = 8
-) -> tuple[int, ...] | None:
+def distance_ordering_check(topology: Topology) -> tuple[int, ...] | None:
     """Find a labeling under which every node sees non-decreasing distances outward.
 
     Tries the two principal-axis orders first; for n up to
-    ``exhaustive_limit`` falls back to trying every labeling.  Returns the
+    ``_EXHAUSTIVE_ORDER_LIMIT`` falls back to trying every labeling.  Returns the
     labeling (oriented so its first node id is the smaller endpoint), or None.
     """
     dist = topology.distances
@@ -592,7 +592,7 @@ def distance_ordering_check(
     for cand in (axis, axis[::-1]):
         if _is_distance_ordered(dist, cand):
             return _canonical(cand)
-    if topology.n <= exhaustive_limit:
+    if topology.n <= _EXHAUSTIVE_ORDER_LIMIT:
         for perm in permutations(range(topology.n)):
             if perm[0] > perm[-1]:
                 continue  # reversal is equivalent

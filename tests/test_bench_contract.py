@@ -73,31 +73,32 @@ def test_tracer_counters_read_the_package(capsys, monkeypatch):
 
 
 def test_analyze_tabulates_the_line_once(capsys):
-    # The benchmark's line-analyze shape, with an explicit rate as the
-    # benchmark passes one (--rate auto adds one more bound, so one more
-    # power matrix).  The bisection reads one rate-independent table instead
-    # of re-evaluating ordered_line_conditions, and so power matrices, per
-    # step: one evaluation (the CLI's own) and five matrices, for the CLI's
-    # bound, its report, the bisection's bound and table, and the verifier.
+    # The benchmark's line-analyze shape, with the explicit rate the benchmark
+    # passes and with --rate auto, which reuses the CLI's bound.  The
+    # bisection reads one rate-independent table instead of re-evaluating
+    # ordered_line_conditions, and so power matrices, per step: one
+    # evaluation (the CLI's own) and five matrices, for the CLI's bound, its
+    # report, the bisection's bound and table, and the verifier.
     from omnirelay import cli, protocol_sim, rate_analysis
     from omnirelay.topology import power_law, regular_line
-
-    tracer = TRACER_NAMESPACE["Tracer"](
-        {"cli": cli, "protocol_sim": protocol_sim, "rate_analysis": rate_analysis}
-    )
-    tracer.install()
-    try:
-        argv = ["analyze", "--preset", "regular-line", "--n", "12", "--power", "10",
-                "--rate", "0.1"]
-        assert tracer.span("cli", cli.main, argv) == 0
-        counters = tracer.counters()
-    finally:
-        tracer.uninstall()
-    capsys.readouterr()
 
     report = rate_analysis.ordered_line_conditions(
         regular_line(12, 1.0, power_law(2.0), 10.0, 1.0), 0.1
     )
-    assert counters["rate_analysis.condition_evals"] == 1
-    assert counters["rate_analysis.condition_entries"] == len(report.entries)
-    assert counters["topology.power_matrix_builds"] == 5
+    for rate in ("0.1", "auto"):
+        tracer = TRACER_NAMESPACE["Tracer"](
+            {"cli": cli, "protocol_sim": protocol_sim, "rate_analysis": rate_analysis}
+        )
+        tracer.install()
+        try:
+            argv = ["analyze", "--preset", "regular-line", "--n", "12", "--power", "10",
+                    "--rate", rate]
+            assert tracer.span("cli", cli.main, argv) == 0
+            counters = tracer.counters()
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+
+        assert counters["rate_analysis.condition_evals"] == 1
+        assert counters["rate_analysis.condition_entries"] == len(report.entries)
+        assert counters["topology.power_matrix_builds"] == 5

@@ -10,14 +10,9 @@ from omnirelay.errors import CapacityLimitError
 from omnirelay.mac_region import (
     EPS_BITS,
     HelperCarrier,
-    MacInstance,
     MultiBlockInstance,
-    decodable_subset,
-    mac_feasible,
     multi_block_decodable_subset,
     multi_block_feasible,
-    peel_decodable_subset,
-    self_decodable,
 )
 
 
@@ -53,15 +48,26 @@ def oracle_largest_subset(inst):
     return ()
 
 
+def one_round(rates, powers, noise=1.0, interference=0.0):
+    """The one-receiver multiple-access instance: every sender in round 0."""
+    return MultiBlockInstance(
+        rates, powers, noise, blocks=(0,) * len(rates), interference=interference
+    )
+
+
+def peel(inst):
+    return multi_block_decodable_subset(inst).decoded
+
+
 def random_instance(rng, m=None):
     m = m or rng.randint(1, 6)
     rates = [rng.uniform(0.0, 2.0) for _ in range(m)]
     powers = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(m)]
-    return MacInstance(tuple(rates), tuple(powers), 1.0)
+    return one_round(tuple(rates), tuple(powers))
 
 
 # ---------------------------------------------------------------------------
-# mac_feasible
+# one-round feasibility
 # ---------------------------------------------------------------------------
 
 
@@ -70,45 +76,26 @@ def test_feasibility_matches_oracle():
     for _ in range(300):
         inst = random_instance(rng)
         expect = subset_ok(inst.rates, inst.powers, range(inst.m), inst.noise)
-        assert mac_feasible(inst) == expect
+        assert multi_block_feasible(inst) == expect
 
 
 def test_feasibility_is_strict_at_the_boundary():
     cap = math.log2(1.0 + 4.0)
-    assert not mac_feasible(MacInstance((cap,), (4.0,), 1.0))
-    assert mac_feasible(MacInstance((cap - 1e-6,), (4.0,), 1.0))
+    assert not multi_block_feasible(one_round((cap,), (4.0,)))
+    assert multi_block_feasible(one_round((cap - 1e-6,), (4.0,)))
     # Within the configured slack counts as on the boundary.
-    assert not mac_feasible(MacInstance((cap - 1e-10,), (4.0,), 1.0))
+    assert not multi_block_feasible(one_round((cap - 1e-10,), (4.0,)))
 
 
 def test_interference_shrinks_the_region():
-    inst = MacInstance((1.0, 1.0), (4.0, 4.0), 1.0)
-    assert mac_feasible(inst)
-    assert not mac_feasible(MacInstance((1.0, 1.0), (4.0, 4.0), 1.0, interference=3.0))
-
-
-def test_instance_validation():
-    with pytest.raises(ValueError):
-        MacInstance((), (), 1.0)
-    with pytest.raises(ValueError):
-        MacInstance((1.0,), (1.0, 2.0), 1.0)
-    with pytest.raises(ValueError):
-        MacInstance((1.0,), (1.0,), 0.0)
-    with pytest.raises(ValueError):
-        MacInstance((1.0,), (1.0,), 1.0, interference=-1.0)
-    with pytest.raises(ValueError):
-        MacInstance((-0.5,), (1.0,), 1.0)
-    with pytest.raises(ValueError):
-        MacInstance((1.0,), (math.inf,), 1.0)
+    assert multi_block_feasible(one_round((1.0, 1.0), (4.0, 4.0)))
+    assert not multi_block_feasible(one_round((1.0, 1.0), (4.0, 4.0), interference=3.0))
 
 
 def test_sender_count_caps():
-    big = MacInstance((0.01,) * 21, (1.0,) * 21, 1.0)
+    big = one_round((0.01,) * 21, (1.0,) * 21)
     with pytest.raises(CapacityLimitError):
-        mac_feasible(big)
-    mid = MacInstance((0.01,) * 17, (1.0,) * 17, 1.0)
-    with pytest.raises(CapacityLimitError):
-        decodable_subset(mid)
+        multi_block_feasible(big)
 
 
 # ---------------------------------------------------------------------------
@@ -118,40 +105,32 @@ def test_sender_count_caps():
 
 def test_two_sender_example():
     # Source 1 alone fails its rate; source 0 decodes over source 1's power.
-    inst = MacInstance((1.0, 1.0), (4.0, 1.0), 1.0)
-    assert not mac_feasible(inst)
-    assert decodable_subset(inst) == (0,)
-    assert peel_decodable_subset(inst) == (0,)
+    inst = one_round((1.0, 1.0), (4.0, 1.0))
+    assert not multi_block_feasible(inst)
+    assert oracle_largest_subset(inst) == (0,)
+    assert peel(inst) == (0,)
 
 
 def test_single_overloaded_sender():
-    inst = MacInstance((5.0,), (1.0,), 1.0)
-    assert decodable_subset(inst) == ()
-    assert peel_decodable_subset(inst) == ()
+    inst = one_round((5.0,), (1.0,))
+    assert oracle_largest_subset(inst) == ()
+    assert peel(inst) == ()
 
 
 def test_feasible_instance_returns_everything():
-    inst = MacInstance((0.3, 0.3, 0.3), (4.0, 2.0, 1.0), 1.0)
-    assert mac_feasible(inst)
-    assert decodable_subset(inst) == (0, 1, 2)
-    assert peel_decodable_subset(inst) == (0, 1, 2)
+    inst = one_round((0.3, 0.3, 0.3), (4.0, 2.0, 1.0))
+    assert multi_block_feasible(inst)
+    assert oracle_largest_subset(inst) == (0, 1, 2)
+    assert peel(inst) == (0, 1, 2)
 
 
 def test_three_sender_peel_is_self_decodable():
-    inst = MacInstance((1.0, 1.0, 1.0), (4.0, 1.0, 1.0), 1.0)
-    assert not mac_feasible(inst)
-    peeled = peel_decodable_subset(inst)
-    exact = decodable_subset(inst)
-    assert self_decodable(inst, exact)
-    assert not peeled or self_decodable(inst, peeled)
+    inst = one_round((1.0, 1.0, 1.0), (4.0, 1.0, 1.0))
+    assert not multi_block_feasible(inst)
+    peeled = peel(inst)
+    exact = oracle_largest_subset(inst)
+    assert not peeled or oracle_self_decodable(inst, peeled)
     assert bool(peeled) == bool(exact)
-
-
-def test_subset_search_matches_oracle():
-    rng = random.Random(23)
-    for _ in range(200):
-        inst = random_instance(rng)
-        assert decodable_subset(inst) == oracle_largest_subset(inst)
 
 
 def test_nonempty_whenever_sum_rate_holds():
@@ -163,8 +142,8 @@ def test_nonempty_whenever_sum_rate_holds():
         if not total_ok:
             continue
         seen += 1
-        assert decodable_subset(inst)
-        assert peel_decodable_subset(inst)
+        assert oracle_largest_subset(inst)
+        assert peel(inst)
     assert seen > 50
 
 
@@ -172,16 +151,9 @@ def test_peel_output_is_always_self_decodable():
     rng = random.Random(47)
     for _ in range(300):
         inst = random_instance(rng)
-        peeled = peel_decodable_subset(inst)
+        peeled = peel(inst)
         if peeled:
             assert oracle_self_decodable(inst, peeled)
-
-
-def test_self_decodable_rejects_bad_indices():
-    inst = MacInstance((1.0,), (1.0,), 1.0)
-    with pytest.raises(ValueError):
-        self_decodable(inst, [2])
-    assert not self_decodable(inst, [])
 
 
 def test_removing_a_sender_never_gains_slack():
@@ -191,7 +163,7 @@ def test_removing_a_sender_never_gains_slack():
         inst = random_instance(rng, m=rng.randint(2, 5))
         drop = rng.randrange(inst.m)
         keep = [j for j in range(inst.m) if j != drop]
-        shrunk = MacInstance(
+        shrunk = one_round(
             tuple(inst.rates[j] for j in keep),
             tuple(inst.powers[j] for j in keep),
             inst.noise,
@@ -337,16 +309,17 @@ def test_two_rounds_reduce_to_two_block():
 
 
 def test_single_round_reduces_to_mac():
+    # One round, wherever it sits, is the one-receiver multiple-access region.
     rng = random.Random(83)
     for _ in range(100):
         inst = random_instance(rng)
         multi = MultiBlockInstance(
             inst.rates, inst.powers, inst.noise, blocks=(1,) * inst.m
         )
-        assert multi_block_feasible(multi) == mac_feasible(inst)
-        result = multi_block_decodable_subset(multi)
-        assert result.decoded == peel_decodable_subset(inst)
-        assert not result.guarantee_based
+        assert multi_block_feasible(multi) == subset_ok(
+            inst.rates, inst.powers, range(inst.m), inst.noise
+        )
+        assert peel(multi) == peel(inst)
 
 
 def test_examples_across_two_rounds():
@@ -423,13 +396,6 @@ def test_sum_rate_flag_reflects_the_untouched_instance():
     assert not multi_block_decodable_subset(bad).sum_rate_ok
 
 
-def test_guarantee_flag_marks_deep_schedules():
-    three = MultiBlockInstance((0.1, 0.1, 0.1), (1.0, 1.0, 1.0), 1.0, blocks=(1, 2, 3))
-    assert multi_block_decodable_subset(three).guarantee_based
-    two = MultiBlockInstance((0.1, 0.1), (1.0, 1.0), 1.0, blocks=(1, 2))
-    assert not multi_block_decodable_subset(two).guarantee_based
-
-
 def test_multi_block_validation():
     with pytest.raises(ValueError):
         MultiBlockInstance((0.1,), (1.0,), 1.0, blocks=(1, 2))
@@ -453,6 +419,27 @@ def test_multi_block_validation():
         MultiBlockInstance(
             (0.1,), (1.0,), 1.0, blocks=(1,), block_interference=((1, -2.0),)
         )
+    for bad in (
+        lambda: one_round((), ()),
+        lambda: one_round((1.0,), (1.0, 2.0)),
+        lambda: one_round((1.0,), (1.0,), 0.0),
+        lambda: one_round((1.0,), (1.0,), interference=-1.0),
+        lambda: one_round((-0.5,), (1.0,)),
+        lambda: one_round((1.0,), (math.inf,)),
+        # Non-finite noise powers, which the peel cannot score.
+        lambda: one_round((0.5, 0.5), (1.0, 2.0), math.nan),
+        lambda: one_round((0.5, 0.5), (1.0, 2.0), math.inf),
+        lambda: one_round((0.5, 0.5), (1.0, 2.0), interference=math.nan),
+        lambda: one_round((0.5, 0.5), (1.0, 2.0), interference=math.inf),
+        lambda: MultiBlockInstance(
+            (0.5, 0.5), (1.0, 2.0), 1.0, blocks=(0, 0), block_interference=((0, math.nan),)
+        ),
+        lambda: MultiBlockInstance(
+            (0.5, 0.5), (1.0, 2.0), 1.0, blocks=(0, 0), block_interference=((0, math.inf),)
+        ),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_round_ids_cover_all_mentions():
