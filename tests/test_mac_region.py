@@ -92,6 +92,30 @@ def test_interference_shrinks_the_region():
     assert not multi_block_feasible(one_round((1.0, 1.0), (4.0, 4.0), interference=3.0))
 
 
+def test_instance_validation():
+    for bad in (
+        lambda: one_round((), ()),
+        lambda: one_round((1.0,), (1.0, 2.0)),
+        lambda: one_round((1.0,), (1.0,), 0.0),
+        lambda: one_round((1.0,), (1.0,), interference=-1.0),
+        lambda: one_round((-0.5,), (1.0,)),
+        lambda: one_round((1.0,), (math.inf,)),
+        # Non-finite noise powers, which the peel cannot score.
+        lambda: one_round((0.5, 0.5), (1.0, 2.0), math.nan),
+        lambda: one_round((0.5, 0.5), (1.0, 2.0), math.inf),
+        lambda: one_round((0.5, 0.5), (1.0, 2.0), interference=math.nan),
+        lambda: one_round((0.5, 0.5), (1.0, 2.0), interference=math.inf),
+        lambda: MultiBlockInstance(
+            (0.5, 0.5), (1.0, 2.0), 1.0, blocks=(0, 0), block_interference=((0, math.nan),)
+        ),
+        lambda: MultiBlockInstance(
+            (0.5, 0.5), (1.0, 2.0), 1.0, blocks=(0, 0), block_interference=((0, math.inf),)
+        ),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_sender_count_caps():
     big = one_round((0.01,) * 21, (1.0,) * 21)
     with pytest.raises(CapacityLimitError):
@@ -419,27 +443,6 @@ def test_multi_block_validation():
         MultiBlockInstance(
             (0.1,), (1.0,), 1.0, blocks=(1,), block_interference=((1, -2.0),)
         )
-    for bad in (
-        lambda: one_round((), ()),
-        lambda: one_round((1.0,), (1.0, 2.0)),
-        lambda: one_round((1.0,), (1.0,), 0.0),
-        lambda: one_round((1.0,), (1.0,), interference=-1.0),
-        lambda: one_round((-0.5,), (1.0,)),
-        lambda: one_round((1.0,), (math.inf,)),
-        # Non-finite noise powers, which the peel cannot score.
-        lambda: one_round((0.5, 0.5), (1.0, 2.0), math.nan),
-        lambda: one_round((0.5, 0.5), (1.0, 2.0), math.inf),
-        lambda: one_round((0.5, 0.5), (1.0, 2.0), interference=math.nan),
-        lambda: one_round((0.5, 0.5), (1.0, 2.0), interference=math.inf),
-        lambda: MultiBlockInstance(
-            (0.5, 0.5), (1.0, 2.0), 1.0, blocks=(0, 0), block_interference=((0, math.nan),)
-        ),
-        lambda: MultiBlockInstance(
-            (0.5, 0.5), (1.0, 2.0), 1.0, blocks=(0, 0), block_interference=((0, math.inf),)
-        ),
-    ):
-        with pytest.raises(ValueError):
-            bad()
 
 
 def test_round_ids_cover_all_mentions():
