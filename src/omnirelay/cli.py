@@ -14,10 +14,10 @@ import argparse
 import csv
 import hashlib
 import io
-import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
 from .binning import build_binning, decode_from_side_info, verify_binning_property
@@ -168,29 +168,105 @@ def _resolve_rate(spec: str, bound: float) -> float:
     return value
 
 
-def _rounded(value):
-    """Recursively round floats for stable, readable output."""
+def _csv_cell(value):
+    """A CSV row value: floats rounded to six decimals, inf/nan as their ``str``."""
     if isinstance(value, float):
         if math.isinf(value) or math.isnan(value):
             return str(value)
         return round(value, 6)
-    if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_rounded(v) for v in value]
     return value
+
+
+_JSON_CONTAINERS = (dict, list, tuple)
+_INT_ONLY = frozenset({int})
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isinf(value) or math.isnan(value):
+            return encode_basestring_ascii(str(value))
+        value = round(value, 6)
+        if math.isinf(value):  # numpy's round overflows near the float maximum
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(value, out: list[str], indent: str) -> None:
+    """Append the JSON text of container ``value``, whose own line ends in ``indent``."""
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        lead = "{" + inner
+        for key in sorted(value):  # a key that is not a str fails to encode: TypeError
+            item = value[key]
+            if isinstance(item, _JSON_CONTAINERS):
+                out.append(lead + encode_basestring_ascii(key) + ": ")
+                _write_json(item, out, inner)
+            else:
+                out.append(lead + encode_basestring_ascii(key) + ": " + _json_scalar(item))
+            lead = sep
+        out.append(indent + "}")
+        return
+    if not value:
+        out.append("[]")
+        return
+    if set(map(type, value)) == _INT_ONLY:
+        out.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
+        return
+    lead = "[" + inner
+    for item in value:
+        if isinstance(item, _JSON_CONTAINERS):
+            out.append(lead)
+            _write_json(item, out, inner)
+        else:
+            out.append(lead + _json_scalar(item))
+        lead = sep
+    out.append(indent + "]")
+
+
+def _json_text(payload) -> str:
+    """``payload`` as JSON text: sorted keys, two-space indent, a trailing newline.
+
+    Floats are rounded to six decimals and written with ``repr``; inf and nan
+    become the strings ``"inf"``, ``"-inf"`` and ``"nan"``; strings are
+    ASCII-escaped; keys must be ``str``.  These are the bytes the standard
+    library encoder gives at ``indent=2, sort_keys=True`` on a rounded copy,
+    written in one pass without the copy: that encoder runs in pure Python
+    whenever an indent is set.
+    """
+    out: list[str] = []
+    if isinstance(payload, _JSON_CONTAINERS):
+        _write_json(payload, out, "\n")
+    else:
+        out.append(_json_scalar(payload))
+    out.append("\n")
+    return "".join(out)
 
 
 def _emit(payload: dict, rows: list[dict], args: argparse.Namespace) -> None:
     if args.format == "json":
-        text = json.dumps(_rounded(payload), sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload)
     else:
         buf = io.StringIO()
         if rows:
             writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             for row in rows:
-                writer.writerow(_rounded(row))
+                writer.writerow({key: _csv_cell(value) for key, value in row.items()})
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -209,6 +285,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     topology, one_hop = _build_topology(cfg)
     bound = allcast_rate_bound(topology)
     ordering = distance_ordering_check(topology)
+    rate = _resolve_rate(cfg.rate_spec, bound)
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "command": "analyze",
@@ -224,7 +301,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         {"key": "rate_bound", "value": bound},
     ]
     if ordering is not None:
-        rate = _resolve_rate(cfg.rate_spec, bound)
         report = ordered_line_conditions(topology, rate)
         best = max_achievable_rate(topology)
         binding = report.binding_entry()

@@ -147,6 +147,13 @@ def test_out_flag_writes_a_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text(encoding="utf-8"))["nodes"] == 3
+    # The file holds exactly the bytes the same command prints.
+    argv = ("simulate", "--preset", "ring", "--n", "6", "--power", "10", "--blocks", "40",
+            "--payload-sizes", "4")
+    code, printed, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +277,24 @@ def test_non_finite_spacing_is_one_error_line(argv, code):
     assert done.stdout == ""
     assert done.stderr.startswith(code + ":")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("rate", ["foo", "nan", "inf", "-1"])
+def test_analyze_rejects_a_bad_rate_without_an_ordering(capsys, rate):
+    # A ring has no distance ordering, so the line conditions that use the
+    # rate are skipped; the rate is still checked.
+    assert_fails(
+        capsys, ["analyze", "--preset", "ring", "--n", "4", "--power", "10", "--rate", rate],
+        "E_VALUE",
+    )
+
+
+def test_analyze_without_an_ordering_ignores_a_valid_rate(capsys):
+    ring = ("analyze", "--preset", "ring", "--n", "4", "--power", "10")
+    code, out, err = run(capsys, *ring, "--rate", "auto")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ordering"] is None
+    assert run(capsys, *ring, "--rate", "0.5") == (0, out, "")
 
 
 def test_bad_gain_spec(capsys):

@@ -64,6 +64,36 @@ GOLDEN = [
          "--gain", "exp:0.5", "--rate", "0.5"),
         "17f5af4da0e4d092908d9dd753cd3d78b95befaf358082f19cb836f4b4191c01",
     ),
+    (
+        ("simulate", "--preset", "ring", "--n", "4", "--power", "10", "--format", "csv",
+         "--payload-sizes", "3"),
+        "4304dc2f3a074c40bbd6b59724b52bd0eed8432ef3dff6e4223bf732bb7b3d49",
+    ),
+    (
+        # Float cells: the bound and the rate, rounded to six decimals.
+        ("sweep", "--preset", "ring", "--sweep-n", "4,5", "--power", "10", "--format", "csv"),
+        "0ef8494c774f45e374bc43f6e5cd7d6249b60c4fd454435a71a197e33cb770a4",
+    ),
+    (
+        ("bin-demo", "--sizes", "4,6,2", "--values", "3,5,1"),
+        "beaba3b4378a1a57087ad157b752175426bdefd675b612c2fa71afc1c9329735",
+    ),
+    (
+        # A ring has no distance ordering: "ordering" is null.
+        ("analyze", "--preset", "ring", "--n", "4", "--power", "10"),
+        "73d01e401f5eb720fa162a55e7d5b08fa706998e30e08e49d68436a24466a470",
+    ),
+    (
+        # No one-hop neighbours: warning strings and non-empty "undecoded" lists.
+        ("simulate", "--preset", "regular-line", "--n", "3", "--power", "10",
+         "--hop-radius", "0"),
+        "759c58c5949cf48ba7cce8ba3093f5a1e418f91eccc18cd03302140d83473de7",
+    ),
+    (
+        # No blocks: empty lists and an int 0 interference power.
+        ("simulate", "--preset", "regular-line", "--n", "4", "--power", "10", "--blocks", "0"),
+        "c13c9b6c8aa0107e48fdb44a05a5aa13b7624e714b8230e58e7dc3739a49a561",
+    ),
 ]
 
 
@@ -81,6 +111,12 @@ GOLDEN = [
         "analyze-line-100",
         "analyze-uneven-line",
         "analyze-uneven-line-over-bound",
+        "ring-4-payload-csv",
+        "sweep-ring-csv",
+        "bin-demo",
+        "analyze-ring-unordered",
+        "line-3-no-neighbours",
+        "line-4-no-blocks",
     ],
 )
 def test_cli_output_is_pinned(capsys, argv, digest):

@@ -413,6 +413,55 @@ def test_canonical_text_round_trip():
     assert canonical_text(back, one_hop) == text
 
 
+def test_canonical_text_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+    gains = st.just(constant()) | nonnegative.map(power_law) | nonnegative.map(exponential)
+
+    @st.composite
+    def topologies(draw):
+        gain, power, noise = draw(gains), draw(positive), draw(positive)
+        shape = draw(st.sampled_from(["line", "ring", "arc"]))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if shape == "line":
+                    coords = draw(st.lists(finite, min_size=2, max_size=7, unique=True))
+                    t = general_line(coords, gain, power, noise)
+                else:
+                    n, spacing = draw(st.integers(2, 7)), draw(positive)
+                    if shape == "ring":
+                        t = ring(n, spacing, gain, power, noise)
+                    else:
+                        t = arc(n, spacing, draw(positive), gain, power, noise)
+        except ValueError:  # coinciding or overflowing positions, or a too-wide arc
+            hypothesis.reject()
+        one_hop = None
+        if draw(st.booleans()):
+            one_hop = tuple(
+                frozenset(draw(st.sets(st.sampled_from([j for j in range(t.n) if j != i]))))
+                for i in range(t.n)
+            )
+        return t, one_hop
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(topologies())
+    def check(case):
+        t, one_hop = case
+        text = canonical_text(t, one_hop)
+        back, back_hop = parse_topology_text(text)
+        assert back.distances == t.distances
+        assert back.gain == t.gain
+        assert (back.power, back.noise) == (t.power, t.noise)
+        assert back_hop == one_hop
+        assert canonical_text(back, back_hop) == text
+
+    check()
+
+
 def test_load_topology_file(tmp_path):
     path = tmp_path / "net.txt"
     path.write_text(SAMPLE, encoding="utf-8")
