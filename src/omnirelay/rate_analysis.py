@@ -8,11 +8,13 @@ rate: each receiver must either jointly decode a far group together with the
 whole opposite side, or decode the opposite side while deferring the far
 group to relayed copies.  Every such condition reads ``log2(1 + S/D) >
 count * rate`` with S, D and count independent of the rate, so the
-conditions are one rate-independent table, built once per call;
-``max_achievable_rate`` bisects over that table.
+conditions are one rate-independent table of arrays, built once per
+topology object and kept on it; ``max_achievable_rate`` bisects over that
+table, one array verdict per step.
 ``verify_regular_line_achievability`` replays, on an equally spaced line,
 the argument that those conditions follow from the rate ceiling alone, step
-by numeric step, against limits likewise computed once.
+by numeric step, against limits likewise computed once, one array
+comparison per check kind and rate.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PreconditionError
 from .mac_region import EPS_BITS
@@ -69,17 +73,61 @@ class RateReport:
     binding_margin: float
 
     def binding_entry(self) -> ConditionEntry:
-        return min(self.entries, key=lambda e: e.best_margin())
+        return min(self.entries, key=ConditionEntry.best_margin)
 
 
-def _line_table(topology: Topology) -> tuple[tuple[int, ...], list[tuple]]:
+_KINDS = ("sum", "far-left", "far-right")
+
+
+@dataclass(frozen=True, eq=False)
+class _LineTable:
     """The ordering and the rate-independent rows of the ordered-line conditions.
 
-    One row per ``ConditionEntry``, in entry order: ``(position, kind, lo, hi,
-    joint_count, joint_cap, defer_count, defer_cap)``.  The far group is
-    ``ordering[lo:hi]``, a branch's margin at ``rate`` is ``cap - count * rate``
-    (``_row_margins``), and the defer pair is None on sum rows.
+    One row per ``ConditionEntry``, in entry order, held column by column.
+    Row k belongs to the receiver at 1-based ``position[k]``, its kind is
+    ``_KINDS[kind[k]]`` and its far group is ``order[lo[k]:hi[k]]``.  A
+    branch's margin at ``rate`` is ``cap - count * rate``; a sum row has only
+    the joint branch, and its defer branch (count 0, cap -inf) never wins.
     """
+
+    order: tuple[int, ...]
+    position: np.ndarray
+    kind: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    joint_count: np.ndarray
+    joint_cap: np.ndarray
+    defer_count: np.ndarray
+    defer_cap: np.ndarray
+
+    def margins(self, rate: float) -> tuple[np.ndarray, np.ndarray]:
+        """Joint and defer margins of every row at ``rate``.
+
+        The same IEEE operations as on Python floats, so every margin is
+        bitwise the scalar one; a product too large overflows to inf as it
+        does in Python, without a warning.
+        """
+        with np.errstate(over="ignore"):
+            return (
+                self.joint_cap - self.joint_count * rate,
+                self.defer_cap - self.defer_count * rate,
+            )
+
+    def holds(self, rate: float) -> bool:
+        """Whether every row's better branch clears the strictness slack at ``rate``."""
+        joint, defer = self.margins(rate)
+        return bool(np.all(np.maximum(joint, defer) > EPS_BITS))
+
+
+def _line_table(topology: Topology) -> _LineTable:
+    """The topology's line table, built on first use and kept on ``topology``."""
+    derived = topology._derived
+    if "line_table" not in derived:
+        derived["line_table"] = _build_line_table(topology)
+    return derived["line_table"]
+
+
+def _build_line_table(topology: Topology) -> _LineTable:
     order = distance_ordering_check(topology)
     if order is None:
         raise PreconditionError("the topology admits no distance ordering")
@@ -97,12 +145,13 @@ def _line_table(topology: Topology) -> tuple[tuple[int, ...], list[tuple]]:
     def capacity(signal: float, denom: float) -> float:
         return math.log2(1.0 + signal / denom)
 
+    # (position, kind, lo, hi, joint_count, joint_cap, defer_count, defer_cap)
     rows: list[tuple] = []
     for pos in range(n):
         i = pos + 1
         col = into[pos]
         total = sum(col[:pos] + col[pos + 1:])
-        rows.append((i, "sum", 0, 0, n - 1, capacity(total, noise), None, None))
+        rows.append((i, 0, 0, 0, n - 1, capacity(total, noise), 0, -math.inf))
         if i == 1 or i == n:
             continue
         right_all = sum(col[i:])
@@ -110,41 +159,23 @@ def _line_table(topology: Topology) -> tuple[tuple[int, ...], list[tuple]]:
         for far in range(1, i - 1):
             far_power = sum(col[:far])
             rows.append((
-                i, "far-left", 0, far,
+                i, 1, 0, far,
                 far + n - i, capacity(far_power + right_all, noise),
                 n - i, capacity(right_all, far_power + noise),
             ))
         for far in range(i + 2, n + 1):
             far_power = sum(col[far - 1:])
             rows.append((
-                i, "far-right", far - 1, n,
+                i, 2, far - 1, n,
                 i + n - far, capacity(left_all + far_power, noise),
                 i - 1, capacity(left_all, far_power + noise),
             ))
-    return tuple(order), rows
-
-
-def _row_margins(row: tuple, rate: float) -> tuple[float, float | None, bool]:
-    """Joint margin, defer margin (None on a sum row) and verdict of a row at ``rate``."""
-    _, _, _, _, joint_count, joint_cap, defer_count, defer_cap = row
-    joint = joint_cap - joint_count * rate
-    if defer_count is None:
-        return joint, None, joint > EPS_BITS
-    defer = defer_cap - defer_count * rate
-    return joint, defer, max(joint, defer) > EPS_BITS
-
-
-def _all_rows_hold(rows: list[tuple], rate: float) -> bool:
-    """Whether ``_row_margins(row, rate)`` holds on every row; inlined, as the
-    bisection calls it once per step on every row of the table."""
-    for _, _, _, _, joint_count, joint_cap, defer_count, defer_cap in rows:
-        joint = joint_cap - joint_count * rate
-        if defer_count is None:
-            if not joint > EPS_BITS:
-                return False
-        elif not max(joint, defer_cap - defer_count * rate) > EPS_BITS:
-            return False
-    return True
+    columns = list(zip(*rows))
+    return _LineTable(
+        tuple(order),
+        *(np.array(column, dtype=np.intp) for column in columns[:4]),
+        *(np.array(column, dtype=float) for column in columns[4:]),
+    )
 
 
 def ordered_line_conditions(topology: Topology, rate: float) -> RateReport:
@@ -158,31 +189,37 @@ def ordered_line_conditions(topology: Topology, rate: float) -> RateReport:
     """
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
-    order, rows = _line_table(topology)
-    entries: list[ConditionEntry] = []
-    for row in rows:
-        position, kind, lo, hi = row[:4]
-        joint, defer, holds = _row_margins(row, rate)
-        entries.append(
-            ConditionEntry(
-                receiver=order[position - 1],
-                position=position,
-                kind=kind,
-                far_group=order[lo:hi],
-                joint_margin=joint,
-                defer_margin=defer,
-                holds=holds,
-            )
+    table = _line_table(topology)
+    order = table.order
+    joint, defer = table.margins(rate)
+    best = np.maximum(joint, defer)
+    holds = best > EPS_BITS
+    entries = tuple(
+        ConditionEntry(
+            receiver=order[position - 1],
+            position=position,
+            kind=_KINDS[kind],
+            far_group=order[lo:hi],
+            joint_margin=joint_margin,
+            defer_margin=defer_margin if kind else None,
+            holds=row_holds,
         )
-
-    achievable = all(e.holds for e in entries)
-    binding = min(e.best_margin() for e in entries)
+        for position, kind, lo, hi, joint_margin, defer_margin, row_holds in zip(
+            table.position.tolist(),
+            table.kind.tolist(),
+            table.lo.tolist(),
+            table.hi.tolist(),
+            joint.tolist(),
+            defer.tolist(),
+            holds.tolist(),
+        )
+    )
     return RateReport(
         rate=rate,
         ordering=order,
-        entries=tuple(entries),
-        achievable=achievable,
-        binding_margin=binding,
+        entries=entries,
+        achievable=bool(holds.all()),
+        binding_margin=float(best.min()),
     )
 
 
@@ -191,20 +228,21 @@ def max_achievable_rate(topology: Topology, tol: float = 1e-6) -> float:
 
     The rate ceiling is an exclusive upper end (its sum constraint fails
     there by construction), so the search runs on [0, ceiling].  The
-    conditions are tabulated once; a step only re-evaluates the margins.
+    conditions are the topology's one table; a step only re-evaluates the
+    margins, as array operations.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
     hi = allcast_rate_bound(topology)
-    _, rows = _line_table(topology)
+    table = _line_table(topology)
     lo = 0.0
-    if not _all_rows_hold(rows, lo):
+    if not table.holds(lo):
         return 0.0
     for _ in range(_BISECT_ITERATIONS):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0
-        if _all_rows_hold(rows, mid):
+        if table.holds(mid):
             lo = mid
         else:
             hi = mid
@@ -258,13 +296,11 @@ def verify_regular_line_achievability(
     if order is None:
         raise PreconditionError("the topology admits no distance ordering")
     n = topology.n
-    dist = topology.distances
-    spacing = dist[order[0]][order[1]] if n >= 2 else 0.0
-    for a in range(n):
-        for b in range(n):
-            want = abs(a - b) * spacing
-            if abs(dist[order[a]][order[b]] - want) > 1e-9 * max(1.0, want):
-                raise PreconditionError("node spacing is not equal along the ordering")
+    along = topology.distance_matrix()[np.ix_(order, order)]
+    steps_apart = np.arange(n)
+    want = np.abs(steps_apart[:, None] - steps_apart[None, :]) * along[0, 1]
+    if np.any(np.abs(along - want) > 1e-9 * np.maximum(1.0, want)):
+        raise PreconditionError("node spacing is not equal along the ordering")
 
     powers = build_power_matrix(topology)
     noise = topology.noise
@@ -293,47 +329,49 @@ def verify_regular_line_achievability(
             fail(f"prefix {k} concavity step", None)
 
     # A check "count * rate < log2(1 + signal / denom) - EPS_BITS" compares
-    # the rate against a rate-independent limit, computed once here.
-    def limit(signal: float, denom: float) -> float:
-        return math.log2(1.0 + signal / denom) - EPS_BITS
+    # the rate against a rate-independent limit, computed once here, check
+    # by check, as arrays.  math.log2 keeps each limit bitwise the scalar one.
+    def limits(signal: np.ndarray, denom) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            ratio = (1.0 + signal / denom).tolist()
+        return np.fromiter(map(math.log2, ratio), float, len(ratio)) - EPS_BITS
 
-    sum_limits = [(k, limit(prefix[k], noise)) for k in range(1, n)]
-    # Left-side far groups; the mirror symmetry of equal spacing makes
-    # the right-side cases identical under i -> n + 1 - i.  Per group:
-    # label, joint and defer (count, limit), and for a group too far to
-    # join directly its self-check and near-group (count, limit) pairs.
-    far_checks = []
-    for i in range(3, n):
-        right_all = prefix[n - i]
-        for far in range(1, i - 1):
-            far_power = prefix[i - 1] - prefix[i - 1 - far]
-            joint = (far + n - i, limit(far_power + right_all, noise))
-            defer = (n - i, limit(right_all, far_power + noise))
-            if i - far <= n - i + 1:
-                self_check = near = None
-            else:
-                self_check = (far, limit(far_power, noise))
-                near = (i - 1 - far, limit(prefix[i - 1 - far], far_power + noise))
-            far_checks.append((f"receiver {i} far-left {far}", joint, defer, self_check, near))
+    sums = np.array(prefix)
+    sum_count, sum_limit = np.arange(1, n), limits(sums[1:], noise)
+    # Left-side far groups, receiver i from 3 to n - 1 and far from 1 to
+    # i - 2, in that order; the mirror symmetry of equal spacing makes the
+    # right-side cases identical under i -> n + 1 - i.  A group close
+    # enough joins the joint decode directly; a farther one joins after its
+    # self-check, and when that fails it is deferred behind the near group.
+    row, col = np.tril_indices(max(n - 3, 0))
+    i, far = row + 3, col + 1
+    direct = i - far <= n - i + 1
+    far_power = sums[i - 1] - sums[i - 1 - far]
+    right_all = sums[n - i]
+    joint_count, joint_limit = far + n - i, limits(far_power + right_all, noise)
+    defer_count, defer_limit = n - i, limits(right_all, far_power + noise)
+    self_count, self_limit = far, limits(far_power, noise)
+    near_count, near_limit = i - 1 - far, limits(sums[i - 1 - far], far_power + noise)
 
     for rate in rates:
-        for k, sum_limit in sum_limits:
-            if not k * rate < sum_limit:
-                fail(f"prefix {k} sum constraint", rate)
-        for label, joint, defer, self_check, near in far_checks:
-            if self_check is None:
-                if not joint[0] * rate < joint[1]:
-                    fail(f"{label}: joint decode", rate)
-            elif self_check[0] * rate < self_check[1]:
-                if not joint[0] * rate < joint[1]:
-                    fail(f"{label}: joint decode after far group self-check", rate)
-            else:
-                if not near[0] * rate < near[1]:
-                    fail(f"{label}: near group behind far noise", rate)
-                if not defer[0] * rate < defer[1]:
-                    fail(f"{label}: defer", rate)
+        for k in np.flatnonzero(~(sum_count * rate < sum_limit)).tolist():
+            fail(f"prefix {k + 1} sum constraint", rate)
+        deferred = ~direct & ~(self_count * rate < self_limit)
+        joint_fail = ~deferred & ~(joint_count * rate < joint_limit)
+        near_fail = deferred & ~(near_count * rate < near_limit)
+        defer_fail = deferred & ~(defer_count * rate < defer_limit)
+        # Witnesses only for failed checks, in group order, near before defer.
+        for g in np.flatnonzero(joint_fail | near_fail | defer_fail).tolist():
+            label = f"receiver {i[g]} far-left {far[g]}"
+            if joint_fail[g]:
+                how = "joint decode" if direct[g] else "joint decode after far group self-check"
+                fail(f"{label}: {how}", rate)
+            if near_fail[g]:
+                fail(f"{label}: near group behind far noise", rate)
+            if defer_fail[g]:
+                fail(f"{label}: defer", rate)
 
-    checked = (n - 1) + len(rates) * (len(sum_limits) + len(far_checks))
+    checked = (n - 1) + len(rates) * (len(sum_count) + len(i))
     return RegularLineCheck(
         bound=bound,
         rates=tuple(rates),

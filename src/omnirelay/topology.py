@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -146,6 +147,13 @@ class Topology:
     def distance_matrix(self) -> np.ndarray:
         return np.asarray(self.distances, dtype=float)
 
+    @cached_property
+    def _derived(self) -> dict:
+        # Values computed from this object alone and kept after their first
+        # use: its power matrix (build_power_matrix) and its line table
+        # (rate_analysis).  Equal but distinct topologies keep their own.
+        return {}
+
 
 def _distance_tuple(matrix: Iterable[Iterable[float]]) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(x) for x in row) for row in matrix)
@@ -172,8 +180,11 @@ def topology_from_positions(
     if not all(math.isfinite(x) for p in pts for x in p):
         raise ValueError("node positions must be finite")
     arr = np.asarray(pts, dtype=float)
-    diff = arr[:, None, :] - arr[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    # A distance too large for a float overflows to inf here, and Topology
+    # rejects it; numpy must not also print a RuntimeWarning.
+    with np.errstate(over="ignore"):
+        diff = arr[:, None, :] - arr[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
     return Topology(_distance_tuple(dist), gain, float(power), float(noise), tuple(pts))
 
 
@@ -270,14 +281,26 @@ class PowerMatrix:
 def build_power_matrix(topology: Topology) -> PowerMatrix:
     """Evaluate the gain on every pairwise distance and square into received power.
 
+    The matrix is built on the first call for a topology object and kept on
+    that object, so later calls return the same, read-only, matrix.
+
     Raises ModelViolationError if the sampled gain is negative, non-finite, or
     increases anywhere over the sorted pairwise distances, or if a received
     power, a receiver's total, or that total over the noise is not finite.
     """
+    derived = topology._derived
+    if "power_matrix" not in derived:
+        derived["power_matrix"] = _received_powers(topology)
+    return derived["power_matrix"]
+
+
+def _received_powers(topology: Topology) -> PowerMatrix:
     n = topology.n
-    dist = topology.distance_matrix()
-    unique = sorted({dist[i][j] for i in range(n) for j in range(n) if i != j})
-    gains = {}
+    off_diagonal = ~np.eye(n, dtype=bool)
+    # The gain, its square and the received power are Python float
+    # operations, once per distinct distance; ``where`` spreads them out.
+    unique, where = np.unique(topology.distance_matrix()[off_diagonal], return_inverse=True)
+    gains = []
     for d in unique:
         try:
             g = float(topology.gain(d))
@@ -285,29 +308,30 @@ def build_power_matrix(topology: Topology) -> PowerMatrix:
             g = math.inf
         if not math.isfinite(g) or g < 0:
             raise ModelViolationError(f"gain at distance {d} is {g}; must be finite and >= 0")
-        gains[d] = g
-    for closer, farther in zip(unique, unique[1:]):
-        if gains[farther] > gains[closer] + 1e-12 * max(1.0, gains[closer]):
+        gains.append(g)
+    for k in range(1, len(gains)):
+        if gains[k] > gains[k - 1] + 1e-12 * max(1.0, gains[k - 1]):
             raise ModelViolationError(
-                f"gain increases from distance {closer} to {farther}; "
+                f"gain increases from distance {unique[k - 1]} to {unique[k]}; "
                 "the model requires a non-increasing gain"
             )
-    received = np.zeros((n, n))
-    for j in range(n):
+    powers = []
+    for g in gains:
         try:
-            column = [
-                gains[dist[i][j]] ** 2 * topology.power if i != j else 0.0 for i in range(n)
-            ]
+            powers.append(g ** 2 * topology.power)
         except OverflowError:
-            column = [math.inf]
+            powers.append(math.inf)
+    received = np.zeros((n, n))
+    received[off_diagonal] = np.array(powers)[where]
+    for j in range(n):
         # Checked in Python, before a numpy reduction can overflow with a warning.
-        total = sum(column)
+        total = sum(received[:, j].tolist())
         if not math.isfinite(total / topology.noise):
             raise ModelViolationError(
                 f"received power at node {j} overflows: total {total} over noise "
                 f"{topology.noise} is not finite"
             )
-        received[:, j] = column
+    received.flags.writeable = False
     return PowerMatrix(received)
 
 

@@ -260,8 +260,13 @@ def test_error_codes(capsys, tmp_path):
         (("analyze", "--n", "3", "--gain", "pl:1000", "--d0", "0.01"), "E_MODEL"),
         (("simulate", "--n", "3", "--power", "1e308"), "E_MODEL"),
         (("simulate", "--n", "3", "--power", "1e200", "--noise", "1e-200"), "E_MODEL"),
+        # Finite positions whose distance overflows.
+        (("analyze", "--preset", "line", "--spacings", "1e200", "--power", "10"), "E_VALUE"),
+        (("simulate", "--preset", "ring", "--n", "4", "--d0", "1e200", "--power", "10"),
+         "E_VALUE"),
     ],
-    ids=["d0-inf", "gain-overflow", "total-overflow", "snr-overflow"],
+    ids=["d0-inf", "gain-overflow", "total-overflow", "snr-overflow", "line-distance-overflow",
+         "ring-distance-overflow"],
 )
 def test_non_finite_spacing_is_one_error_line(argv, code):
     # Run out of process: pytest would capture a numpy RuntimeWarning
@@ -269,8 +274,10 @@ def test_non_finite_spacing_is_one_error_line(argv, code):
     src = pathlib.Path(omnirelay.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     command, *flags = argv
+    if "--preset" not in flags:
+        flags = ["--preset", "regular-line", *flags]
     done = subprocess.run(
-        [sys.executable, "-m", "omnirelay.cli", command, "--preset", "regular-line", *flags],
+        [sys.executable, "-m", "omnirelay.cli", command, *flags],
         capture_output=True, text=True, env=env, check=False,
     )
     assert done.returncode == 1

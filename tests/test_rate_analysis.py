@@ -2,11 +2,16 @@
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from omnirelay.errors import PreconditionError
+from omnirelay.mac_region import EPS_BITS
 from omnirelay.rate_analysis import (
+    _line_table,
+    _LineTable,
     allcast_rate_bound,
     max_achievable_rate,
     ordered_line_conditions,
@@ -164,6 +169,136 @@ def test_max_rate_bisection_property():
         assert not ordered_line_conditions(t, min(r + tol, bound)).achievable
 
     check()
+
+
+def reference_row_margins(joint_count, joint_cap, defer_count, defer_cap, rate):
+    """Per-row margins and verdict on Python floats, as the bisection once
+    evaluated them row by row; None stands for a sum row's missing branch."""
+    joint = joint_cap - joint_count * rate
+    if defer_count is None:
+        return joint, None, joint > EPS_BITS
+    defer = defer_cap - defer_count * rate
+    return joint, defer, max(joint, defer) > EPS_BITS
+
+
+def table_rows(table):
+    """The table's rows as Python numbers, a sum row's defer branch as None."""
+    for kind, joint_count, joint_cap, defer_count, defer_cap in zip(
+        table.kind.tolist(),
+        table.joint_count.tolist(),
+        table.joint_cap.tolist(),
+        table.defer_count.tolist(),
+        table.defer_cap.tolist(),
+    ):
+        if kind == 0:  # a sum row
+            yield int(joint_count), joint_cap, None, None
+        else:
+            yield int(joint_count), joint_cap, int(defer_count), defer_cap
+
+
+def test_table_verdict_matches_the_rows_property():
+    # The bisection's array margins and verdict against the scalar ones, row
+    # by row, on the tables of random lines and on random tables, whose caps
+    # may sit exactly on the strictness slack.  Rates: random ones, each
+    # branch's threshold rate (where its margin meets the slack) and one
+    # float either side of it, zero, and rates so large that products
+    # overflow.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def line_tables(draw):
+        gaps = draw(st.lists(st.floats(0.2, 4.0), min_size=1, max_size=8))
+        coords = [0.0]
+        for g in gaps:
+            coords.append(coords[-1] + g)
+        gain = draw(st.sampled_from([power_law(2.0), power_law(4.0), exponential(0.7),
+                                     constant()]))
+        power = draw(st.sampled_from([1e-3, 1.0, 10.0, 1e3]))
+        return _line_table(general_line(coords, gain, power, 1.0))
+
+    @st.composite
+    def random_tables(draw):
+        kind = np.array(draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=12)))
+        counts = st.integers(1, 200).map(float)
+        caps = st.floats(0.0, 20.0) | st.just(EPS_BITS)
+        branches = [
+            [draw(counts) for _ in kind],
+            [draw(caps) for _ in kind],
+            [draw(counts) if k else 0.0 for k in kind],
+            [draw(caps) if k else -math.inf for k in kind],
+        ]
+        labels = np.zeros(len(kind), dtype=np.intp)
+        return _LineTable((), labels, kind, labels, labels, *map(np.array, branches))
+
+    @st.composite
+    def tables_and_rates(draw):
+        table = draw(line_tables() | random_tables())
+        rows = list(table_rows(table))
+        row = draw(st.sampled_from(rows))
+        count, cap = (row[0], row[1]) if row[2] is None or draw(st.booleans()) else row[2:]
+        threshold = (cap - EPS_BITS) / count
+        rate = draw(
+            st.sampled_from([
+                0.0,
+                threshold,
+                math.nextafter(threshold, math.inf),
+                math.nextafter(threshold, -math.inf),
+            ])
+            | st.floats(0.0, 20.0)
+            | st.floats(1e300, 1e308)
+        )
+        return table, rows, max(rate, 0.0)
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(tables_and_rates())
+    def check(case):
+        table, rows, rate = case
+        expected = [reference_row_margins(*row, rate) for row in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow is silent, as on floats
+            joint, defer = table.margins(rate)
+            assert table.holds(rate) == all(holds for _, _, holds in expected)
+        assert joint.tolist() == [j for j, _, _ in expected]
+        assert [d for d, (_, ref, _) in zip(defer.tolist(), expected) if ref is not None] == [
+            ref for _, ref, _ in expected if ref is not None
+        ]
+
+    check()
+
+
+def test_verdict_is_monotone_as_the_rate_falls_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.lists(st.floats(0.2, 4.0), min_size=1, max_size=7),
+        st.sampled_from([power_law(2.0), power_law(4.0), exponential(0.7), constant()]),
+        st.lists(st.floats(0.0, 1.5), min_size=2, max_size=8),
+    )
+    def check(gaps, gain, factors):
+        coords = [0.0]
+        for g in gaps:
+            coords.append(coords[-1] + g)
+        t = general_line(coords, gain, 10.0, 1.0)
+        bound = allcast_rate_bound(t)
+        rates = sorted((f * bound for f in factors), reverse=True)
+        verdicts = [ordered_line_conditions(t, r).achievable for r in rates]
+        # Lowering the rate never turns an achievable verdict unachievable.
+        assert verdicts == sorted(verdicts)
+
+    check()
+
+
+def test_line_table_is_kept_per_topology_object():
+    t = regular_line(6, 1.0, power_law(2.0), 10.0, 1.0)
+    twin = regular_line(6, 1.0, power_law(2.0), 10.0, 1.0)
+    assert t == twin
+    table = _line_table(t)
+    assert _line_table(t) is table
+    assert _line_table(twin) is not table
+    assert ordered_line_conditions(twin, 0.3) == ordered_line_conditions(t, 0.3)
 
 
 def test_conditions_require_an_ordering():

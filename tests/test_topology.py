@@ -199,6 +199,28 @@ def test_negative_gain_rejected():
         build_power_matrix(t)
 
 
+def test_power_matrix_is_kept_per_topology_object():
+    t = regular_line(5, 1.0, power_law(2.0), 10.0, 1.0)
+    twin = regular_line(5, 1.0, power_law(2.0), 10.0, 1.0)
+    assert t == twin
+    pm = build_power_matrix(t)
+    assert build_power_matrix(t) is pm
+    # Equal but separately built topologies do not share a matrix.
+    assert build_power_matrix(twin) is not pm
+    np.testing.assert_array_equal(build_power_matrix(twin).received, pm.received)
+
+
+def test_kept_power_matrix_is_read_only():
+    t = regular_line(4, 1.0, power_law(2.0), 10.0, 1.0)
+    pm = build_power_matrix(t)
+    with pytest.raises(ValueError):
+        pm.received[0, 1] = 1.0
+    assert build_power_matrix(t).pair(0, 1) == pytest.approx(10.0)
+    column = pm.into(1)  # a copy, free to change
+    column[0] = 0.0
+    assert pm.pair(0, 1) == pytest.approx(10.0)
+
+
 # ---------------------------------------------------------------------------
 # hop layers
 # ---------------------------------------------------------------------------
@@ -427,7 +449,9 @@ def test_canonical_text_round_trip_property():
         gain, power, noise = draw(gains), draw(positive), draw(positive)
         shape = draw(st.sampled_from(["line", "ring", "arc"]))
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            # Builds that fail, on huge coordinates too, fail without a warning.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 if shape == "line":
                     coords = draw(st.lists(finite, min_size=2, max_size=7, unique=True))
                     t = general_line(coords, gain, power, noise)
