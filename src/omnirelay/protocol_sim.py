@@ -13,8 +13,13 @@ source's blocks: it grows only by whole due sets, and the decode of a source
 is attempted oldest-missing-first.  So one counter per scheduled source is
 the simulator's only knowledge state; a decode reads those counters, so its
 cost depends on its decode window (the blocks from the oldest attempted
-message to the current one), not on the block index.  A trace derives its
-per-block knowledge snapshots from its decode records on first read.
+message to the current one), not on the block index.  A bundle has a fixed
+shape too: the sender's fresh message plus, at lag k, the sources of its
+lag-k encode set that it had decoded.  So a decode learns what each
+sender's transmissions in the window hold for it from the counters and the
+encode sets, without walking the bundles; only a transmission that skipped
+a repeat is read from its bundle.  A trace derives its per-block knowledge
+snapshots from its decode records on first read.
 
 Modeling choices worth knowing about: a receiver attempts the oldest
 missing message of every scheduled source each block, even ones that are
@@ -32,6 +37,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -201,100 +208,237 @@ def _build_transmission(
     return Transmission(sender, block, frozenset(bundle), tuple(sorted(skipped)))
 
 
-def _decode_closure(
-    node: int,
-    block: int,
-    upto: dict[int, int],
-    transmissions: Sequence[Sequence[Transmission]],
-    lag: dict[int, int],
-    static_interference: float,
-    powers: PowerMatrix,
-    rate: float,
-    noise: float,
-    solved: dict[MultiBlockInstance, MultiBlockResult],
-) -> DecodeRecord:
-    """Joint decode at ``node`` after block ``block``.
+# Stands for "no such block": later than any block of a run.
+_NEVER = sys.maxsize
+
+
+class _Run:
+    """What every decode of one run shares: the transmissions so far, and
+    the solve memo (see ``_decode_closure``).
+
+    ``skipped_at[l]`` lists, in order, the blocks whose transmission from
+    sender ``l`` skipped a repeat.
+    """
+
+    def __init__(self, n: int, rate: float, noise: float):
+        self.rate = rate
+        self.noise = noise
+        self.transmissions: list[tuple[Transmission, ...]] = []
+        self.skipped_at: list[list[int]] = [[] for _ in range(n)]
+        self.solved: dict[tuple, MultiBlockResult] = {}
+
+    def add_row(self, row: tuple[Transmission, ...]) -> None:
+        self.transmissions.append(row)
+        for tx in row:
+            if tx.skipped:
+                self.skipped_at[tx.sender].append(tx.block)
+
+
+class _Receiver:
+    """One node's view of the schedule, fixed for a run.
+
+    ``lag`` maps each scheduled source to its decode lag; ``sources`` lists
+    them in order, with ``power`` their received powers.  They are also the
+    senders whose transmissions the node reads (a valid schedule never has a
+    node decode itself).  Per sender, read off its encode sets:
+    ``relays`` holds the ``(lag, source)`` pairs of the scheduled sources it
+    repeats (its transmission in block b repeats ``(source, b - lag)``
+    unless it skipped it), ``relayed`` those sources, and ``foreign_from``
+    the first block from which it repeats a source the node never schedules
+    (``_NEVER`` if it never does).
+    """
+
+    def __init__(self, node: int, schedule: Schedule, powers: PowerMatrix):
+        n = schedule.n
+        lag = schedule.decode_lag(node)
+        self.node = node
+        self.lag = lag
+        self.sources = tuple(sorted(lag))
+        self.power = {j: powers.pair(j, node) for j in lag}
+        self.static_interference = sum(
+            powers.pair(j, node) for j in range(n) if j != node and j not in lag
+        )
+        self.relays: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.relayed: dict[int, frozenset[int]] = {}
+        self.foreign_from: dict[int, int] = {}
+        for l in self.sources:
+            pairs = [
+                (k, j)
+                for k, members in enumerate(schedule.encode_sets[l], start=1)
+                for j in sorted(members)
+                if j != node
+            ]
+            self.relays[l] = tuple((k, j) for k, j in pairs if j in lag)
+            self.relayed[l] = frozenset(j for k, j in self.relays[l])
+            self.foreign_from[l] = min((k + 1 for k, j in pairs if j not in lag), default=_NEVER)
+
+
+def _read_relays(
+    pairs: Sequence[tuple[int, int]], done: dict[int, int], foreign_from: int
+) -> tuple[int, dict[int, list[int]]]:
+    """Where a sender's repeats stand against the counters ``done``.
+
+    Returns the first block from which its bundle repeats an unknown message
+    that is not the oldest missing one of its source (a foreign source
+    counts too), and, per block, the scheduled sources whose oldest missing
+    message it repeats there.  Skipped repeats are not seen here.
+    """
+    noisy = foreign_from
+    hits: dict[int, list[int]] = {}
+    for k, j in pairs:
+        # (j, done[j] + 1) is the oldest missing message; it is repeated in
+        # block done[j] + 1 + k, and every later block repeats a newer one.
+        at = done[j] + 1 + k
+        if at in hits:
+            hits[at].append(j)
+        else:
+            hits[at] = [j]
+        if at < noisy:
+            noisy = at + 1
+    return noisy, hits
+
+
+def _read_bundle(tx: Transmission, done: dict[int, int], node: int) -> list[int] | None:
+    """The pool sources one transmission repeats, read from its bundle, or
+    None if it repeats an unknown message outside the pool."""
+    sources = []
+    for j, beta in tx.bundle:
+        if j == node or (j == tx.sender and beta == tx.block):
+            continue
+        d = done.get(j)
+        if d is None or beta > d + 1:
+            return None
+        if beta == d + 1:
+            sources.append(j)
+    return sources
+
+
+def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) -> DecodeRecord:
+    """Joint decode at node ``rx.node`` after block ``block``.
 
     ``upto[j]`` is the last block of scheduled source ``j`` the node knows:
     its knowledge of ``j`` is always the prefix ``(j, 1) .. (j, upto[j])``.
-    The peel advances a copy of these counters.
+    The peel advances a copy of these counters, ``done``; each round
+    attempts the pool of the oldest missing message of every scheduled
+    source.
 
-    ``solved`` memoizes region solves for the current run, keyed by the
-    instance.  A solve depends on round ids only through their differences,
-    so the instance holds them shifted to start at 0, and the same pool a
-    block later is a hit.
+    A sender's transmission in a block of the window is one of: unknown
+    content outside the pool (round noise, and an unusable member if it is
+    the sender's own pool block), a pool block that repeats other pool
+    members (its helps), a pure relay of pool members (a carrier), or
+    nothing new.  Which one follows from the counters and the sender's
+    repeat pairs (``_read_relays``), without walking its bundle; only a
+    transmission that skipped a repeat is read from its bundle.  The reads
+    are carried from round to round: a sender is re-read only when a source
+    it repeats advanced.
+
+    ``run.solved`` memoizes region solves for the run, keyed by a tuple of
+    every instance field that varies within a run (the node's static
+    interference too; only rate and noise are fixed), with round ids
+    shifted to start at 0, so the same pool a block later is a hit.  The
+    instance is built and validated only on a miss.
     """
+    node, lag, senders = rx.node, rx.lag, rx.sources
     due_missing = [
-        (j, beta) for j in sorted(lag) for beta in range(upto[j] + 1, block - lag[j] + 2)
+        (j, beta) for j in rx.sources for beta in range(upto[j] + 1, block - lag[j] + 2)
     ]
     done = dict(upto)
+    # Attempt the oldest missing message of every scheduled source, due or
+    # not; messages beyond their decode deadline are opportunistic extras and
+    # only the due ones count toward success.
+    frontier = {j: done[j] + 1 for j in rx.sources if done[j] < block}
+    reads = {l: _read_relays(rx.relays[l], done, rx.foreign_from[l]) for l in senders}
     decoded_total: list[Message] = []
     sum_rate_ok: bool | None = None
 
-    while True:
-        # Attempt the oldest missing message of every scheduled source, due
-        # or not; messages beyond their decode deadline are opportunistic
-        # extras and only the due ones count toward success.
-        frontier = {j: done[j] + 1 for j in lag if done[j] < block}
-        if not frontier:
-            break
-
-        members = sorted(frontier)
+    while frontier:
+        members = [j for j in rx.sources if j in frontier]
         index = {j: idx for idx, j in enumerate(members)}
-        targets = {(j, frontier[j]): index[j] for j in members}
         first_round = min(frontier.values())
 
-        helps: list[frozenset[int]] = [frozenset() for _ in members]
+        helps = [frozenset()] * len(members)
         usable = [True] * len(members)
-        carriers: list[tuple[int, float, frozenset[int]]] = []
+        carriers: list[tuple[int, int, float, frozenset[int]]] = []
         round_noise: dict[int, float] = {}
-        for beta in range(first_round, block + 1):
-            for sender in sorted(lag):
-                if sender == node:
+        for sender in senders:
+            p = rx.power[sender]
+            own = frontier.get(sender)
+            # Interference from a pool sender's fresher blocks is already
+            # charged by the instance's cross-round noise.
+            last = block if own is None else own
+            # Per block: the pool sources the transmission repeats, or None
+            # if it also repeats unknown content outside the pool.  Blocks
+            # missing here carry nothing unknown.
+            noisy, roles = reads[sender]
+            skipped = run.skipped_at[sender]
+            if noisy <= last or (skipped and skipped[-1] >= first_round):
+                roles = {b: js for b, js in roles.items() if b < noisy}
+                for beta in range(max(first_round, noisy), last + 1):
+                    roles[beta] = None
+                for beta in skipped[bisect_left(skipped, first_round) :]:
+                    if beta > last:
+                        break
+                    roles[beta] = _read_bundle(run.transmissions[beta - 1][sender], done, node)
+            for beta, js in roles.items():
+                if not first_round <= beta <= last:
                     continue
-                tx = transmissions[beta - 1][sender]
-                unknown = {m for m in tx.bundle if m[1] > done.get(m[0], 0) and m[0] != node}
-                if not unknown:
-                    continue
-                p = powers.pair(sender, node)
-                if sender in frontier and beta > frontier[sender]:
-                    # Interference from a pool sender's fresher blocks is
-                    # already charged by the instance's cross-round noise.
-                    continue
-                if sender in frontier and beta == frontier[sender]:
-                    extras = unknown - {(sender, beta)}
-                    if all(m in targets for m in extras):
-                        helps[index[sender]] = frozenset(targets[m] for m in extras)
-                    else:
+                if js is None:
+                    round_noise[beta - first_round] = round_noise.get(beta - first_round, 0.0) + p
+                    if beta == own:
                         usable[index[sender]] = False
-                        round_noise[beta] = round_noise.get(beta, 0.0) + p
-                elif all(m in targets for m in unknown):
-                    carriers.append((beta, p, frozenset(targets[m] for m in unknown)))
-                else:
-                    round_noise[beta] = round_noise.get(beta, 0.0) + p
+                elif beta == own:
+                    helps[index[sender]] = frozenset([index[j] for j in js])
+                elif js:
+                    carriers.append(
+                        (beta - first_round, sender, p, frozenset([index[j] for j in js]))
+                    )
+        if carriers:
+            carriers.sort(key=lambda c: c[:2])
 
-        instance = MultiBlockInstance(
-            rates=tuple(rate for _ in members),
-            powers=tuple(powers.pair(j, node) for j in members),
-            noise=noise,
-            blocks=tuple(frontier[j] - first_round for j in members),
-            helps=tuple(helps),
-            carriers=tuple(HelperCarrier(b - first_round, p, h) for b, p, h in carriers),
-            interference=static_interference,
-            block_interference=tuple((b - first_round, p) for b, p in round_noise.items()),
-            usable=tuple(usable),
+        member_powers = tuple([rx.power[j] for j in members])
+        blocks = tuple([frontier[j] - first_round for j in members])
+        shifted_carriers = tuple([(b, p, h) for b, _, p, h in carriers])
+        block_noise = tuple(sorted(round_noise.items()))
+        key = (
+            member_powers,
+            blocks,
+            tuple(helps),
+            tuple(usable),
+            shifted_carriers,
+            block_noise,
+            rx.static_interference,
         )
-        result = solved.get(instance)
+        result = run.solved.get(key)
         if result is None:
-            result = solved[instance] = multi_block_decodable_subset(instance)
+            instance = MultiBlockInstance(
+                rates=(run.rate,) * len(members),
+                powers=member_powers,
+                noise=run.noise,
+                blocks=blocks,
+                helps=tuple(helps),
+                carriers=tuple(HelperCarrier(*c) for c in shifted_carriers),
+                interference=rx.static_interference,
+                block_interference=block_noise,
+                usable=tuple(usable),
+            )
+            result = run.solved[key] = multi_block_decodable_subset(instance)
         if sum_rate_ok is None:
             sum_rate_ok = result.sum_rate_ok
         if not result.decoded:
             break
+        advanced = set()
         for idx in result.decoded:
             j = members[idx]
-            done[j] = frontier[j]
-            decoded_total.append((j, frontier[j]))
+            beta = done[j] = frontier[j]
+            decoded_total.append((j, beta))
+            advanced.add(j)
+            if beta < block:
+                frontier[j] = beta + 1
+            else:
+                del frontier[j]
+        for sender in senders:
+            if not rx.relayed[sender].isdisjoint(advanced):
+                reads[sender] = _read_relays(rx.relays[sender], done, rx.foreign_from[sender])
 
     missing = tuple((j, beta) for j, beta in due_missing if beta > done[j])
     return DecodeRecord(
@@ -331,28 +475,19 @@ def run_schedule(
             f"lag {first.hop}: {first.message}"
         )
     powers = build_power_matrix(topology)
-    lag = [schedule.decode_lag(i) for i in range(n)]
-    static = [
-        sum(powers.pair(j, i) for j in range(n) if j != i and j not in lag[i])
-        for i in range(n)
-    ]
+    run = _Run(n, rate, topology.noise)
+    receivers = [_Receiver(i, schedule, powers) for i in range(n)]
 
     # Node i knows (j, beta) iff beta <= upto[i][j]; see _decode_closure.
-    upto = [dict.fromkeys(lag[i], 0) for i in range(n)]
-    tx_rows: list[tuple[Transmission, ...]] = []
+    upto = [dict.fromkeys(rx.lag, 0) for rx in receivers]
     decode_rows: list[tuple[DecodeRecord, ...]] = []
     completion: list[int | None] = [None] * n
-    solved: dict[MultiBlockInstance, MultiBlockResult] = {}
 
     for b in range(1, blocks + 1):
-        tx_rows.append(
-            tuple(_build_transmission(l, b, upto[l], schedule) for l in range(n))
-        )
+        run.add_row(tuple(_build_transmission(l, b, upto[l], schedule) for l in range(n)))
         records = []
         for i in range(n):
-            rec = _decode_closure(
-                i, b, upto[i], tx_rows, lag[i], static[i], powers, rate, topology.noise, solved
-            )
+            rec = _decode_closure(receivers[i], b, upto[i], run)
             records.append(rec)
             if rec.success:
                 # Extras stay in the decode record only; the knowledge state
@@ -371,7 +506,7 @@ def run_schedule(
         schedule=schedule,
         rate=rate,
         blocks=blocks,
-        transmissions=tuple(tx_rows),
+        transmissions=tuple(run.transmissions),
         decodes=tuple(decode_rows),
         completion_block=tuple(completion),
         warnings=tuple(warnings),

@@ -150,8 +150,9 @@ class Topology:
     @cached_property
     def _derived(self) -> dict:
         # Values computed from this object alone and kept after their first
-        # use: its power matrix (build_power_matrix) and its line table
-        # (rate_analysis).  Equal but distinct topologies keep their own.
+        # use: its power matrix (build_power_matrix), its distance ordering
+        # (distance_ordering_check) and its line table (rate_analysis).
+        # Equal but distinct topologies keep their own.
         return {}
 
 
@@ -610,7 +611,16 @@ def distance_ordering_check(topology: Topology) -> tuple[int, ...] | None:
     Tries the two principal-axis orders first; for n up to
     ``_EXHAUSTIVE_ORDER_LIMIT`` falls back to trying every labeling.  Returns the
     labeling (oriented so its first node id is the smaller endpoint), or None.
+    The check runs on the first call for a topology object, and later calls
+    return its result.
     """
+    derived = topology._derived
+    if "ordering" not in derived:
+        derived["ordering"] = _find_distance_ordering(topology)
+    return derived["ordering"]
+
+
+def _find_distance_ordering(topology: Topology) -> tuple[int, ...] | None:
     dist = topology.distances
     axis = _principal_axis_order(topology)
     for cand in (axis, axis[::-1]):

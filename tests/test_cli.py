@@ -71,6 +71,38 @@ def test_analyze_uneven_line_skips_the_verifier(capsys):
     assert data["ordering"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "argv, coordinates",
+    [
+        (("--preset", "regular-line", "--n", "12"), [float(x) for x in range(12)]),
+        # Uneven: the verifier asks for the ordering, then rejects the spacing.
+        (("--preset", "line", "--spacings", "1,2.5,1"), [0.0, 1.0, 3.5, 4.5]),
+    ],
+    ids=["regular-line", "uneven-line"],
+)
+def test_analyze_checks_the_distance_ordering_once(capsys, monkeypatch, argv, coordinates):
+    # The CLI, the line table and the verifier each ask for the ordering;
+    # the topology keeps the answer of the first check.
+    from omnirelay import topology
+
+    orders = []
+    is_ordered = topology._is_distance_ordered
+
+    def counting(dist, order):
+        orders.append(tuple(order))
+        return is_ordered(dist, order)
+
+    monkeypatch.setattr(topology, "_is_distance_ordered", counting)
+    data = run_json(capsys, "analyze", *argv, "--power", "10")
+    in_one_call = orders[:]
+    orders.clear()
+    topology.distance_ordering_check(
+        topology.general_line(coordinates, topology.power_law(2.0), 10.0, 1.0)
+    )
+    assert data["ordering"] is not None
+    assert in_one_call == orders != []
+
+
 def test_simulate_ring(capsys):
     data = run_json(
         capsys, "simulate", "--preset", "ring", "--n", "5",

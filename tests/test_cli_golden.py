@@ -94,6 +94,26 @@ GOLDEN = [
         ("simulate", "--preset", "regular-line", "--n", "4", "--power", "10", "--blocks", "0"),
         "c13c9b6c8aa0107e48fdb44a05a5aa13b7624e714b8230e58e7dc3739a49a561",
     ),
+    (
+        # The line-solve benchmark shape (the benchmark adds --rate and --seed).
+        ("simulate", "--preset", "regular-line", "--n", "12", "--power", "10", "--blocks", "16"),
+        "b972d0b3c6dba7929822a7ca1aff3ee5337cf464a70939031dfba8ffd0e6e215",
+    ),
+    (
+        # 1.2 times the all-cast bound (0.665): 72 of 98 decodes fail, the
+        # peels stop part way and senders skip repeats they never decoded.
+        ("simulate", "--preset", "regular-line", "--n", "7", "--power", "10", "--blocks", "14",
+         "--rate", "0.8"),
+        "44df9c650c439f28bd3a18d332cda673c4898c067df663ccc04955e55e93b533",
+    ),
+    (
+        # The 2-unit gap splits the one-hop sets into {0,1,2} and {3,...,6}:
+        # every node has its own static interference, and over the bound
+        # (0.651) decodes fail.
+        ("simulate", "--preset", "line", "--spacings", "1,1,2,1,1,1", "--hop-radius", "1.5",
+         "--power", "10", "--blocks", "14", "--rate", "0.8"),
+        "92d1c3a5748b90d540a505ae57bc360108e5d25daa3205abf1bd3d6a91ef79e5",
+    ),
 ]
 
 
@@ -117,6 +137,9 @@ GOLDEN = [
         "analyze-ring-unordered",
         "line-3-no-neighbours",
         "line-4-no-blocks",
+        "line-12-solve",
+        "line-7-over-bound",
+        "split-line-over-bound",
     ],
 )
 def test_cli_output_is_pinned(capsys, argv, digest):

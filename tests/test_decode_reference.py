@@ -5,20 +5,29 @@ simulator's joint decode and relay bundling from when a receiver's knowledge
 was a plain set of messages that every decode scanned from block 1.
 ``reference_run`` drives them with ``run_schedule``'s block loop over such
 sets and stores a knowledge snapshot per block.  The simulator now keeps one
-counter per scheduled source instead and derives its snapshots from the
-decode records; these tests check that both give the same transmissions,
-decode records and knowledge snapshots, and that the invariant the counters
-rest on holds: a receiver's knowledge of each source is a prefix of its
-blocks.
+counter per scheduled source instead, reads the transmissions from those
+counters and the encode sets, and derives its snapshots from the decode
+records; these tests check that both give the same transmissions, decode
+records, knowledge snapshots and solved region instances, and that the
+invariant the counters rest on holds: a receiver's knowledge of each source
+is a prefix of its blocks.
+
+The grid holds distance-regulated lines, rings and an arc; a line whose
+one-hop sets split it in two, so that every node has its own static
+interference; and hand-built schedules under which a sender repeats a
+source the receiver never schedules, or relays a pool member on its own.
 """
 
 from __future__ import annotations
 
+import sys
+from dataclasses import replace
 from functools import lru_cache
 from typing import AbstractSet, Sequence
 
 import pytest
 
+from omnirelay import protocol_sim
 from omnirelay.mac_region import (
     HelperCarrier,
     MultiBlockInstance,
@@ -30,6 +39,7 @@ from omnirelay.protocol_sim import (
     Message,
     Transmission,
     run_distance_regulated,
+    run_schedule,
 )
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import (
@@ -42,6 +52,7 @@ from omnirelay.topology import (
     power_law,
     regular_line,
     ring,
+    schedule_from_sets,
 )
 
 
@@ -189,10 +200,9 @@ def reference_decode_closure(
     )
 
 
-def reference_run(topology, one_hop, rate, blocks):
+def reference_run(topology, schedule, rate, blocks):
     """``run_schedule``'s block loop over plain knowledge sets."""
     n = topology.n
-    schedule = distance_regulated_schedule(k_hop_neighbors(one_hop))
     powers = build_power_matrix(topology)
     lag = [schedule.decode_lag(i) for i in range(n)]
     static = [
@@ -230,53 +240,194 @@ def ring_one_hop(n):
     return [frozenset({(i - 1) % n, (i + 1) % n}) for i in range(n)]
 
 
+def split_one_hop(n, cut):
+    """Path neighbours, with the link between ``cut - 1`` and ``cut`` removed."""
+    return [
+        frozenset(x for x in (i - 1, i + 1) if 0 <= x < n and (x < cut) == (i < cut))
+        for i in range(n)
+    ]
+
+
+def late_schedule(n):
+    """A line's distance-regulated schedule, except that node 2 decodes its
+    far sources later: node 4 at lag 3 instead of 2 and, on 6 nodes, node 0
+    at lag 3 and node 5 at lag 5.
+
+    Nodes 1 and 3 still relay their neighbours at lag 1, so at node 2 their
+    older blocks are pure relays of pool members (carriers, several per pool
+    on 6 nodes), and their fresh blocks repeat messages beyond a source's
+    pool block (unusable members, charged as round noise).
+    """
+    regulated = distance_regulated_schedule(k_hop_neighbors(path_one_hop(n)))
+    rows = [list(row) for row in regulated.decode_sets]
+    rows[2] = LATE_ROWS[n]
+    return schedule_from_sets(rows, rows)
+
+
+LATE_ROWS = {5: [{1, 3}, {0}, {4}], 6: [{1, 3}, (), {0, 4}, (), {5}]}
+
+
+def foreign_schedule():
+    """A 5-node line on which node 2 never schedules node 0, while node 1,
+    which node 2 does schedule, relays node 0 at lag 1: node 1's bundles
+    carry foreign content at node 2.  Nodes 0 and 4 decode node 2 directly
+    at lag 2, as nobody relays it.
+    """
+    return schedule_from_sets(
+        [[{1}, {2}], [{0, 2}], [{1, 3}, (), {4}], [{2, 4}], [{3}, {2}]],
+        [[{1}], [{0}], [{1}], [{4}], [{3}]],
+    )
+
+
 GAIN = power_law(2.0)
 SHARES = (0.9, 1.001, 1.3)
 CASES = (
     [("line", n, share) for n in range(2, 9) for share in SHARES]
     + [("ring", n, share) for n in range(3, 8) for share in SHARES]
     + [("arc", 6, share) for share in SHARES]
+    # Split into {0, 1, 2} and {3, ..., 6}: every node has its own static
+    # interference from the half it never schedules.
+    + [("split", 7, share) for share in (0.3, 0.6, 0.9, 1.2)]
+    + [("late", n, share) for n in (5, 6) for share in (0.3, 0.9, 1.2)]
+    + [("foreign", 5, share) for share in (0.3, 0.9, 1.2)]
 )
+HAND_BUILT = {"late": late_schedule, "foreign": lambda n: foreign_schedule()}
+BLOCKS = {"split": 14, "late": 14, "foreign": 12}
 
 
 def build_case(kind, n, share):
-    if kind == "line":
-        topology, one_hop = regular_line(n, 1.0, GAIN, 10.0, 1.0), path_one_hop(n)
-    elif kind == "ring":
-        topology, one_hop = ring(n, 1.0, GAIN, 10.0, 1.0), ring_one_hop(n)
+    """Topology, one-hop sets (None for a hand-built schedule), schedule,
+    rate and block count of one grid case."""
+    one_hop = None
+    if kind in HAND_BUILT:
+        topology, schedule = regular_line(n, 1.0, GAIN, 10.0, 1.0), HAND_BUILT[kind](n)
     else:
-        topology, one_hop = arc(n, 1.0, 4.0, GAIN, 10.0, 1.0), path_one_hop(n)
+        if kind == "line":
+            topology, one_hop = regular_line(n, 1.0, GAIN, 10.0, 1.0), path_one_hop(n)
+        elif kind == "ring":
+            topology, one_hop = ring(n, 1.0, GAIN, 10.0, 1.0), ring_one_hop(n)
+        elif kind == "split":
+            topology, one_hop = regular_line(n, 1.0, GAIN, 10.0, 1.0), split_one_hop(n, 3)
+        else:
+            topology, one_hop = arc(n, 1.0, 4.0, GAIN, 10.0, 1.0), path_one_hop(n)
+        schedule = distance_regulated_schedule(k_hop_neighbors(one_hop))
     # Long enough for every lag to come due and, past the bound, for the
     # failed decodes' windows to grow well beyond one block.
-    return topology, one_hop, share * allcast_rate_bound(topology), 2 * n + 6
+    blocks = BLOCKS.get(kind, 2 * n + 6)
+    return topology, one_hop, schedule, share * allcast_rate_bound(topology), blocks
 
 
-@lru_cache(maxsize=None)
-def simulated(kind, n, share):
-    return run_distance_regulated(*build_case(kind, n, share))
+def simulate(kind, n, share):
+    topology, one_hop, schedule, rate, blocks = build_case(kind, n, share)
+    if one_hop is None:
+        return run_schedule(topology, schedule, rate, blocks)
+    return run_distance_regulated(topology, one_hop, rate, blocks)
+
+
+simulated = lru_cache(maxsize=None)(simulate)
+
+
+def recorded_solves(monkeypatch, module):
+    """Every instance later solved through ``module``'s solver name, with
+    its round ids shifted to start at 0."""
+    calls = []
+    solve = module.multi_block_decodable_subset
+
+    def recording(instance):
+        base = min(instance.round_ids())
+        calls.append(
+            replace(
+                instance,
+                blocks=tuple(b - base for b in instance.blocks),
+                carriers=tuple(
+                    HelperCarrier(c.block - base, c.power, c.helps) for c in instance.carriers
+                ),
+                block_interference=tuple((b - base, p) for b, p in instance.block_interference),
+            )
+        )
+        return solve(instance)
+
+    monkeypatch.setattr(module, "multi_block_decodable_subset", recording)
+    return calls
 
 
 @pytest.mark.parametrize("kind, n, share", CASES)
-def test_counter_decode_matches_the_set_reference(kind, n, share):
-    topology, one_hop, rate, blocks = build_case(kind, n, share)
-    trace = simulated(kind, n, share)
-    transmissions, decodes, knowledge = reference_run(topology, one_hop, rate, blocks)
+def test_counter_decode_matches_the_set_reference(monkeypatch, kind, n, share):
+    topology, _, schedule, rate, blocks = build_case(kind, n, share)
+    solves = recorded_solves(monkeypatch, protocol_sim)
+    reference_solves = recorded_solves(monkeypatch, sys.modules[__name__])
+    trace = simulate(kind, n, share)
+    transmissions, decodes, knowledge = reference_run(topology, schedule, rate, blocks)
     assert trace.transmissions == transmissions
     assert trace.decodes == decodes
     assert trace.knowledge == knowledge
+    # Both memoize per run on every instance field, so they also solve the
+    # same instances in the same order: a wrong sender role shows here even
+    # where the verdicts happen to agree.
+    assert solves == reference_solves
 
 
 def test_knowledge_is_derived_on_first_read():
     kind, n, share = "ring", 5, 1.001
-    topology, one_hop, rate, blocks = build_case(kind, n, share)
+    topology, one_hop, schedule, rate, blocks = build_case(kind, n, share)
     trace = run_distance_regulated(topology, one_hop, rate, blocks)
     assert "knowledge" not in vars(trace)
-    assert trace.knowledge == reference_run(topology, one_hop, rate, blocks)[2]
+    assert trace.knowledge == reference_run(topology, schedule, rate, blocks)[2]
 
 
 def test_the_reference_grid_covers_failures_and_successes():
     outcomes = {(share, simulated(kind, n, share).all_success()) for kind, n, share in CASES}
     assert {(0.9, True), (1.3, False)} <= outcomes
+
+
+def test_the_reference_grid_covers_every_sender_role(monkeypatch):
+    # Pool members whose bundle repeats a message the receiver cannot place
+    # (usable False), pure relays of pool members (carriers, several in one
+    # pool on the 6-node late schedule) and round noise occur only under the
+    # hand-built schedules; no distance-regulated case of the grid reaches
+    # them.  Skipped repeats occur on failing runs.
+    seen = set()
+    solve = protocol_sim.multi_block_decodable_subset
+
+    def recording(instance):
+        if not all(instance.usable):
+            seen.add("unusable")
+        if instance.carriers:
+            seen.add("carrier")
+        if len(instance.carriers) > 1:
+            seen.add("carriers")
+        if instance.block_interference:
+            seen.add("round noise")
+        return solve(instance)
+
+    monkeypatch.setattr(protocol_sim, "multi_block_decodable_subset", recording)
+    for kind, n in (("late", 5), ("late", 6), ("foreign", 5)):
+        topology, _, schedule, rate, blocks = build_case(kind, n, 0.3)
+        run_schedule(topology, schedule, rate, blocks)
+    assert seen == {"unusable", "carrier", "carriers", "round noise"}
+    assert any(
+        tx.skipped
+        for kind, n, share in CASES
+        for row in simulated(kind, n, share).transmissions
+        for tx in row
+    )
+    # Foreign content: a scheduled sender's bundle holds a source that the
+    # receiver never schedules.
+    trace = simulated("foreign", 5, 0.3)
+    assert any(
+        sender in trace.schedule.decode_lag(i) and j != i and j not in trace.schedule.decode_lag(i)
+        for row in trace.transmissions
+        for sender, tx in enumerate(row)
+        for i in range(5)
+        for j, _ in tx.bundle
+    )
+    topology, _, schedule, _, _ = build_case("split", 7, 0.3)
+    power = build_power_matrix(topology)
+    statics = {
+        sum(power.pair(j, i) for j in range(7) if j != i and j not in schedule.decode_lag(i))
+        for i in range(7)
+    }
+    assert len(statics) == 7
 
 
 @pytest.mark.parametrize("kind, n, share", CASES)

@@ -199,6 +199,37 @@ def test_trace_dict_is_json_stable():
     assert payload["nodes"] == 4
 
 
+def test_an_instance_is_built_only_on_a_memo_miss(monkeypatch):
+    # No timing: the ring-long benchmark shape without the CLI.  The decodes
+    # look the solve memo up about 5,000 times; a region instance is built
+    # and validated only for a key the memo does not hold yet, so the
+    # instances built, the solver calls and the distinct instances (the
+    # memo's keys) are one and the same count.
+    from omnirelay import protocol_sim
+
+    built, solved = [], []
+    build = protocol_sim.MultiBlockInstance
+    solve = protocol_sim.multi_block_decodable_subset
+
+    def building(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def solving(instance):
+        solved.append(instance)
+        return solve(instance)
+
+    monkeypatch.setattr(protocol_sim, "MultiBlockInstance", building)
+    monkeypatch.setattr(protocol_sim, "multi_block_decodable_subset", solving)
+    t = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
+    one_hop = [frozenset({(i - 1) % 6, (i + 1) % 6}) for i in range(6)]
+    trace = run_distance_regulated(t, one_hop, 0.999 * allcast_rate_bound(t), 300)
+
+    assert trace.all_success()
+    assert 0 < len(built) == len(solved) == len(set(solved))
+    assert [id(inst) for inst in built] == [id(inst) for inst in solved]
+
+
 # ---------------------------------------------------------------------------
 # interference accounting
 # ---------------------------------------------------------------------------

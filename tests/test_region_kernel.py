@@ -1,7 +1,9 @@
 """The all-subsets margin kernel against the scalar evaluator, its tie-break,
-round-shift invariance, and the simulator's per-run solve memo."""
+round-shift invariance, properties of the peel's verdicts, and the
+simulator's per-run solve memo."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +14,7 @@ from omnirelay.mac_region import (
     MultiBlockInstance,
     _MultiBlockEvaluator,
     multi_block_decodable_subset,
+    multi_block_feasible,
 )
 from omnirelay.protocol_sim import run_distance_regulated
 from omnirelay.topology import power_law, regular_line, ring
@@ -204,6 +207,68 @@ def test_results_are_invariant_under_round_shifts():
         result = multi_block_decodable_subset(inst)
         for offset in (1, 7, 250):
             assert multi_block_decodable_subset(shifted(inst, offset)) == result
+
+
+# ---------------------------------------------------------------------------
+# properties of the peel's verdicts
+# ---------------------------------------------------------------------------
+
+
+def test_peel_output_is_self_decodable_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.randoms(use_true_random=False), st.booleans())
+    def check(rng, common_rate):
+        inst = build_instance(rng, common_rate)
+        decoded = multi_block_decodable_subset(inst).decoded
+        # No survivor repeats a peeled member, so peeling all of them at
+        # once leaves exactly the survivors.
+        ev = _MultiBlockEvaluator(inst)
+        ev.remove_closure(set(range(inst.m)) - set(decoded))
+        assert tuple(sorted(ev.survivors())) == decoded
+        # With the peeled members and the carriers that repeat them as
+        # noise, every nonempty subset of the survivors meets its
+        # constraint, judged one subset at a time by the scalar evaluator.
+        for mask in range(1, 1 << len(decoded)):
+            assert ev.margin(subset_of(decoded, mask)) < -EPS_BITS
+
+    check()
+
+
+def test_verdicts_are_invariant_under_round_shifts_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.randoms(use_true_random=False), st.booleans(), st.integers(-1000, 1000)
+    )
+    def check(rng, common_rate, offset):
+        inst = build_instance(rng, common_rate)
+        moved = shifted(inst, offset)
+        assert multi_block_decodable_subset(moved) == multi_block_decodable_subset(inst)
+        assert multi_block_feasible(moved) == multi_block_feasible(inst)
+
+    check()
+
+
+def test_verdicts_are_monotone_as_the_common_rate_falls_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.randoms(use_true_random=False), st.floats(0.0, 1.0))
+    def check(rng, scale):
+        inst = build_instance(rng, common_rate=True)
+        lower = replace(inst, rates=(inst.rates[0] * scale,) * inst.m)
+        high, low = multi_block_decodable_subset(inst), multi_block_decodable_subset(lower)
+        assert set(high.decoded) <= set(low.decoded)
+        assert low.sum_rate_ok or not high.sum_rate_ok
+        assert multi_block_feasible(lower) or not multi_block_feasible(inst)
+
+    check()
 
 
 @pytest.fixture
