@@ -10,7 +10,7 @@ recover the missing one exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -24,13 +24,11 @@ class BinAssignment:
     """Bin map over a bundle of message alphabets.
 
     ``sizes[j]`` is the alphabet size of slot j; ``bin_count`` the number of
-    bin indices; ``rule`` the map itself.  ``kind`` names the construction so
-    downstream code can use the closed-form inverse when it applies.
+    bin indices; ``bin_of`` the map itself, the modular sum of the values.
     """
 
     sizes: tuple[int, ...]
     bin_count: int
-    kind: str = field(default="modular-sum")
 
     def __post_init__(self) -> None:
         if not self.sizes:
@@ -59,8 +57,7 @@ def build_binning(sizes: Iterable[int]) -> BinAssignment:
     """Modular-sum binning with bin count equal to the largest slot alphabet."""
     sizes = tuple(int(s) for s in sizes)
     # An empty bundle is rejected by BinAssignment, not by max().
-    assignment = BinAssignment(sizes, max(sizes, default=0))
-    return assignment
+    return BinAssignment(sizes, max(sizes, default=0))
 
 
 def decode_from_side_info(
@@ -71,9 +68,11 @@ def decode_from_side_info(
 ) -> int:
     """Recover the one unknown slot of a bundle from its bin index.
 
-    ``known`` maps every slot except ``target`` to its value.  Raises
-    DecodeError when the bin index is inconsistent with the side information
-    (no candidate value, or several).
+    Inverts the modular-sum map of :func:`build_binning`: the target value is
+    the bin index minus the known values, modulo the bin count.  ``known``
+    maps every slot except ``target`` to its value.  Raises DecodeError when
+    that value lies outside the target's alphabet, so the bin index is
+    inconsistent with the side information.
     """
     m = len(assignment.sizes)
     if not (0 <= target < m):
@@ -88,29 +87,13 @@ def decode_from_side_info(
         if not (0 <= v < assignment.sizes[j]):
             raise PreconditionError(f"slot {j} value {v} outside its alphabet")
 
-    if assignment.kind == "modular-sum":
-        value = (bin_index - sum(known.values())) % assignment.bin_count
-        if value >= assignment.sizes[target]:
-            raise DecodeError(
-                f"no value in alphabet of size {assignment.sizes[target]} "
-                f"matches bin {bin_index}"
-            )
-        return value
-
-    # Generic fallback: scan the target alphabet for matches.
-    hits = []
-    for v in range(assignment.sizes[target]):
-        values = [0] * m
-        for j, kv in known.items():
-            values[j] = kv
-        values[target] = v
-        if assignment.bin_of(values) == bin_index:
-            hits.append(v)
-    if len(hits) != 1:
+    value = (bin_index - sum(known.values())) % assignment.bin_count
+    if value >= assignment.sizes[target]:
         raise DecodeError(
-            f"side information leaves {len(hits)} candidates for slot {target}"
+            f"no value in alphabet of size {assignment.sizes[target]} "
+            f"matches bin {bin_index}"
         )
-    return hits[0]
+    return value
 
 
 def verify_binning_property(assignment: BinAssignment) -> bool:

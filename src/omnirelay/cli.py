@@ -16,7 +16,6 @@ import hashlib
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
@@ -50,27 +49,6 @@ from .topology import (
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved inputs of one CLI invocation."""
-
-    command: str
-    topology_path: str | None
-    preset: str | None
-    n: int
-    spacing: float
-    spacings: tuple[float, ...] | None
-    arc_radius: float | None
-    gain: str
-    power: float
-    noise: float
-    rate_spec: str
-    blocks: int
-    seed: int
-    hop_radius: float | None
-    payload_sizes: tuple[int, ...] | None
-
-
 def _parse_floats(text: str, label: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip())
@@ -85,56 +63,37 @@ def _parse_ints(text: str, label: str) -> tuple[int, ...]:
         raise ValueError(f"bad {label} list {text!r}") from exc
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    hop_radius = getattr(args, "hop_radius", None)
-    if hop_radius is not None and not (math.isfinite(hop_radius) and hop_radius >= 0):
+def _check_hop_radius(radius: float | None) -> None:
+    if radius is not None and not (math.isfinite(radius) and radius >= 0):
         raise ValueError("hop radius must be finite and nonnegative")
-    return ExperimentConfig(
-        command=args.command,
-        topology_path=getattr(args, "topology", None),
-        preset=getattr(args, "preset", None),
-        n=getattr(args, "n", 0),
-        spacing=getattr(args, "d0", 1.0),
-        spacings=(
-            _parse_floats(args.spacings, "spacing")
-            if getattr(args, "spacings", None)
-            else None
-        ),
-        arc_radius=getattr(args, "arc_radius", None),
-        gain=getattr(args, "gain", "pl:2"),
-        power=getattr(args, "power", 1.0),
-        noise=getattr(args, "noise", 1.0),
-        rate_spec=str(getattr(args, "rate", "auto")),
-        blocks=getattr(args, "blocks", 8),
-        seed=getattr(args, "seed", 0),
-        hop_radius=hop_radius,
-        payload_sizes=(
-            _parse_ints(args.payload_sizes, "payload size")
-            if getattr(args, "payload_sizes", None)
-            else None
-        ),
-    )
 
 
-def _build_topology(cfg: ExperimentConfig) -> tuple[Topology, tuple[frozenset[int], ...] | None]:
-    if cfg.topology_path:
-        return load_topology_file(cfg.topology_path)
-    gain = GainFunction.parse(cfg.gain)
-    if cfg.preset == "regular-line":
-        return regular_line(cfg.n, cfg.spacing, gain, cfg.power, cfg.noise), None
-    if cfg.preset == "line":
-        if not cfg.spacings:
+def _spacings(args: argparse.Namespace) -> tuple[float, ...] | None:
+    """The ``--spacings`` gaps, parsed for every preset so a bad list is always reported."""
+    return _parse_floats(args.spacings, "spacing") if args.spacings else None
+
+
+def _build_topology(
+    args: argparse.Namespace, n: int, gain_label: str, spacings: tuple[float, ...] | None
+) -> tuple[Topology, tuple[frozenset[int], ...] | None]:
+    if args.topology:
+        return load_topology_file(args.topology)
+    gain = GainFunction.parse(gain_label)
+    if args.preset == "regular-line":
+        return regular_line(n, args.d0, gain, args.power, args.noise), None
+    if args.preset == "line":
+        if not spacings:
             raise ValueError("the line preset needs --spacings")
         coords = [0.0]
-        for gap in cfg.spacings:
+        for gap in spacings:
             coords.append(coords[-1] + gap)
-        return general_line(coords, gain, cfg.power, cfg.noise), None
-    if cfg.preset == "ring":
-        return ring(cfg.n, cfg.spacing, gain, cfg.power, cfg.noise), None
-    if cfg.preset == "arc":
-        if cfg.arc_radius is None:
+        return general_line(coords, gain, args.power, args.noise), None
+    if args.preset == "ring":
+        return ring(n, args.d0, gain, args.power, args.noise), None
+    if args.preset == "arc":
+        if args.arc_radius is None:
             raise ValueError("the arc preset needs --arc-radius")
-        return arc(cfg.n, cfg.spacing, cfg.arc_radius, gain, cfg.power, cfg.noise), None
+        return arc(n, args.d0, args.arc_radius, gain, args.power, args.noise), None
     raise ValueError("give either --topology FILE or a --preset")
 
 
@@ -281,11 +240,10 @@ def _emit(payload: dict, rows: list[dict], args: argparse.Namespace) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    topology, one_hop = _build_topology(cfg)
+    topology, one_hop = _build_topology(args, args.n, args.gain, _spacings(args))
     bound = allcast_rate_bound(topology)
     ordering = distance_ordering_check(topology)
-    rate = _resolve_rate(cfg.rate_spec, bound)
+    rate = _resolve_rate(args.rate, bound)
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "command": "analyze",
@@ -318,7 +276,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         rows.append({"key": "achievable", "value": report.achievable})
         rows.append({"key": "max_rate", "value": best})
         try:
-            check = verify_regular_line_achievability(topology, samples=20, seed=cfg.seed)
+            check = verify_regular_line_achievability(topology, samples=20, seed=args.seed)
             payload["regular_line_verified"] = check.verified
             rows.append({"key": "regular_line_verified", "value": check.verified})
         except PreconditionError:
@@ -328,13 +286,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    topology, one_hop = _build_topology(cfg)
+    _check_hop_radius(args.hop_radius)
+    spacings = _spacings(args)
+    payload_sizes = (
+        _parse_ints(args.payload_sizes, "payload size") if args.payload_sizes else None
+    )
+    topology, one_hop = _build_topology(args, args.n, args.gain, spacings)
     if one_hop is None:
-        one_hop = _default_one_hop(topology, cfg.hop_radius)
+        one_hop = _default_one_hop(topology, args.hop_radius)
     bound = allcast_rate_bound(topology)
-    rate = _resolve_rate(cfg.rate_spec, bound)
-    trace = run_distance_regulated(topology, one_hop, rate, cfg.blocks)
+    rate = _resolve_rate(args.rate, bound)
+    trace = run_distance_regulated(topology, one_hop, rate, args.blocks)
     noise_reports = interference_accounting(trace)
     payload: dict = {
         "format_version": FORMAT_VERSION,
@@ -360,11 +322,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for row in trace.decodes
         for rec in row
     ]
-    if cfg.payload_sizes is not None:
-        sizes = cfg.payload_sizes
-        if len(sizes) == 1:
-            sizes = sizes * topology.n
-        reports = payload_demo(trace, sizes, seed=cfg.seed)
+    if payload_sizes is not None:
+        if len(payload_sizes) == 1:
+            payload_sizes *= topology.n
+        reports = payload_demo(trace, payload_sizes, seed=args.seed)
         payload["payload"] = [
             {
                 "node": r.node,
@@ -379,24 +340,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    if cfg.topology_path:
+    _check_hop_radius(args.hop_radius)
+    spacings = _spacings(args)
+    if args.topology:
         raise ValueError("sweep builds preset topologies; --topology is not supported")
-    sizes = _parse_ints(args.sweep_n, "sweep size") if args.sweep_n else (cfg.n,)
+    sizes = _parse_ints(args.sweep_n, "sweep size") if args.sweep_n else (args.n,)
     gains = (
         tuple(x.strip() for x in args.sweep_gain.split(",") if x.strip())
         if args.sweep_gain
-        else (cfg.gain,)
+        else (args.gain,)
     )
     results = []
     for gain_label in gains:
         for n in sizes:
-            sub = replace(cfg, n=n, gain=gain_label)
-            topology, _ = _build_topology(sub)
-            one_hop = _default_one_hop(topology, cfg.hop_radius)
+            topology, _ = _build_topology(args, n, gain_label, spacings)
+            one_hop = _default_one_hop(topology, args.hop_radius)
             bound = allcast_rate_bound(topology)
-            rate = _resolve_rate(cfg.rate_spec, bound)
-            trace = run_distance_regulated(topology, one_hop, rate, cfg.blocks)
+            rate = _resolve_rate(args.rate, bound)
+            trace = run_distance_regulated(topology, one_hop, rate, args.blocks)
             completion = [c for c in trace.completion_block if c is not None]
             results.append(
                 {
@@ -412,8 +373,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     payload = {
         "format_version": FORMAT_VERSION,
         "command": "sweep",
-        "preset": cfg.preset,
-        "blocks": cfg.blocks,
+        "preset": args.preset,
+        "blocks": args.blocks,
         "results": results,
     }
     _emit(payload, results, args)

@@ -41,9 +41,9 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .binning import build_binning, decode_from_side_info
+from .binning import BinAssignment, build_binning, decode_from_side_info
 from .errors import PreconditionError
 from .mac_region import (
     HelperCarrier,
@@ -132,7 +132,14 @@ class SimulationTrace:
     @cached_property
     def knowledge(self) -> tuple[tuple[frozenset[Message], ...], ...]:
         """Every node's decoded messages after blocks 0, 1, ..., ``blocks``."""
-        return tuple(_knowledge_states(self))
+        know: list[frozenset[Message]] = [frozenset()] * self.topology.n
+        states = [tuple(know)]
+        for row in self.decodes:
+            for rec in row:
+                if rec.success and rec.targets:
+                    know[rec.node] = know[rec.node].union(rec.targets)
+            states.append(tuple(know))
+        return tuple(states)
 
     def all_success(self) -> bool:
         return all(rec.success for row in self.decodes for rec in row)
@@ -177,17 +184,6 @@ class SimulationTrace:
                 for tx in row
             ],
         }
-
-
-def _knowledge_states(trace: SimulationTrace) -> Iterator[tuple[frozenset[Message], ...]]:
-    """Each node's known set after every block, replayed from the decode records."""
-    know: list[frozenset[Message]] = [frozenset()] * trace.topology.n
-    yield tuple(know)
-    for row in trace.decodes:
-        for rec in row:
-            if rec.success and rec.targets:
-                know[rec.node] = know[rec.node].union(rec.targets)
-        yield tuple(know)
 
 
 def _build_transmission(
@@ -573,16 +569,24 @@ def payload_demo(
         for j in range(n):
             truth[(j, beta)] = rng.randrange(sizes[j])
 
+    # Bundles share few distinct alphabet-size lists, so each gets one bin map.
+    assignments: dict[tuple[int, ...], BinAssignment] = {}
     prepared = []
     for row in trace.transmissions:
         for tx in row:
             slots = sorted(tx.bundle)
-            assignment = build_binning([sizes[src] for src, _ in slots])
+            slot_sizes = tuple(sizes[src] for src, _ in slots)
+            assignment = assignments.get(slot_sizes)
+            if assignment is None:
+                assignment = assignments[slot_sizes] = build_binning(slot_sizes)
             bin_index = assignment.bin_of([truth[m] for m in slots])
             prepared.append((tx, slots, assignment, bin_index))
 
-    for final in _knowledge_states(trace):
-        pass
+    final: list[set[Message]] = [set() for _ in range(n)]
+    for row in trace.decodes:
+        for rec in row:
+            if rec.success:
+                final[rec.node].update(rec.targets)
     reports = []
     for i in range(n):
         known_msgs = final[i]
@@ -595,11 +599,14 @@ def payload_demo(
             if entry[0].sender != i and entry[0].bundle <= placeable
         ]
         mismatches = []
-        progress = True
-        while progress:
-            progress = False
-            for tx, slots, assignment, bin_index in held:
+        while held:
+            # Each pass keeps only the bundles still missing two or more values.
+            waiting = []
+            for entry in held:
+                _, slots, assignment, bin_index = entry
                 unknown = [idx for idx, m in enumerate(slots) if m not in values]
+                if len(unknown) > 1:
+                    waiting.append(entry)
                 if len(unknown) != 1:
                     continue
                 target = unknown[0]
@@ -609,7 +616,9 @@ def payload_demo(
                 values[msg] = value
                 if value != truth[msg]:
                     mismatches.append(msg)
-                progress = True
+            if len(waiting) == len(held):
+                break
+            held = waiting
         recovered = sum(1 for m in known_msgs if m in values)
         reports.append(
             PayloadReport(

@@ -424,10 +424,8 @@ def k_hop_neighbors(
     return NeighborSets(tuple(all_layers))
 
 
-def coverage_check(neighbors: NeighborSets, n: int | None = None) -> tuple[bool, ...]:
+def coverage_check(neighbors: NeighborSets) -> tuple[bool, ...]:
     """Per node: do the layers jointly reach every other node?"""
-    if n is not None and n != neighbors.n:
-        raise ValueError("node count does not match the neighbor sets")
     total = neighbors.n
     result = []
     for i in range(total):
@@ -508,7 +506,7 @@ class ScheduleViolation:
     message: str
 
 
-def validate_schedule(schedule: Schedule, n: int | None = None) -> list[ScheduleViolation]:
+def validate_schedule(schedule: Schedule) -> list[ScheduleViolation]:
     """Check the schedule containment rules; return one entry per violation.
 
     Rules per node i: encode lag-1 within decode lag-1; decode lag-1 excludes
@@ -517,8 +515,6 @@ def validate_schedule(schedule: Schedule, n: int | None = None) -> list[Schedule
     never repeats an earlier encode member.
     """
     total = schedule.n
-    if n is not None and n != total:
-        raise ValueError("node count does not match the schedule")
     out: list[ScheduleViolation] = []
     for i in range(total):
         dec = schedule.decode_sets[i]

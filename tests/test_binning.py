@@ -67,7 +67,7 @@ def test_verify_rejects_a_bad_map():
             self._check_values(values)
             return 0
 
-    bad = Constant(sizes=(2, 3), bin_count=3, kind="constant")
+    bad = Constant(sizes=(2, 3), bin_count=3)
     assert verify_binning_property(bad) is False
 
 
@@ -99,7 +99,7 @@ def test_verify_matches_brute_force_on_random_maps():
         sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
         bins = rng.randint(1, 6)
         table = tuple(rng.randrange(bins) for _ in range(math.prod(sizes)))
-        a = Table(sizes=sizes, bin_count=bins, kind="table", table=table)
+        a = Table(sizes=sizes, bin_count=bins, table=table)
         assert verify_binning_property(a) == brute(a)
 
 

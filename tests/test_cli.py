@@ -283,6 +283,33 @@ def test_error_codes(capsys, tmp_path):
             )
 
 
+HOP_RADIUS_ERROR = "hop radius must be finite and nonnegative"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("simulate --preset regular-line --n 0 --hop-radius -1 --payload-sizes x",
+         HOP_RADIUS_ERROR),
+        ("simulate --preset line --spacings 1,x --payload-sizes y", "bad spacing list '1,x'"),
+        ("simulate --preset regular-line --n 0 --payload-sizes x",
+         "bad payload size list 'x'"),
+        ("sweep --preset regular-line --topology f --sweep-n x --hop-radius -1",
+         HOP_RADIUS_ERROR),
+        ("sweep --topology f --sweep-n x",
+         "sweep builds preset topologies; --topology is not supported"),
+        # --spacings is parsed even for a preset that ignores it.
+        ("sweep --preset regular-line --sweep-n x --spacings y", "bad spacing list 'y'"),
+        # --sweep-n is parsed before the line preset asks for --spacings.
+        ("sweep --preset line --sweep-n x", "bad sweep size list 'x'"),
+    ],
+)
+def test_first_bad_input_is_the_one_reported(capsys, argv, message):
+    # Order: hop radius, --spacings, --payload-sizes, then for sweep the
+    # --topology refusal and --sweep-n, then the topology build.
+    assert run(capsys, *argv.split()) == (1, "", f"E_VALUE: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
