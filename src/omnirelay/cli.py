@@ -309,19 +309,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ],
         "trace": trace.to_dict(),
     }
-    rows = [
-        {
-            "block": rec.block,
-            "node": rec.node,
-            "success": rec.success,
-            "sum_rate_ok": rec.sum_rate_ok,
-            "targets": len(rec.targets),
-            "decoded": len(rec.decoded),
-            "missing": len(rec.missing),
-        }
-        for row in trace.decodes
-        for rec in row
-    ]
+    rows = []
+    if args.format == "csv":
+        rows = [
+            {
+                "block": rec.block,
+                "node": rec.node,
+                "success": rec.success,
+                "sum_rate_ok": rec.sum_rate_ok,
+                "targets": len(rec.targets),
+                "decoded": len(rec.decoded),
+                "missing": len(rec.missing),
+            }
+            for row in trace.decodes
+            for rec in row
+        ]
     if payload_sizes is not None:
         if len(payload_sizes) == 1:
             payload_sizes *= topology.n
@@ -345,6 +347,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.topology:
         raise ValueError("sweep builds preset topologies; --topology is not supported")
     sizes = _parse_ints(args.sweep_n, "sweep size") if args.sweep_n else (args.n,)
+    if args.sweep_n and args.preset == "line":
+        raise ValueError(
+            "the line preset takes its size from --spacings; --sweep-n is not supported"
+        )
     gains = (
         tuple(x.strip() for x in args.sweep_gain.split(",") if x.strip())
         if args.sweep_gain
@@ -362,7 +368,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             results.append(
                 {
                     "gain": gain_label,
-                    "nodes": n,
+                    "nodes": topology.n,
                     "rate_bound": bound,
                     "rate": rate,
                     "all_success": trace.all_success(),

@@ -21,6 +21,14 @@ encode sets, without walking the bundles; only a transmission that skipped
 a repeat is read from its bundle.  A trace derives its per-block knowledge
 snapshots from its decode records on first read.
 
+A run that reaches the protocol's periodic steady state stops decoding.
+Once a block moves every counter up by exactly one and nothing in it
+depends on the block index any more (a repeat cut off before block 1, a
+sender's foreign content starting inside a decode window, a skipped repeat
+left to read), every later block is that block with each message index
+moved up by one, so its transmissions and decode records are emitted by
+shifting (``run_schedule`` states the rule and proves it).
+
 Modeling choices worth knowing about: a receiver attempts the oldest
 missing message of every scheduled source each block, even ones that are
 not yet due, so fresh neighbour traffic is treated as decodable signal
@@ -448,6 +456,73 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
     )
 
 
+def _shifted_rows(
+    row: tuple[Transmission, ...],
+    records: list[DecodeRecord],
+    block: int,
+    last: int,
+) -> tuple[list[tuple[Transmission, ...]], list[tuple[DecodeRecord, ...]]]:
+    """Blocks ``block + 1`` to ``last``: the transmissions ``row`` and the
+    successful decode ``records`` of ``block``, moved up one block each time.
+
+    Every message of the block is ``(j, block - d)`` with ``d < span``; it is
+    keyed ``j * span + d``, so each later block looks its messages up in one
+    table of its own ``(j, beta)`` pairs.
+    """
+    messages = [m for tx in row for m in tx.bundle]
+    messages += [m for rec in records for m in rec.targets + rec.decoded]
+    span = 1 + max(block - beta for _, beta in messages)
+
+    def keys(msgs: Iterable[Message]) -> tuple[int, ...]:
+        return tuple([j * span + block - beta for j, beta in msgs])
+
+    bundles = [(tx.sender, keys(tx.bundle)) for tx in row]
+    decodes = [
+        (rec.node, keys(rec.targets), keys(rec.decoded), rec.sum_rate_ok) for rec in records
+    ]
+    n = len(row)
+    tx_rows, decode_rows = [], []
+    for b in range(block + 1, last + 1):
+        at = [(j, b - d) for j in range(n) for d in range(span)].__getitem__
+        tx_rows.append(
+            tuple(Transmission(l, b, frozenset(map(at, bundle))) for l, bundle in bundles)
+        )
+        decode_rows.append(
+            tuple(
+                DecodeRecord(
+                    i, b, tuple(map(at, targets)), tuple(map(at, decoded)), (), True, ok
+                )
+                for i, targets, decoded, ok in decodes
+            )
+        )
+    return tx_rows, decode_rows
+
+
+def _is_steady(
+    before: list[tuple[int, ...]],
+    after: list[tuple[int, ...]],
+    floors: list[int],
+    skipped_at: list[list[int]],
+) -> bool:
+    """Conditions 1 and 3, and the decode-window part of condition 2, of
+    ``run_schedule``'s steady state for one block.
+
+    ``before`` and ``after`` hold every receiver's counters before and after
+    the block, ``floors`` each receiver's latest finite ``foreign_from`` (0
+    if none), and ``skipped_at`` is ``_Run.skipped_at`` with the block's own
+    transmissions added.
+    """
+    for was, now in zip(before, after):
+        for v, w in zip(now, was):
+            if v != w + 1:
+                return False
+    last_skip = max((blocks[-1] for blocks in skipped_at if blocks), default=0)
+    # A receiver's decode window of the block started at min(was) + 1.
+    return all(
+        not was or min(was) >= max(floor - 1, last_skip) for was, floor in zip(before, floors)
+    )
+
+
 def run_schedule(
     topology: Topology,
     schedule: Schedule,
@@ -455,7 +530,45 @@ def run_schedule(
     blocks: int,
     warnings: Iterable[str] = (),
 ) -> SimulationTrace:
-    """Simulate ``blocks`` rounds of the protocol under an explicit schedule."""
+    """Simulate ``blocks`` rounds of the protocol under an explicit schedule.
+
+    Blocks are decoded one by one until the run reaches its steady state.
+    That holds after block ``b`` when:
+
+    1. the relative state repeats: every counter ``upto[i][j]`` moved up by
+       exactly one in block ``b``;
+    2. no absolute-block effect is left: ``b`` is at least every sender's
+       encode-set start (a lag-k repeat exists from block k + 1 on), and each
+       receiver's decode window of block ``b`` (from the oldest message it
+       missed before the block, ``min(upto[i]) + 1``, to ``b``) starts at or
+       after every finite ``foreign_from`` of its senders;
+    3. no skipped repeat is left to read: every block that skipped one,
+       ``b`` included, is older than every such decode window.
+
+    Then every later block ``b + s`` is block ``b`` with every message index,
+    and the block of every transmission and decode record, moved up by
+    ``s``; those rows are emitted by shifting, without decoding.
+
+    Proof, by induction on ``s``.  Block ``b + 1`` is built from the
+    counters after ``b``, which are those after ``b - 1`` plus one (1).  A
+    transmission repeats ``(j, b + 1 - k)`` iff ``b + 1 - k`` is at least 1,
+    which holds for every scheduled repeat as ``b`` is past the encode-set
+    start (2), and at most the sender's counter of ``j``.  So it repeats
+    exactly block ``b``'s messages moved up by one and, like block ``b``,
+    which lies in its own decode windows (3), skips none.  A decode reads
+    the counters and the block only through their differences (due ranges,
+    the pool's rounds, ``_read_relays``), and its solve keys hold rounds
+    shifted to start at 0, so it solves the same instances, except where
+    absolute blocks enter.  A sender's foreign content starts at or before
+    the window in both blocks (2), so it makes every block of the window
+    noise in both.  A skipped repeat is read from its bundle only inside the
+    window; none lies in block ``b``'s window (3), nor in block ``b + 1``'s,
+    which starts one block later and whose own row skipped nothing.  So the
+    records of block ``b + 1`` are block ``b``'s moved up by one.  They
+    succeed, as every counter advanced in block ``b``, and each counter ends
+    one higher again: conditions 1 to 3 hold after ``b + 1``, with every
+    decode window one block later.
+    """
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
     if blocks < 0:
@@ -473,14 +586,23 @@ def run_schedule(
     powers = build_power_matrix(topology)
     run = _Run(n, rate, topology.noise)
     receivers = [_Receiver(i, schedule, powers) for i in range(n)]
+    encode_start = max(
+        (k + 1 for row in schedule.encode_sets for k, members in enumerate(row, 1) if members),
+        default=1,
+    )
+    floors = [
+        max((f for f in rx.foreign_from.values() if f != _NEVER), default=0) for rx in receivers
+    ]
 
     # Node i knows (j, beta) iff beta <= upto[i][j]; see _decode_closure.
     upto = [dict.fromkeys(rx.lag, 0) for rx in receivers]
     decode_rows: list[tuple[DecodeRecord, ...]] = []
     completion: list[int | None] = [None] * n
+    before = [tuple(counters.values()) for counters in upto]
 
     for b in range(1, blocks + 1):
-        run.add_row(tuple(_build_transmission(l, b, upto[l], schedule) for l in range(n)))
+        row = tuple(_build_transmission(l, b, upto[l], schedule) for l in range(n))
+        run.add_row(row)
         records = []
         for i in range(n):
             rec = _decode_closure(receivers[i], b, upto[i], run)
@@ -496,6 +618,19 @@ def run_schedule(
                 upto[i].get(j, 0) >= 1 for j in range(n) if j != i
             ):
                 completion[i] = b
+        after = [tuple(counters.values()) for counters in upto]
+        if b >= encode_start and _is_steady(before, after, floors, run.skipped_at):
+            shifted_tx, shifted_decodes = _shifted_rows(row, records, b, blocks)
+            run.transmissions += shifted_tx
+            decode_rows += shifted_decodes
+            # Each counter keeps growing by one per block.
+            for i in range(n):
+                if completion[i] is None and len(upto[i]) == n - 1:
+                    done_at = b + max(1 - v for v in upto[i].values())
+                    if done_at <= blocks:
+                        completion[i] = done_at
+            break
+        before = after
 
     return SimulationTrace(
         topology=topology,

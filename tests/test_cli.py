@@ -138,6 +138,28 @@ def test_sweep_table(capsys):
     assert rows[0]["rate_bound"] == pytest.approx(3.459432, abs=1e-6)
 
 
+def test_sweep_of_a_line_reports_its_node_count(capsys):
+    # The line preset's size comes from --spacings, not from --n.
+    code, out, err = run(
+        capsys, "sweep", "--preset", "line", "--spacings", "1,2", "--power", "10",
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["nodes"] == "3"
+    data = run_json(capsys, "sweep", "--preset", "line", "--spacings", "1,2,0.5", "--n", "9")
+    assert [r["nodes"] for r in data["results"]] == [4]
+
+
+def test_sweep_of_a_line_refuses_sizes(capsys):
+    # Every --sweep-n value would build the same line from --spacings.
+    assert run(
+        capsys, "sweep", "--preset", "line", "--spacings", "1,2", "--sweep-n", "3,7",
+        "--power", "10",
+    ) == (1, "", "E_VALUE: the line preset takes its size from --spacings; "
+          "--sweep-n is not supported\n")
+
+
 def test_bin_demo(capsys):
     data = run_json(capsys, "bin-demo", "--sizes", "3,5", "--values", "2,4")
     assert data["bin_count"] == 5

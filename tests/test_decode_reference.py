@@ -7,15 +7,19 @@ was a plain set of messages that every decode scanned from block 1.
 sets and stores a knowledge snapshot per block.  The simulator now keeps one
 counter per scheduled source instead, reads the transmissions from those
 counters and the encode sets, and derives its snapshots from the decode
-records; these tests check that both give the same transmissions, decode
-records, knowledge snapshots and solved region instances, and that the
-invariant the counters rest on holds: a receiver's knowledge of each source
-is a prefix of its blocks.
+records, and once a run reaches its steady state it emits the remaining
+blocks by shifting the last decoded one.  These tests check that both give
+the same transmissions, decode records, knowledge snapshots, completion
+blocks and solved region instances, and that the invariant the counters
+rest on holds: a receiver's knowledge of each source is a prefix of its
+blocks.
 
-The grid holds distance-regulated lines, rings and an arc; a line whose
-one-hop sets split it in two, so that every node has its own static
-interference; and hand-built schedules under which a sender repeats a
-source the receiver never schedules, or relays a pool member on its own.
+The grid holds distance-regulated lines, rings and an arc, also run long
+enough to reach the steady state; a line whose one-hop sets split it in
+two, so that every node has its own static interference; and hand-built
+schedules under which a sender repeats a source the receiver never
+schedules, also from a block later than the receiver's decode window
+starts, or relays a pool member on its own.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from omnirelay.protocol_sim import (
 )
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import (
+    GainFunction,
     PowerMatrix,
     Schedule,
     arc,
@@ -279,8 +284,22 @@ def foreign_schedule():
     )
 
 
+def late_foreign_schedule():
+    """A 3-node line on which node 0 schedules only node 1, at lag 4, while
+    node 1 relays node 2 at lag 3: from block 4 on, node 1's bundles carry
+    content that node 0 never schedules.  Node 0's decode window of block 5,
+    the first block whose transmissions repeat everything they schedule,
+    still starts at block 2, before that content arrives.
+    """
+    return schedule_from_sets(
+        [[(), (), (), {1}], [(), {2}, {0}], [{1}]],
+        [[(), (), (), {1}], [(), (), {2}], [{1}]],
+    )
+
+
 GAIN = power_law(2.0)
 SHARES = (0.9, 1.001, 1.3)
+LONG_SHARES = (0.5, 0.9, 1.3)
 CASES = (
     [("line", n, share) for n in range(2, 9) for share in SHARES]
     + [("ring", n, share) for n in range(3, 8) for share in SHARES]
@@ -290,15 +309,28 @@ CASES = (
     + [("split", 7, share) for share in (0.3, 0.6, 0.9, 1.2)]
     + [("late", n, share) for n in (5, 6) for share in (0.3, 0.9, 1.2)]
     + [("foreign", 5, share) for share in (0.3, 0.9, 1.2)]
+    + [("late-foreign", 3, share) for share in (0.3, 0.9)]
+    # Long runs: most below the bound reach the steady state and emit their
+    # remaining blocks by shifting; past it the windows keep growing.
+    + [("long-ring", n, share) for n in range(3, 10) for share in LONG_SHARES]
+    + [("long-line", n, share) for n in range(2, 10) for share in LONG_SHARES]
+    + [("long-arc", 6, share) for share in LONG_SHARES]
+    + [("long-split", 7, 0.3)]
 )
-HAND_BUILT = {"late": late_schedule, "foreign": lambda n: foreign_schedule()}
-BLOCKS = {"split": 14, "late": 14, "foreign": 12}
+HAND_BUILT = {
+    "late": late_schedule,
+    "foreign": lambda n: foreign_schedule(),
+    "late-foreign": lambda n: late_foreign_schedule(),
+}
+BLOCKS = {"split": 14, "late": 14, "foreign": 12, "late-foreign": 14}
 
 
 def build_case(kind, n, share):
     """Topology, one-hop sets (None for a hand-built schedule), schedule,
     rate and block count of one grid case."""
     one_hop = None
+    long_run = kind.startswith("long-")
+    kind = kind.removeprefix("long-")
     if kind in HAND_BUILT:
         topology, schedule = regular_line(n, 1.0, GAIN, 10.0, 1.0), HAND_BUILT[kind](n)
     else:
@@ -313,7 +345,7 @@ def build_case(kind, n, share):
         schedule = distance_regulated_schedule(k_hop_neighbors(one_hop))
     # Long enough for every lag to come due and, past the bound, for the
     # failed decodes' windows to grow well beyond one block.
-    blocks = BLOCKS.get(kind, 2 * n + 6)
+    blocks = 4 * n + 8 if long_run else BLOCKS.get(kind, 2 * n + 6)
     return topology, one_hop, schedule, share * allcast_rate_bound(topology), blocks
 
 
@@ -361,10 +393,87 @@ def test_counter_decode_matches_the_set_reference(monkeypatch, kind, n, share):
     assert trace.transmissions == transmissions
     assert trace.decodes == decodes
     assert trace.knowledge == knowledge
+    assert trace.completion_block == reference_completion(knowledge)
     # Both memoize per run on every instance field, so they also solve the
     # same instances in the same order: a wrong sender role shows here even
     # where the verdicts happen to agree.
     assert solves == reference_solves
+
+
+def reference_completion(knowledge):
+    """Per node, the first block after which it knows every other node's
+    first message, read from the knowledge snapshots."""
+    n = len(knowledge[0])
+    return tuple(
+        next(
+            (
+                b
+                for b, snapshot in enumerate(knowledge)
+                if b and all((j, 1) in snapshot[i] for j in range(n) if j != i)
+            ),
+            None,
+        )
+        for i in range(n)
+    )
+
+
+def test_the_long_runs_reach_the_steady_state(monkeypatch):
+    # The long cases below the bound stop decoding once the run repeats
+    # itself, so the grid above checks the shifted blocks too.
+    decoded = []
+    decode = protocol_sim._decode_closure
+
+    def counting(rx, block, upto, run):
+        decoded.append(block)
+        return decode(rx, block, upto, run)
+
+    monkeypatch.setattr(protocol_sim, "_decode_closure", counting)
+    fast_forwarded = set()
+    for kind, n, share in CASES:
+        if kind.startswith("long-"):
+            decoded.clear()
+            trace = simulate(kind, n, share)
+            if len(decoded) < n * trace.blocks:
+                fast_forwarded.add((kind, share))
+    below_the_bound = {
+        (kind, share) for kind in ("long-ring", "long-line", "long-arc") for share in (0.5, 0.9)
+    }
+    assert below_the_bound <= fast_forwarded
+    assert ("long-split", 0.3) in fast_forwarded
+    assert not {share for _, share in fast_forwarded} & {1.3}
+
+
+def test_runs_of_any_length_match_the_set_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(
+        kind=st.sampled_from(("line", "ring", "arc")),
+        n=st.integers(2, 7),
+        gain=st.sampled_from(("pl:2", "pl:4", "exp:0.5")),
+        share=st.floats(0.05, 1.5),
+        blocks=st.integers(0, 36),
+    )
+    def check(kind, n, gain, share, blocks):
+        hypothesis.assume(kind != "ring" or n >= 3)
+        g = GainFunction.parse(gain)
+        if kind == "line":
+            topology, one_hop = regular_line(n, 1.0, g, 10.0, 1.0), path_one_hop(n)
+        elif kind == "ring":
+            topology, one_hop = ring(n, 1.0, g, 10.0, 1.0), ring_one_hop(n)
+        else:
+            topology, one_hop = arc(n, 1.0, 4.0, g, 10.0, 1.0), path_one_hop(n)
+        schedule = distance_regulated_schedule(k_hop_neighbors(one_hop))
+        rate = share * allcast_rate_bound(topology)
+        trace = run_distance_regulated(topology, one_hop, rate, blocks)
+        transmissions, decodes, knowledge = reference_run(topology, schedule, rate, blocks)
+        assert trace.transmissions == transmissions
+        assert trace.decodes == decodes
+        assert trace.knowledge == knowledge
+        assert trace.completion_block == reference_completion(knowledge)
+
+    check()
 
 
 def test_knowledge_is_derived_on_first_read():

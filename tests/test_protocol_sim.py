@@ -230,6 +230,80 @@ def test_an_instance_is_built_only_on_a_memo_miss(monkeypatch):
     assert [id(inst) for inst in built] == [id(inst) for inst in solved]
 
 
+def decoded_blocks(monkeypatch):
+    """The block of every later joint decode, in call order."""
+    from omnirelay import protocol_sim
+
+    blocks = []
+    decode = protocol_sim._decode_closure
+
+    def counting(rx, block, upto, run):
+        blocks.append(block)
+        return decode(rx, block, upto, run)
+
+    monkeypatch.setattr(protocol_sim, "_decode_closure", counting)
+    return blocks
+
+
+def test_a_periodic_run_stops_decoding_at_its_steady_state(monkeypatch):
+    # No timing: the ring-long benchmark shape without the CLI.  Once the
+    # relay pipelines are full, every block is the previous one with each
+    # message index moved up by one, so the run decodes a few blocks and
+    # shifts the rest instead of making 1,800 decodes.
+    decoded = decoded_blocks(monkeypatch)
+    t = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
+    one_hop = [frozenset({(i - 1) % 6, (i + 1) % 6}) for i in range(6)]
+    trace = run_distance_regulated(t, one_hop, 0.999 * allcast_rate_bound(t), 300)
+
+    assert trace.all_success()
+    assert len(trace.transmissions) == len(trace.decodes) == 300
+    last = decoded[-1]
+    assert decoded == [b for b in range(1, last + 1) for _ in range(6)]
+    assert last <= 8
+    assert trace.completion_block == (3,) * 6
+    # The shifted blocks hold what decoding them would have given.
+    tx = trace.transmissions[-1][0]
+    assert (tx.block, sorted(tx.bundle), tx.skipped) == (
+        300, [(0, 300), (1, 299), (2, 298), (3, 297), (4, 298), (5, 299)], ()
+    )
+    rec = trace.decodes[-1][0]
+    assert (rec.block, rec.targets, rec.missing, rec.success) == (
+        300, ((1, 300), (2, 299), (3, 298), (4, 299), (5, 300)), (), True
+    )
+    assert rec.decoded == (
+        (1, 300), (2, 299), (2, 300), (3, 298), (3, 299), (3, 300), (4, 299), (4, 300), (5, 300)
+    )
+
+
+def test_runs_that_never_repeat_decode_every_block(monkeypatch):
+    # Past the bound a failed decode's window keeps growing and senders skip
+    # the repeats they never decoded, so no block is a shift of the last.
+    decoded = decoded_blocks(monkeypatch)
+    t = line(7)
+    trace = run_distance_regulated(t, adjacency(7), 1.2 * allcast_rate_bound(t), 30)
+
+    assert not trace.all_success()
+    assert any(tx.skipped for tx in trace.transmissions[-1])
+    assert decoded == [b for b in range(1, 31) for _ in range(7)]
+
+
+def test_the_steady_state_waits_for_each_decode_window():
+    # Counters before and after one block for two receivers; receiver 0's
+    # decode window of the block started at block 3, receiver 1's at 4.
+    from omnirelay.protocol_sim import _is_steady
+
+    before, after = [(3, 2), (3, 3)], [(4, 3), (4, 4)]
+    assert _is_steady(before, after, [0, 0], [[], []])
+    assert _is_steady(before, after, [0, 0], [[2], []])
+    assert _is_steady(before, after, [3, 4], [[], []])
+    # A counter that did not move up by exactly one.
+    assert not _is_steady(before, [(4, 3), (4, 3)], [0, 0], [[], []])
+    # A skipped repeat inside a window is still to be read from its bundle.
+    assert not _is_steady(before, after, [0, 0], [[], [3]])
+    # Foreign content from block 4 on covers only part of receiver 0's window.
+    assert not _is_steady(before, after, [4, 0], [[], []])
+
+
 # ---------------------------------------------------------------------------
 # interference accounting
 # ---------------------------------------------------------------------------
