@@ -297,19 +297,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     bound = allcast_rate_bound(topology)
     rate = _resolve_rate(args.rate, bound)
     trace = run_distance_regulated(topology, one_hop, rate, args.blocks)
-    noise_reports = interference_accounting(trace)
-    payload: dict = {
-        "format_version": FORMAT_VERSION,
-        "command": "simulate",
-        "topology_hash": _topology_hash(topology, one_hop),
-        "rate_bound": bound,
-        "interference": [
-            {"node": r.node, "undecoded": list(r.undecoded), "power": r.power}
-            for r in noise_reports
-        ],
-        "trace": trace.to_dict(),
-    }
-    rows = []
+    # The replay runs under CSV too, where it prints nothing, so that bad
+    # payload sizes exit the same way in both formats.
+    reports = None
+    if payload_sizes is not None:
+        if len(payload_sizes) == 1:
+            payload_sizes *= topology.n
+        reports = payload_demo(trace, payload_sizes, seed=args.seed)
     if args.format == "csv":
         rows = [
             {
@@ -324,10 +318,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for row in trace.decodes
             for rec in row
         ]
-    if payload_sizes is not None:
-        if len(payload_sizes) == 1:
-            payload_sizes *= topology.n
-        reports = payload_demo(trace, payload_sizes, seed=args.seed)
+        _emit({}, rows, args)
+        return 0
+    payload: dict = {
+        "format_version": FORMAT_VERSION,
+        "command": "simulate",
+        "topology_hash": _topology_hash(topology, one_hop),
+        "rate_bound": bound,
+        "interference": [
+            {"node": r.node, "undecoded": list(r.undecoded), "power": r.power}
+            for r in interference_accounting(trace)
+        ],
+        "trace": trace.to_dict(),
+    }
+    if reports is not None:
         payload["payload"] = [
             {
                 "node": r.node,
@@ -337,7 +341,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             }
             for r in reports
         ]
-    _emit(payload, rows, args)
+    _emit(payload, [], args)
     return 0
 
 

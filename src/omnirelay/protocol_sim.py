@@ -11,15 +11,11 @@ through the deterministic binning layer to confirm end-to-end consistency.
 A receiver's knowledge of each scheduled source is always a prefix of that
 source's blocks: it grows only by whole due sets, and the decode of a source
 is attempted oldest-missing-first.  So one counter per scheduled source is
-the simulator's only knowledge state; a decode reads those counters, so its
-cost depends on its decode window (the blocks from the oldest attempted
-message to the current one), not on the block index.  A bundle has a fixed
-shape too: the sender's fresh message plus, at lag k, the sources of its
-lag-k encode set that it had decoded.  So a decode learns what each
-sender's transmissions in the window hold for it from the counters and the
-encode sets, without walking the bundles; only a transmission that skipped
-a repeat is read from its bundle.  A trace derives its per-block knowledge
-snapshots from its decode records on first read.
+the simulator's only knowledge state.  A decode reads each sender's bundles
+in its decode window (the blocks from the oldest attempted message to the
+current one) against those counters, so its cost depends on the window,
+not on the block index.  A trace derives its per-block knowledge snapshots
+from its decode records on first read.
 
 A run that reaches the protocol's periodic steady state stops decoding.
 Once a block moves every counter up by exactly one and nothing in it
@@ -46,7 +42,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -244,12 +239,10 @@ class _Receiver:
     ``lag`` maps each scheduled source to its decode lag; ``sources`` lists
     them in order, with ``power`` their received powers.  They are also the
     senders whose transmissions the node reads (a valid schedule never has a
-    node decode itself).  Per sender, read off its encode sets:
-    ``relays`` holds the ``(lag, source)`` pairs of the scheduled sources it
-    repeats (its transmission in block b repeats ``(source, b - lag)``
-    unless it skipped it), ``relayed`` those sources, and ``foreign_from``
-    the first block from which it repeats a source the node never schedules
-    (``_NEVER`` if it never does).
+    node decode itself).  ``foreign_from`` maps each sender to the first
+    block from which, by its encode sets, its bundles repeat a source the
+    node never schedules (``_NEVER`` if they never do); the steady-state
+    rule of ``run_schedule`` waits for it.
     """
 
     def __init__(self, node: int, schedule: Schedule, powers: PowerMatrix):
@@ -262,49 +255,25 @@ class _Receiver:
         self.static_interference = sum(
             powers.pair(j, node) for j in range(n) if j != node and j not in lag
         )
-        self.relays: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.relayed: dict[int, frozenset[int]] = {}
-        self.foreign_from: dict[int, int] = {}
-        for l in self.sources:
-            pairs = [
-                (k, j)
-                for k, members in enumerate(schedule.encode_sets[l], start=1)
-                for j in sorted(members)
-                if j != node
-            ]
-            self.relays[l] = tuple((k, j) for k, j in pairs if j in lag)
-            self.relayed[l] = frozenset(j for k, j in self.relays[l])
-            self.foreign_from[l] = min((k + 1 for k, j in pairs if j not in lag), default=_NEVER)
-
-
-def _read_relays(
-    pairs: Sequence[tuple[int, int]], done: dict[int, int], foreign_from: int
-) -> tuple[int, dict[int, list[int]]]:
-    """Where a sender's repeats stand against the counters ``done``.
-
-    Returns the first block from which its bundle repeats an unknown message
-    that is not the oldest missing one of its source (a foreign source
-    counts too), and, per block, the scheduled sources whose oldest missing
-    message it repeats there.  Skipped repeats are not seen here.
-    """
-    noisy = foreign_from
-    hits: dict[int, list[int]] = {}
-    for k, j in pairs:
-        # (j, done[j] + 1) is the oldest missing message; it is repeated in
-        # block done[j] + 1 + k, and every later block repeats a newer one.
-        at = done[j] + 1 + k
-        if at in hits:
-            hits[at].append(j)
-        else:
-            hits[at] = [j]
-        if at < noisy:
-            noisy = at + 1
-    return noisy, hits
+        self.foreign_from = {
+            l: min(
+                (
+                    k + 1
+                    for k, members in enumerate(schedule.encode_sets[l], start=1)
+                    for j in members
+                    if j != node and j not in lag
+                ),
+                default=_NEVER,
+            )
+            for l in self.sources
+        }
 
 
 def _read_bundle(tx: Transmission, done: dict[int, int], node: int) -> list[int] | None:
-    """The pool sources one transmission repeats, read from its bundle, or
-    None if it repeats an unknown message outside the pool."""
+    """The sources whose oldest missing message, by the counters ``done``,
+    one transmission repeats, read from its bundle; None if it repeats any
+    other message the node does not know (a newer one, or one of a source
+    the node never schedules).  The sender's fresh message is left out."""
     sources = []
     for j, beta in tx.bundle:
         if j == node or (j == tx.sender and beta == tx.block):
@@ -330,11 +299,10 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
     content outside the pool (round noise, and an unusable member if it is
     the sender's own pool block), a pool block that repeats other pool
     members (its helps), a pure relay of pool members (a carrier), or
-    nothing new.  Which one follows from the counters and the sender's
-    repeat pairs (``_read_relays``), without walking its bundle; only a
-    transmission that skipped a repeat is read from its bundle.  The reads
-    are carried from round to round: a sender is re-read only when a source
-    it repeats advanced.
+    nothing new.  Each round reads every such transmission from its bundle
+    against the round's counters (``_read_bundle``), so a repeat the sender
+    skipped or a message it sent that the node cannot place is seen as it
+    was sent.
 
     ``run.solved`` memoizes region solves for the run, keyed by a tuple of
     every instance field that varies within a run (the node's static
@@ -351,7 +319,6 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
     # not; messages beyond their decode deadline are opportunistic extras and
     # only the due ones count toward success.
     frontier = {j: done[j] + 1 for j in rx.sources if done[j] < block}
-    reads = {l: _read_relays(rx.relays[l], done, rx.foreign_from[l]) for l in senders}
     decoded_total: list[Message] = []
     sum_rate_ok: bool | None = None
 
@@ -370,22 +337,8 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
             # Interference from a pool sender's fresher blocks is already
             # charged by the instance's cross-round noise.
             last = block if own is None else own
-            # Per block: the pool sources the transmission repeats, or None
-            # if it also repeats unknown content outside the pool.  Blocks
-            # missing here carry nothing unknown.
-            noisy, roles = reads[sender]
-            skipped = run.skipped_at[sender]
-            if noisy <= last or (skipped and skipped[-1] >= first_round):
-                roles = {b: js for b, js in roles.items() if b < noisy}
-                for beta in range(max(first_round, noisy), last + 1):
-                    roles[beta] = None
-                for beta in skipped[bisect_left(skipped, first_round) :]:
-                    if beta > last:
-                        break
-                    roles[beta] = _read_bundle(run.transmissions[beta - 1][sender], done, node)
-            for beta, js in roles.items():
-                if not first_round <= beta <= last:
-                    continue
+            for beta in range(first_round, last + 1):
+                js = _read_bundle(run.transmissions[beta - 1][sender], done, node)
                 if js is None:
                     round_noise[beta - first_round] = round_noise.get(beta - first_round, 0.0) + p
                     if beta == own:
@@ -430,19 +383,14 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
             sum_rate_ok = result.sum_rate_ok
         if not result.decoded:
             break
-        advanced = set()
         for idx in result.decoded:
             j = members[idx]
             beta = done[j] = frontier[j]
             decoded_total.append((j, beta))
-            advanced.add(j)
             if beta < block:
                 frontier[j] = beta + 1
             else:
                 del frontier[j]
-        for sender in senders:
-            if not rx.relayed[sender].isdisjoint(advanced):
-                reads[sender] = _read_relays(rx.relays[sender], done, rx.foreign_from[sender])
 
     missing = tuple((j, beta) for j, beta in due_missing if beta > done[j])
     return DecodeRecord(
@@ -557,17 +505,29 @@ def run_schedule(
     exactly block ``b``'s messages moved up by one and, like block ``b``,
     which lies in its own decode windows (3), skips none.  A decode reads
     the counters and the block only through their differences (due ranges,
-    the pool's rounds, ``_read_relays``), and its solve keys hold rounds
-    shifted to start at 0, so it solves the same instances, except where
-    absolute blocks enter.  A sender's foreign content starts at or before
-    the window in both blocks (2), so it makes every block of the window
-    noise in both.  A skipped repeat is read from its bundle only inside the
-    window; none lies in block ``b``'s window (3), nor in block ``b + 1``'s,
-    which starts one block later and whose own row skipped nothing.  So the
-    records of block ``b + 1`` are block ``b``'s moved up by one.  They
-    succeed, as every counter advanced in block ``b``, and each counter ends
-    one higher again: conditions 1 to 3 hold after ``b + 1``, with every
-    decode window one block later.
+    the pool's rounds), and its solve keys hold rounds shifted to start at
+    0; what is left is the role of each bundle it reads, which
+    ``_read_bundle`` takes from the bundle's messages against the counters.
+    No block of block ``b``'s or block ``b + 1``'s windows skipped a repeat
+    (3, and row ``b + 1`` skips none), so a bundle at block ``beta`` there
+    holds its fresh message plus every scheduled repeat ``(j, beta - k)``
+    with ``beta - k`` at least 1.  Moved up by one block, such a bundle
+    gains only repeats ``(j, 1)`` that were cut off before block 1.  A
+    receiver never reads its own messages, and for a source ``j`` it
+    schedules, ``(j, 1)`` is known and so nothing to decode, as every
+    counter is at least 1 after block ``b`` (1).  A
+    sender that repeats a source the receiver never schedules does so in
+    every block from its ``foreign_from`` on, which is at or before the
+    window in both blocks (2), so all its bundles there are noise in both.
+    Every role is thus a function of the relative state, and the records of
+    block ``b + 1`` are block ``b``'s moved up by one.  They succeed, as
+    every counter advanced in block ``b``, and each counter ends one higher
+    again: conditions 1 to 3 hold after ``b + 1``, with every decode window
+    one block later.
+
+    The completion blocks need no such step: every counter is at least 1
+    after block ``b``, so each node that schedules every other node has its
+    completion block by then.
     """
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
@@ -623,12 +583,6 @@ def run_schedule(
             shifted_tx, shifted_decodes = _shifted_rows(row, records, b, blocks)
             run.transmissions += shifted_tx
             decode_rows += shifted_decodes
-            # Each counter keeps growing by one per block.
-            for i in range(n):
-                if completion[i] is None and len(upto[i]) == n - 1:
-                    done_at = b + max(1 - v for v in upto[i].values())
-                    if done_at <= blocks:
-                        completion[i] = done_at
             break
         before = after
 
@@ -687,6 +641,15 @@ def payload_demo(
     transmissions whose bundles it fully decoded (plus its own messages) and
     extracts values one unknown slot at a time.  The report compares what the
     values recover against what the trace claims the node knows.
+
+    One pass over the bundles in block order recovers all it can.  Each
+    bundle holds its sender's fresh message, which no earlier bundle holds,
+    so that message is still unknown when its bundle is reached: a bundle
+    recovers its own fresh message or nothing.  A bundle left with two or
+    more unknown values misses its fresh message and a repeat, the fresh
+    message of an earlier bundle that recovered nothing; neither can be
+    recovered by any other bundle, so a second pass would find it as the
+    first did.
     """
     n = trace.topology.n
     sizes = tuple(int(s) for s in sizes)
@@ -728,32 +691,20 @@ def payload_demo(
         own = {(i, beta) for beta in range(1, trace.blocks + 1)}
         values: dict[Message, int] = {m: truth[m] for m in own}
         placeable = known_msgs | own
-        held = [
-            entry
-            for entry in prepared
-            if entry[0].sender != i and entry[0].bundle <= placeable
-        ]
         mismatches = []
-        while held:
-            # Each pass keeps only the bundles still missing two or more values.
-            waiting = []
-            for entry in held:
-                _, slots, assignment, bin_index = entry
-                unknown = [idx for idx, m in enumerate(slots) if m not in values]
-                if len(unknown) > 1:
-                    waiting.append(entry)
-                if len(unknown) != 1:
-                    continue
-                target = unknown[0]
-                side = {idx: values[m] for idx, m in enumerate(slots) if idx != target}
-                value = decode_from_side_info(assignment, bin_index, side, target)
-                msg = slots[target]
-                values[msg] = value
-                if value != truth[msg]:
-                    mismatches.append(msg)
-            if len(waiting) == len(held):
-                break
-            held = waiting
+        for tx, slots, assignment, bin_index in prepared:
+            if tx.sender == i or not tx.bundle <= placeable:
+                continue
+            unknown = [idx for idx, m in enumerate(slots) if m not in values]
+            if len(unknown) != 1:
+                continue
+            target = unknown[0]
+            side = {idx: values[m] for idx, m in enumerate(slots) if idx != target}
+            value = decode_from_side_info(assignment, bin_index, side, target)
+            msg = slots[target]
+            values[msg] = value
+            if value != truth[msg]:
+                mismatches.append(msg)
         recovered = sum(1 for m in known_msgs if m in values)
         reports.append(
             PayloadReport(

@@ -5,21 +5,21 @@ simulator's joint decode and relay bundling from when a receiver's knowledge
 was a plain set of messages that every decode scanned from block 1.
 ``reference_run`` drives them with ``run_schedule``'s block loop over such
 sets and stores a knowledge snapshot per block.  The simulator now keeps one
-counter per scheduled source instead, reads the transmissions from those
-counters and the encode sets, and derives its snapshots from the decode
-records, and once a run reaches its steady state it emits the remaining
-blocks by shifting the last decoded one.  These tests check that both give
-the same transmissions, decode records, knowledge snapshots, completion
-blocks and solved region instances, and that the invariant the counters
-rest on holds: a receiver's knowledge of each source is a prefix of its
-blocks.
+counter per scheduled source instead, reads each bundle against those
+counters, and derives its snapshots from the decode records, and once a run
+reaches its steady state it emits the remaining blocks by shifting the last
+decoded one.  These tests check that both give the same transmissions,
+decode records, knowledge snapshots, completion blocks and solved region
+instances, and that the invariant the counters rest on holds: a receiver's
+knowledge of each source is a prefix of its blocks.
 
 The grid holds distance-regulated lines, rings and an arc, also run long
 enough to reach the steady state; a line whose one-hop sets split it in
 two, so that every node has its own static interference; and hand-built
 schedules under which a sender repeats a source the receiver never
 schedules, also from a block later than the receiver's decode window
-starts, or relays a pool member on its own.
+starts, relays a pool member on its own, or sends a bundle that skips one
+repeat and carries another.
 """
 
 from __future__ import annotations
@@ -297,6 +297,20 @@ def late_foreign_schedule():
     )
 
 
+def partial_schedule():
+    """A 4-node line on which node 1 decodes nodes 0 and 2 at lag 1 and
+    relays node 2 at lag 1 but node 0 only at lag 2.  Node 2 relays node 3,
+    which node 1 never schedules, so from block 2 on node 2's bundles are
+    noise at node 1 and its decodes fail.  Node 1's bundle of block 3,
+    built on its success in block 1 alone, skips ``(2, 2)`` but repeats
+    ``(0, 1)``, which node 2 decodes at lag 3.
+    """
+    return schedule_from_sets(
+        [[{1}, {2}], [{0, 2}], [{1, 3}, (), {0}], [{2}]],
+        [[()], [{2}, {0}], [{3}], [()]],
+    )
+
+
 GAIN = power_law(2.0)
 SHARES = (0.9, 1.001, 1.3)
 LONG_SHARES = (0.5, 0.9, 1.3)
@@ -310,6 +324,7 @@ CASES = (
     + [("late", n, share) for n in (5, 6) for share in (0.3, 0.9, 1.2)]
     + [("foreign", 5, share) for share in (0.3, 0.9, 1.2)]
     + [("late-foreign", 3, share) for share in (0.3, 0.9)]
+    + [("partial", 4, share) for share in (0.3, 0.9)]
     # Long runs: most below the bound reach the steady state and emit their
     # remaining blocks by shifting; past it the windows keep growing.
     + [("long-ring", n, share) for n in range(3, 10) for share in LONG_SHARES]
@@ -321,8 +336,9 @@ HAND_BUILT = {
     "late": late_schedule,
     "foreign": lambda n: foreign_schedule(),
     "late-foreign": lambda n: late_foreign_schedule(),
+    "partial": lambda n: partial_schedule(),
 }
-BLOCKS = {"split": 14, "late": 14, "foreign": 12, "late-foreign": 14}
+BLOCKS = {"split": 14, "late": 14, "foreign": 12, "late-foreign": 14, "partial": 12}
 
 
 def build_case(kind, n, share):
@@ -494,9 +510,13 @@ def test_the_reference_grid_covers_every_sender_role(monkeypatch):
     # (usable False), pure relays of pool members (carriers, several in one
     # pool on the 6-node late schedule) and round noise occur only under the
     # hand-built schedules; no distance-regulated case of the grid reaches
-    # them.  Skipped repeats occur on failing runs.
+    # them.  Skipped repeats occur on failing runs, and under the partial
+    # schedule a decode reads a bundle that skipped one repeat and carries
+    # another.
     seen = set()
+    partial_reads = set()
     solve = protocol_sim.multi_block_decodable_subset
+    read = protocol_sim._read_bundle
 
     def recording(instance):
         if not all(instance.usable):
@@ -509,11 +529,22 @@ def test_the_reference_grid_covers_every_sender_role(monkeypatch):
             seen.add("round noise")
         return solve(instance)
 
+    def reading(tx, done, node):
+        if tx.skipped and len(tx.bundle) > 1:
+            partial_reads.add((tx.sender, tx.block, node))
+        return read(tx, done, node)
+
     monkeypatch.setattr(protocol_sim, "multi_block_decodable_subset", recording)
-    for kind, n in (("late", 5), ("late", 6), ("foreign", 5)):
+    monkeypatch.setattr(protocol_sim, "_read_bundle", reading)
+    for kind, n in (("late", 5), ("late", 6), ("foreign", 5), ("partial", 4)):
         topology, _, schedule, rate, blocks = build_case(kind, n, 0.3)
         run_schedule(topology, schedule, rate, blocks)
     assert seen == {"unusable", "carrier", "carriers", "round noise"}
+    # Node 2 reads node 1's bundle of block 3, which skipped (2, 2) but
+    # repeats (0, 1).
+    assert (1, 3, 2) in partial_reads
+    partial = simulated("partial", 4, 0.3).transmissions[2][1]
+    assert partial.skipped == ((2, 2),) and (0, 1) in partial.bundle
     assert any(
         tx.skipped
         for kind, n, share in CASES

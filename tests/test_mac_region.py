@@ -202,6 +202,49 @@ def test_removing_a_sender_never_gains_slack():
                 assert after <= before + 1e-12
 
 
+# Seventeen distinct powers in no index order: one more member than every
+# subset is scored for.
+WIDE_POWERS = tuple(1.5 ** ((7 * j) % 17) for j in range(17))
+
+
+def weakest_first_peel(rate, powers, noise):
+    """The peel of a one-round, common-rate instance, in closed form.
+
+    With one rate for all, a subset's margin falls as its power grows, so
+    among subsets of one size the weakest members violate most.  Each step
+    drops the weakest ``s`` survivors for the size ``s`` of largest margin,
+    and their power joins the noise floor.  Returns the survivors and the
+    dropped power.
+    """
+    surv = sorted(range(len(powers)), key=lambda j: powers[j])
+    dropped = 0.0
+    while surv:
+        margins = [
+            size * rate - math.log2(1.0 + sum(powers[j] for j in surv[:size]) / (noise + dropped))
+            for size in range(1, len(surv) + 1)
+        ]
+        top = max(margins)
+        if top < -EPS_BITS:
+            break
+        size = margins.index(top) + 1
+        dropped += sum(powers[j] for j in surv[:size])
+        surv = surv[size:]
+    return tuple(sorted(surv)), dropped
+
+
+@pytest.mark.parametrize(
+    "noise, rate, kept", [(4.0, 0.2, 17), (4.0, 0.4, 15), (10.0, 0.3, 13), (30.0, 0.5, 6)]
+)
+def test_a_wide_common_rate_peel_drops_the_weakest(noise, rate, kept):
+    inst = one_round((rate,) * 17, WIDE_POWERS, noise)
+    survivors, dropped = weakest_first_peel(rate, WIDE_POWERS, noise)
+    assert len(survivors) == kept
+    assert peel(inst) == survivors
+    assert multi_block_feasible(
+        one_round((rate,) * kept, [WIDE_POWERS[j] for j in survivors], noise, dropped)
+    )
+
+
 def test_difference_identity():
     """Chain rule: full-set capacity splits exactly across a subset and its rest."""
     rng = random.Random(61)
