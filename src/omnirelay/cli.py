@@ -27,7 +27,12 @@ from .errors import (
     PreconditionError,
     TopologyFormatError,
 )
-from .protocol_sim import interference_accounting, payload_demo, run_distance_regulated
+from .protocol_sim import (
+    check_payload_sizes,
+    interference_accounting,
+    payload_demo,
+    run_distance_regulated,
+)
 from .rate_analysis import (
     allcast_rate_bound,
     max_achievable_rate,
@@ -70,7 +75,12 @@ def _check_hop_radius(radius: float | None) -> None:
 
 def _spacings(args: argparse.Namespace) -> tuple[float, ...] | None:
     """The ``--spacings`` gaps, parsed for every preset so a bad list is always reported."""
-    return _parse_floats(args.spacings, "spacing") if args.spacings else None
+    if not args.spacings:
+        return None
+    gaps = _parse_floats(args.spacings, "spacing")
+    if not all(math.isfinite(gap) for gap in gaps):
+        raise ValueError("spacings must be finite")
+    return gaps
 
 
 def _build_topology(
@@ -297,13 +307,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     bound = allcast_rate_bound(topology)
     rate = _resolve_rate(args.rate, bound)
     trace = run_distance_regulated(topology, one_hop, rate, args.blocks)
-    # The replay runs under CSV too, where it prints nothing, so that bad
-    # payload sizes exit the same way in both formats.
+    # Bad payload sizes exit the same way in both formats; only JSON prints
+    # the replay, so only JSON runs it.
     reports = None
     if payload_sizes is not None:
         if len(payload_sizes) == 1:
             payload_sizes *= topology.n
-        reports = payload_demo(trace, payload_sizes, seed=args.seed)
+        payload_sizes = check_payload_sizes(payload_sizes, topology.n)
+        if args.format == "json":
+            reports = payload_demo(trace, payload_sizes, seed=args.seed)
     if args.format == "csv":
         rows = [
             {

@@ -28,6 +28,9 @@ EPS_BITS = 1e-9
 
 _FEASIBLE_LIMIT = 20
 _EXACT_SUBSET_LIMIT = 16
+# Above this many send patterns a round takes logarithms only of the patterns
+# that occur.
+_DENSE_TABLE_LIMIT = 64
 
 
 def _as_floats(values: Iterable[float], label: str) -> tuple[float, ...]:
@@ -214,10 +217,16 @@ class _MultiBlockEvaluator:
 
         Entry ``mask`` is the subset holding ``members[b]`` for each set bit
         b.  A transmission adds its power to the masks that meet its trigger:
-        its own member bit plus the bits of the members it repeats.  Powers
-        are summed in the order ``rhs`` uses and every distinct per-round
-        power goes through ``math.log2``, so the capacity side is bitwise
-        equal to ``rhs``.
+        its own member bit plus the bits of the members it repeats.  A round
+        with sends ``0..s-1`` gives each mask a pattern code whose bit i is
+        set when send i fires, and builds the ``2**s`` pattern powers by
+        doubling in send order, so each entry is the left-to-right sum that
+        ``rhs`` takes.  ``math.log2`` runs once per pattern (once per
+        occurring pattern for large tables) and the masks gather their
+        round's capacity by code; the capacity side is bitwise equal to
+        ``rhs``.  A round whose table would outnumber the masks (more sends
+        than member bits, as when carriers outnumber the survivors) instead
+        finds the distinct powers with one ``np.unique`` sort.
         """
         inst = self.inst
         bit = {j: 1 << b for b, j in enumerate(members)}
@@ -243,13 +252,27 @@ class _MultiBlockEvaluator:
             )
             if not sends:
                 continue
-            q = np.zeros(len(masks))
-            for p, t in sends:
-                q += p * ((masks & t) != 0)
-            values, inverse = np.unique(q, return_inverse=True)
+            if 1 << len(sends) > len(masks):
+                # More patterns than masks: sort out the distinct powers instead.
+                q = np.zeros(len(masks))
+                for p, t in sends:
+                    q += p * ((masks & t) != 0)
+                values, code = np.unique(q, return_inverse=True)
+                table = values.tolist()
+            else:
+                code = ((masks & sends[0][1]) != 0).astype(np.int64)
+                table = [0.0, sends[0][0]]
+                for i, (p, t) in enumerate(sends[1:], 1):
+                    code += ((masks & t) != 0) << i
+                    table += [v + p for v in table]
+                if len(table) > _DENSE_TABLE_LIMIT:
+                    fired = np.bincount(code, minlength=len(table)) > 0
+                    if not fired.all():
+                        # Patterns no mask fires get no logarithm.
+                        table = [v if f else 0.0 for v, f in zip(table, fired.tolist())]
             d = self.base_noise[k] + self.extra_noise[k]
-            logs = [math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in values.tolist()]
-            total += np.array(logs)[inverse]
+            logs = [math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in table]
+            total += np.array(logs)[code]
         return _subset_sums([inst.rates[j] for j in members]) - total
 
     def remove_closure(self, subset: Iterable[int]) -> None:

@@ -631,6 +631,17 @@ def interference_accounting(trace: SimulationTrace) -> tuple[InterferenceReport,
     return tuple(out)
 
 
+def check_payload_sizes(sizes: Sequence[int], n: int) -> tuple[int, ...]:
+    """The per-node alphabet sizes of a payload replay over ``n`` nodes, checked."""
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) != n:
+        raise PreconditionError("need one alphabet size per node")
+    for s in sizes:
+        if s < 1:
+            raise PreconditionError("alphabet sizes must be >= 1")
+    return sizes
+
+
 def payload_demo(
     trace: SimulationTrace, sizes: Sequence[int], seed: int = 0
 ) -> tuple[PayloadReport, ...]:
@@ -652,12 +663,7 @@ def payload_demo(
     first did.
     """
     n = trace.topology.n
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) != n:
-        raise PreconditionError("need one alphabet size per node")
-    for s in sizes:
-        if s < 1:
-            raise PreconditionError("alphabet sizes must be >= 1")
+    sizes = check_payload_sizes(sizes, n)
     if trace.blocks == 0:
         return ()
 

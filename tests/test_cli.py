@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import omnirelay
+from omnirelay import cli
 from omnirelay.cli import main
 
 
@@ -113,6 +114,23 @@ def test_simulate_ring(capsys):
     assert trace["all_success"] is True
     assert trace["completion_block"] == [2, 2, 2, 2, 2]
     assert all(r["undecoded"] == [] for r in data["interference"])
+
+
+def test_csv_output_checks_payload_sizes_without_the_replay(capsys, monkeypatch):
+    argv = ("simulate", "--preset", "ring", "--n", "4", "--power", "10", "--format", "csv")
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("CSV output prints no replay")
+
+    monkeypatch.setattr(cli, "payload_demo", no_replay)
+    assert run(capsys, *argv, "--payload-sizes", "3") == plain
+    # Bad sizes exit as they do under JSON, where the replay checks them.
+    for sizes in ("3,3", "3,0,3,3"):
+        failed = run(capsys, *argv, "--payload-sizes", sizes)
+        assert failed[:2] == (1, "") and failed[2].startswith("E_PRECONDITION: ")
+        assert run(capsys, *argv[:-2], "--payload-sizes", sizes) == failed
 
 
 def test_simulate_with_payload_replay(capsys):
@@ -306,6 +324,7 @@ def test_error_codes(capsys, tmp_path):
 
 
 HOP_RADIUS_ERROR = "hop radius must be finite and nonnegative"
+SPACINGS_ERROR = "spacings must be finite"
 
 
 @pytest.mark.parametrize(
@@ -324,12 +343,27 @@ HOP_RADIUS_ERROR = "hop radius must be finite and nonnegative"
         ("sweep --preset regular-line --sweep-n x --spacings y", "bad spacing list 'y'"),
         # --sweep-n is parsed before the line preset asks for --spacings.
         ("sweep --preset line --sweep-n x", "bad sweep size list 'x'"),
+        # A non-finite gap is reported before --payload-sizes, for a preset
+        # that ignores the gaps too.
+        ("simulate --preset regular-line --n 0 --spacings 1,nan --payload-sizes x",
+         SPACINGS_ERROR),
+        ("sweep --preset ring --sweep-n x --spacings inf", SPACINGS_ERROR),
     ],
 )
 def test_first_bad_input_is_the_one_reported(capsys, argv, message):
     # Order: hop radius, --spacings, --payload-sizes, then for sweep the
     # --topology refusal and --sweep-n, then the topology build.
     assert run(capsys, *argv.split()) == (1, "", f"E_VALUE: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+@pytest.mark.parametrize("preset", ["regular-line", "line", "ring", "arc"])
+@pytest.mark.parametrize("gaps", ["nan", "inf", "1,-inf"])
+def test_non_finite_gap_is_rejected_for_every_preset(capsys, command, preset, gaps):
+    assert run(
+        capsys, command, "--preset", preset, "--n", "4", "--arc-radius", "10",
+        "--spacings", gaps,
+    ) == (1, "", f"E_VALUE: {SPACINGS_ERROR}\n")
 
 
 @pytest.mark.parametrize(

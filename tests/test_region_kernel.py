@@ -5,6 +5,7 @@ simulator's per-run solve memo."""
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from omnirelay import protocol_sim
@@ -111,6 +112,76 @@ def test_margins_match_the_scalar_evaluator(common_rate):
         inst = build_instance(rng, common_rate)
         for ev in evaluator_states(inst, rng):
             assert_kernel_matches(ev, common_rate)
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Records each ``np.unique`` and ``np.bincount`` result while a test runs."""
+    seen = {"unique": [], "bincount": []}
+    for name in seen:
+        real = getattr(np, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            out = _real(*args, **kwargs)
+            seen[_name].append(out)
+            return out
+
+        monkeypatch.setattr(np, name, spy)
+    return seen
+
+
+def test_margins_fall_back_to_the_sort_when_carriers_outnumber_the_bits(numpy_calls):
+    # Round 2 holds three live carriers for one member bit: eight send
+    # patterns against two masks, so the round sorts its powers instead.
+    inst = MultiBlockInstance(
+        (0.75, 0.75),
+        (2.0, 0.5),
+        1.0,
+        blocks=(1, 1),
+        carriers=(
+            HelperCarrier(2, 0.5, {0}),
+            HelperCarrier(2, 1.5, {0}),
+            HelperCarrier(2, 0.25, {0, 1}),
+            HelperCarrier(2, 0.125, {0}),
+            HelperCarrier(3, 3.0, {1}),
+        ),
+    )
+    ev = _MultiBlockEvaluator(inst)
+    ev.remove_closure([1])
+    assert ev.deadened == {2, 4}
+    assert_kernel_matches(ev, common_rate=True)
+    assert numpy_calls["unique"]
+
+
+def test_margins_take_logs_of_occurring_patterns_only_in_large_tables(numpy_calls):
+    # Round 2: three members and four carriers over seven member bits, 128
+    # patterns.  The carriers repeat overlapping round-1 pairs, so some
+    # patterns never fire and get no logarithm.
+    inst = MultiBlockInstance(
+        (0.5,) * 7,
+        (1.0, 2.0, 0.5, 3.0, 1.5, 0.75, 2.5),
+        1.0,
+        blocks=(1, 1, 1, 1, 2, 2, 2),
+        helps=(frozenset(),) * 4 + (frozenset({0}), frozenset({1, 2}), frozenset()),
+        carriers=tuple(
+            HelperCarrier(2, 0.25 * (j + 1), {j, (j + 1) % 4}) for j in range(4)
+        ),
+    )
+    ev = _MultiBlockEvaluator(inst)
+    assert_kernel_matches(ev, common_rate=True)
+    assert not numpy_calls["unique"]
+    assert any(len(counts) == 128 and (counts == 0).any() for counts in numpy_calls["bincount"])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_margins_of_one_send_rounds(numpy_calls, m):
+    # One member per round and no carriers: every round has one send, whose
+    # pattern code must gather, not mask, the round's two capacities.
+    inst = MultiBlockInstance((0.5,) * m, (1.0, 4.0, 0.25)[:m], 1.0, blocks=tuple(range(m)))
+    ev = _MultiBlockEvaluator(inst)
+    assert all(len(ev.members_in[k]) == 1 for k in ev.rounds) and not inst.carriers
+    assert_kernel_matches(ev, common_rate=True)
+    assert not numpy_calls["unique"] and not numpy_calls["bincount"]
 
 
 def test_worst_violator_matches_the_scalar_search():
