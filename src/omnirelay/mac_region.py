@@ -28,9 +28,6 @@ EPS_BITS = 1e-9
 
 _FEASIBLE_LIMIT = 20
 _EXACT_SUBSET_LIMIT = 16
-# Above this many send patterns a round takes logarithms only of the patterns
-# that occur.
-_DENSE_TABLE_LIMIT = 64
 
 
 def _as_floats(values: Iterable[float], label: str) -> tuple[float, ...]:
@@ -221,12 +218,14 @@ class _MultiBlockEvaluator:
         with sends ``0..s-1`` gives each mask a pattern code whose bit i is
         set when send i fires, and builds the ``2**s`` pattern powers by
         doubling in send order, so each entry is the left-to-right sum that
-        ``rhs`` takes.  ``math.log2`` runs once per pattern (once per
-        occurring pattern for large tables) and the masks gather their
-        round's capacity by code; the capacity side is bitwise equal to
-        ``rhs``.  A round whose table would outnumber the masks (more sends
-        than member bits, as when carriers outnumber the survivors) instead
-        finds the distinct powers with one ``np.unique`` sort.
+        ``rhs`` takes.  ``math.log2`` runs once per pattern and the masks
+        gather their round's capacity by code; the capacity side is bitwise
+        equal to ``rhs``.  A round instead finds the distinct powers with one
+        ``np.unique`` sort when its table would outnumber the masks (more
+        sends than member bits, as when carriers outnumber the survivors),
+        or would exceed a quarter of them while two sends share a power:
+        then most patterns repeat a sum, and the sort takes far fewer
+        logarithms than the table.
         """
         inst = self.inst
         bit = {j: 1 << b for b, j in enumerate(members)}
@@ -252,8 +251,11 @@ class _MultiBlockEvaluator:
             )
             if not sends:
                 continue
-            if 1 << len(sends) > len(masks):
-                # More patterns than masks: sort out the distinct powers instead.
+            patterns = 1 << len(sends)
+            if patterns > len(masks) or (
+                4 * patterns > len(masks) and len({p for p, _ in sends}) < len(sends)
+            ):
+                # Sort out the distinct powers instead (see the docstring).
                 q = np.zeros(len(masks))
                 for p, t in sends:
                     q += p * ((masks & t) != 0)
@@ -265,11 +267,6 @@ class _MultiBlockEvaluator:
                 for i, (p, t) in enumerate(sends[1:], 1):
                     code += ((masks & t) != 0) << i
                     table += [v + p for v in table]
-                if len(table) > _DENSE_TABLE_LIMIT:
-                    fired = np.bincount(code, minlength=len(table)) > 0
-                    if not fired.all():
-                        # Patterns no mask fires get no logarithm.
-                        table = [v if f else 0.0 for v, f in zip(table, fired.tolist())]
             d = self.base_noise[k] + self.extra_noise[k]
             logs = [math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in table]
             total += np.array(logs)[code]

@@ -115,22 +115,21 @@ def test_margins_match_the_scalar_evaluator(common_rate):
 
 
 @pytest.fixture
-def numpy_calls(monkeypatch):
-    """Records each ``np.unique`` and ``np.bincount`` result while a test runs."""
-    seen = {"unique": [], "bincount": []}
-    for name in seen:
-        real = getattr(np, name)
+def sorts(monkeypatch):
+    """Records each ``np.unique`` result while a test runs."""
+    seen = []
+    real = np.unique
 
-        def spy(*args, _real=real, _name=name, **kwargs):
-            out = _real(*args, **kwargs)
-            seen[_name].append(out)
-            return out
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out)
+        return out
 
-        monkeypatch.setattr(np, name, spy)
+    monkeypatch.setattr(np, "unique", spy)
     return seen
 
 
-def test_margins_fall_back_to_the_sort_when_carriers_outnumber_the_bits(numpy_calls):
+def test_margins_fall_back_to_the_sort_when_carriers_outnumber_the_bits(sorts):
     # Round 2 holds three live carriers for one member bit: eight send
     # patterns against two masks, so the round sorts its powers instead.
     inst = MultiBlockInstance(
@@ -150,38 +149,46 @@ def test_margins_fall_back_to_the_sort_when_carriers_outnumber_the_bits(numpy_ca
     ev.remove_closure([1])
     assert ev.deadened == {2, 4}
     assert_kernel_matches(ev, common_rate=True)
-    assert numpy_calls["unique"]
+    assert sorts
 
 
-def test_margins_take_logs_of_occurring_patterns_only_in_large_tables(numpy_calls):
-    # Round 2: three members and four carriers over seven member bits, 128
-    # patterns.  The carriers repeat overlapping round-1 pairs, so some
-    # patterns never fire and get no logarithm.
-    inst = MultiBlockInstance(
-        (0.5,) * 7,
-        (1.0, 2.0, 0.5, 3.0, 1.5, 0.75, 2.5),
-        1.0,
-        blocks=(1, 1, 1, 1, 2, 2, 2),
-        helps=(frozenset(),) * 4 + (frozenset({0}), frozenset({1, 2}), frozenset()),
-        carriers=tuple(
-            HelperCarrier(2, 0.25 * (j + 1), {j, (j + 1) % 4}) for j in range(4)
-        ),
-    )
+@pytest.mark.parametrize(
+    "blocks, sorted_rounds",
+    [
+        # One round of six equal powers: as many patterns as masks, and
+        # only seven distinct sums, so the round sorts.
+        ((0,) * 6, 1),
+        # Five of the six in round 0: half as many patterns as masks.
+        ((0,) * 5 + (1,), 1),
+        # Four in round 0 and two in round 1: a quarter of the masks or
+        # fewer, so both rounds use the table.
+        ((0,) * 4 + (1,) * 2, 0),
+    ],
+)
+def test_margins_sort_near_full_rounds_of_repeated_powers(sorts, blocks, sorted_rounds):
+    inst = MultiBlockInstance((0.5,) * 6, (2.0,) * 6, 1.0, blocks=blocks)
+    ev = _MultiBlockEvaluator(inst)
+    ev.margins(range(6))
+    assert len(sorts) == sorted_rounds
+    assert_kernel_matches(ev, common_rate=True)
+
+
+def test_margins_of_full_rounds_of_distinct_powers_use_the_table(sorts):
+    inst = MultiBlockInstance((0.5,) * 6, (1.0, 2.0, 0.5, 3.0, 1.5, 0.75), 1.0, blocks=(0,) * 6)
     ev = _MultiBlockEvaluator(inst)
     assert_kernel_matches(ev, common_rate=True)
-    assert not numpy_calls["unique"]
-    assert any(len(counts) == 128 and (counts == 0).any() for counts in numpy_calls["bincount"])
+    assert not sorts
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_margins_of_one_send_rounds(numpy_calls, m):
+def test_margins_of_one_send_rounds(sorts, m):
     # One member per round and no carriers: every round has one send, whose
     # pattern code must gather, not mask, the round's two capacities.
     inst = MultiBlockInstance((0.5,) * m, (1.0, 4.0, 0.25)[:m], 1.0, blocks=tuple(range(m)))
     ev = _MultiBlockEvaluator(inst)
     assert all(len(ev.members_in[k]) == 1 for k in ev.rounds) and not inst.carriers
     assert_kernel_matches(ev, common_rate=True)
-    assert not numpy_calls["unique"] and not numpy_calls["bincount"]
+    assert not sorts
 
 
 def test_worst_violator_matches_the_scalar_search():
