@@ -255,7 +255,6 @@ class _MultiBlockEvaluator:
             if patterns > len(masks) or (
                 4 * patterns > len(masks) and len({p for p, _ in sends}) < len(sends)
             ):
-                # Sort out the distinct powers instead (see the docstring).
                 q = np.zeros(len(masks))
                 for p, t in sends:
                     q += p * ((masks & t) != 0)
