@@ -74,24 +74,24 @@ def decode_from_side_info(
     that value lies outside the target's alphabet, so the bin index is
     inconsistent with the side information.
     """
-    m = len(assignment.sizes)
+    sizes, bin_count = assignment.sizes, assignment.bin_count
+    m = len(sizes)
     if not (0 <= target < m):
         raise PreconditionError(f"target slot {target} out of range")
     if target in known:
         raise PreconditionError("target slot must not appear in the side information")
-    if sorted(known) != [j for j in range(m) if j != target]:
+    if known.keys() != set(range(m)) - {target}:
         raise PreconditionError("side information must cover every slot except the target")
-    if not (0 <= bin_index < assignment.bin_count):
-        raise PreconditionError(f"bin index {bin_index} outside [0, {assignment.bin_count})")
+    if not (0 <= bin_index < bin_count):
+        raise PreconditionError(f"bin index {bin_index} outside [0, {bin_count})")
     for j, v in known.items():
-        if not (0 <= v < assignment.sizes[j]):
+        if not (0 <= v < sizes[j]):
             raise PreconditionError(f"slot {j} value {v} outside its alphabet")
 
-    value = (bin_index - sum(known.values())) % assignment.bin_count
-    if value >= assignment.sizes[target]:
+    value = (bin_index - sum(known.values())) % bin_count
+    if value >= sizes[target]:
         raise DecodeError(
-            f"no value in alphabet of size {assignment.sizes[target]} "
-            f"matches bin {bin_index}"
+            f"no value in alphabet of size {sizes[target]} matches bin {bin_index}"
         )
     return value
 

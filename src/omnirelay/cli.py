@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
@@ -80,6 +82,8 @@ def _spacings(args: argparse.Namespace) -> tuple[float, ...] | None:
     gaps = _parse_floats(args.spacings, "spacing")
     if not all(math.isfinite(gap) for gap in gaps):
         raise ValueError("spacings must be finite")
+    if not all(gap > 0 for gap in gaps):
+        raise ValueError("spacings must be positive")
     return gaps
 
 
@@ -148,6 +152,23 @@ def _csv_cell(value):
 
 _JSON_CONTAINERS = (dict, list, tuple)
 _INT_ONLY = frozenset({int})
+_SEQUENCES = frozenset({list, tuple})
+
+
+@functools.cache
+def _int_list_template(indent: str, length: int) -> str:
+    """The ``%`` template of a list of ``length`` ints whose own line ends in
+    ``indent``; few (indent, length) pairs occur, so the cache stays small."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(["%d"] * length) + indent + "]"
+
+
+def _int_lists_format(lengths: list[int], indent: str) -> str:
+    """The ``%`` format of a list of int lists of these lengths, none empty,
+    whose own line ends in ``indent``."""
+    inner = indent + "  "
+    templates = {length: _int_list_template(inner, length) for length in set(lengths)}
+    return "[" + inner + ("," + inner).join(map(templates.__getitem__, lengths)) + indent + "]"
 
 
 def _json_scalar(value) -> str:
@@ -193,9 +214,18 @@ def _write_json(value, out: list[str], indent: str) -> None:
     if not value:
         out.append("[]")
         return
-    if set(map(type, value)) == _INT_ONLY:
+    kinds = set(map(type, value))
+    if kinds == _INT_ONLY:
         out.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
         return
+    if kinds <= _SEQUENCES:
+        # Non-empty lists of exact ints, such as a trace's message pairs:
+        # one ``%`` over all their ints.  ``%d`` writes an exact int as its repr.
+        lengths = list(map(len, value))
+        flat = tuple(chain.from_iterable(value))
+        if 0 not in lengths and set(map(type, flat)) == _INT_ONLY:
+            out.append(_int_lists_format(lengths, indent) % flat)
+            return
     lead = "[" + inner
     for item in value:
         if isinstance(item, _JSON_CONTAINERS):

@@ -180,7 +180,7 @@ class SimulationTrace:
                 {
                     "sender": tx.sender,
                     "block": tx.block,
-                    "bundle": sorted([list(m) for m in tx.bundle]),
+                    "bundle": [list(m) for m in sorted(tx.bundle)],
                     "skipped": [list(m) for m in tx.skipped],
                 }
                 for row in self.transmissions
@@ -660,7 +660,9 @@ def payload_demo(
     more unknown values misses its fresh message and a repeat, the fresh
     message of an earlier bundle that recovered nothing; neither can be
     recovered by any other bundle, so a second pass would find it as the
-    first did.
+    first did.  Each bundle is therefore prepared once, with its fresh
+    message as the one target slot, and a node decodes it when it knows
+    that message and has a value for every other slot.
     """
     n = trace.topology.n
     sizes = check_payload_sizes(sizes, n)
@@ -684,7 +686,11 @@ def payload_demo(
             if assignment is None:
                 assignment = assignments[slot_sizes] = build_binning(slot_sizes)
             bin_index = assignment.bin_of([truth[m] for m in slots])
-            prepared.append((tx, slots, assignment, bin_index))
+            fresh = (tx.sender, tx.block)
+            target = slots.index(fresh)
+            side_slots = tuple(idx for idx in range(len(slots)) if idx != target)
+            side_msgs = tuple(slots[idx] for idx in side_slots)
+            prepared.append((tx.sender, fresh, target, side_slots, side_msgs, assignment, bin_index))
 
     final: list[set[Message]] = [set() for _ in range(n)]
     for row in trace.decodes:
@@ -694,24 +700,25 @@ def payload_demo(
     reports = []
     for i in range(n):
         known_msgs = final[i]
-        own = {(i, beta) for beta in range(1, trace.blocks + 1)}
-        values: dict[Message, int] = {m: truth[m] for m in own}
-        placeable = known_msgs | own
+        values: dict[Message, int] = {
+            (i, beta): truth[i, beta] for beta in range(1, trace.blocks + 1)
+        }
         mismatches = []
-        for tx, slots, assignment, bin_index in prepared:
-            if tx.sender == i or not tx.bundle <= placeable:
+        for sender, fresh, target, side_slots, side_msgs, assignment, bin_index in prepared:
+            # The whole bundle is known to the node when its fresh message is
+            # and every repeat already has a value, since values hold only
+            # the node's own messages and fresh messages it knows.
+            if sender == i or fresh not in known_msgs:
                 continue
-            unknown = [idx for idx, m in enumerate(slots) if m not in values]
-            if len(unknown) != 1:
+            try:
+                side = dict(zip(side_slots, map(values.__getitem__, side_msgs)))
+            except KeyError:  # a repeat is still unknown: the bundle recovers nothing
                 continue
-            target = unknown[0]
-            side = {idx: values[m] for idx, m in enumerate(slots) if idx != target}
             value = decode_from_side_info(assignment, bin_index, side, target)
-            msg = slots[target]
-            values[msg] = value
-            if value != truth[msg]:
-                mismatches.append(msg)
-        recovered = sum(1 for m in known_msgs if m in values)
+            values[fresh] = value
+            if value != truth[fresh]:
+                mismatches.append(fresh)
+        recovered = len(known_msgs.intersection(values))
         reports.append(
             PayloadReport(
                 node=i,

@@ -325,6 +325,7 @@ def test_error_codes(capsys, tmp_path):
 
 HOP_RADIUS_ERROR = "hop radius must be finite and nonnegative"
 SPACINGS_ERROR = "spacings must be finite"
+GAP_SIGN_ERROR = "spacings must be positive"
 
 
 @pytest.mark.parametrize(
@@ -351,6 +352,15 @@ SPACINGS_ERROR = "spacings must be finite"
         ("analyze --preset regular-line --n 4 --spacings nan", SPACINGS_ERROR),
         ("analyze --preset line --spacings 1,inf", SPACINGS_ERROR),
         ("simulate --preset arc --n 4 --arc-radius 10 --spacings 1,-inf", SPACINGS_ERROR),
+        # A gap must be positive too, checked after finiteness and before the
+        # line preset places its nodes.
+        ("analyze --preset regular-line --n 4 --spacings 0", GAP_SIGN_ERROR),
+        ("analyze --preset regular-line --n 4 --spacings=-1", GAP_SIGN_ERROR),
+        ("analyze --preset line --spacings=-1,-1 --power 10", GAP_SIGN_ERROR),
+        ("analyze --preset line --spacings 1,0,2", GAP_SIGN_ERROR),
+        ("simulate --preset regular-line --n 0 --spacings=-1,nan --payload-sizes x",
+         SPACINGS_ERROR),
+        ("sweep --preset ring --sweep-n x --spacings 0", GAP_SIGN_ERROR),
     ],
 )
 def test_first_bad_input_is_the_one_reported(capsys, argv, message):

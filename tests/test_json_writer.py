@@ -11,7 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from omnirelay.cli import _json_text
+from omnirelay import cli
+from omnirelay.cli import _default_one_hop, _json_text
+from omnirelay.protocol_sim import run_distance_regulated
+from omnirelay.rate_analysis import allcast_rate_bound
+from omnirelay.topology import power_law, ring
 
 
 def reference_rounded(value):
@@ -59,6 +63,65 @@ def test_writer_matches_the_reference_on_edge_values():
         assert_same_text(scalar)
 
 
+INT_LISTS = {
+    "pairs": [[0, 1], [2, 3], [5, 300]],
+    "mixed lengths": [[1], [2, 3, 4], [-5, 6], [7, 8, 9, 10, 11]],
+    "tuples of tuples": ((1, 2), (3, 4), (5,)),
+    "True in a pair": [[1, 2], [True, 3]],
+    "empty inner list": [[1, 2], [], [3, 4]],
+    "big ints": [[2**70, -(2**70)], [-(2**70), 0]],
+    "nested in dicts": {"a": {"b": [[1, 2], [3, 4]], "c": [{"d": [[5, 6]]}]}, "e": [[7, 8]]},
+}
+
+
+def int_lists(value):
+    """How many containers in ``value`` are non-empty lists of non-empty
+    lists or tuples of exact ints."""
+    if isinstance(value, dict):
+        return sum(map(int_lists, value.values()))
+    if not isinstance(value, (list, tuple)):
+        return 0
+    hit = bool(value) and all(
+        type(item) in (list, tuple) and item and all(type(x) is int for x in item)
+        for item in value
+    )
+    return hit + sum(map(int_lists, value))
+
+
+@pytest.fixture
+def format_calls(monkeypatch):
+    """The lists written through the one-``%`` branch, by item lengths."""
+    calls = []
+    make_format = cli._int_lists_format
+
+    def spy(lengths, indent):
+        calls.append(list(lengths))
+        return make_format(lengths, indent)
+
+    monkeypatch.setattr(cli, "_int_lists_format", spy)
+    return calls
+
+
+@pytest.mark.parametrize("payload", INT_LISTS.values(), ids=INT_LISTS.keys())
+def test_writer_matches_the_reference_on_int_lists(payload, format_calls):
+    assert_same_text(payload)
+    # Only lists of plain-int lists take the one-``%`` branch: none with a
+    # bool or an empty item.
+    assert len(format_calls) == int_lists(payload)
+
+
+def test_a_trace_writes_its_message_lists_in_one_format_each(format_calls):
+    # The ring-long shape: ring-6 just under the bound, shorter.
+    topology = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
+    rate = 0.999 * allcast_rate_bound(topology)
+    trace = run_distance_regulated(topology, _default_one_hop(topology, None), rate, 40)
+    payload = {"trace": trace.to_dict()}
+    assert_same_text(payload)
+    # targets, decoded and bundle lists, non-empty on a successful run
+    assert len(format_calls) == int_lists(payload) >= 2 * 6 * 40
+    assert {2} == {n for lengths in format_calls for n in lengths}
+
+
 @pytest.mark.parametrize(
     "payload",
     [{1: "int key"}, {"a": {None: 1}}, {"a": {1.5: 1}}, {"a": {(1, 2): 1}}, {"a": {1, 2}},
@@ -85,7 +148,9 @@ def test_writer_matches_the_reference_on_random_payloads():
         | st.text(max_size=8)
     )
     payloads = st.recursive(
-        scalars | st.lists(st.integers(-(2**80), 2**80), max_size=5),
+        scalars
+        | st.lists(st.integers(-(2**80), 2**80), max_size=5)
+        | st.lists(st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=3), max_size=4),
         lambda children: (
             st.lists(children, max_size=5)
             | st.lists(children, max_size=5).map(tuple)

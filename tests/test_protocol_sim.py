@@ -1,11 +1,17 @@
 """Block-by-block protocol runs: traces, decode records and payload replay."""
 
 import json
+import random
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
+from omnirelay import protocol_sim
+from omnirelay.binning import build_binning, decode_from_side_info
 from omnirelay.errors import PreconditionError
 from omnirelay.protocol_sim import (
+    PayloadReport,
     interference_accounting,
     payload_demo,
     run_distance_regulated,
@@ -13,6 +19,7 @@ from omnirelay.protocol_sim import (
 )
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import (
+    general_line,
     power_law,
     regular_line,
     ring,
@@ -375,6 +382,129 @@ def test_payload_demo_empty_and_invalid():
         payload_demo(live, (2, 2))
     with pytest.raises(PreconditionError):
         payload_demo(live, (2, 0, 2))
+
+
+def reference_replay(trace, sizes, seed, decode=decode_from_side_info):
+    """The multi-pass replay: every node sweeps all bundles in block order
+    until a sweep recovers no value, decoding any bundle it fully knows that
+    has one slot left without a value."""
+    n = trace.topology.n
+    rng = random.Random(seed)
+    truth = {(j, beta): rng.randrange(sizes[j])
+             for beta in range(1, trace.blocks + 1) for j in range(n)}
+    reports = []
+    for i in range(n):
+        known = {m for row in trace.decodes for rec in row
+                 if rec.node == i and rec.success for m in rec.targets}
+        values = {m: v for m, v in truth.items() if m[0] == i}
+        placeable = known | set(values)
+        mismatches = []
+        changed = True
+        while changed:
+            changed = False
+            for tx in (tx for row in trace.transmissions for tx in row):
+                if tx.sender == i or not tx.bundle <= placeable:
+                    continue
+                slots = sorted(tx.bundle)
+                unknown = [idx for idx, m in enumerate(slots) if m not in values]
+                if len(unknown) != 1:
+                    continue
+                (target,) = unknown
+                assignment = build_binning(sizes[src] for src, _ in slots)
+                bin_index = assignment.bin_of([truth[m] for m in slots])
+                side = {idx: values[m] for idx, m in enumerate(slots) if idx != target}
+                msg = slots[target]
+                values[msg] = decode(assignment, bin_index, side, target)
+                if values[msg] != truth[msg]:
+                    mismatches.append(msg)
+                changed = True
+        recovered = len(known & set(values))
+        reports.append(
+            PayloadReport(i, recovered, len(known), recovered == len(known), tuple(sorted(mismatches)))
+        )
+    return tuple(reports)
+
+
+def partial_schedule():
+    """The decode-reference grid's hand-built 4-node schedule: node 2
+    relays node 3, which node 1 never schedules, so node 1's decodes fail
+    from block 2 on and its bundle of block 3 skips ``(2, 2)``."""
+    return schedule_from_sets(
+        [[{1}, {2}], [{0, 2}], [{1, 3}, (), {0}], [{2}]],
+        [[()], [{2}, {0}], [{3}], [()]],
+    )
+
+
+def without_decode(trace, node, block):
+    """``trace`` with the record of ``node`` at ``block`` turned into a
+    failure, so the node knows later messages whose bundles repeat ones it
+    never learnt."""
+    row = tuple(
+        replace(rec, success=False) if rec.node == node else rec
+        for rec in trace.decodes[block - 1]
+    )
+    return replace(trace, decodes=trace.decodes[: block - 1] + (row,) + trace.decodes[block:])
+
+
+@lru_cache(maxsize=None)
+def failing_trace(kind):
+    if kind == "ring-6-over-bound":
+        t = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
+        one_hop = [frozenset({(i - 1) % 6, (i + 1) % 6}) for i in range(6)]
+        return run_distance_regulated(t, one_hop, 1.02 * allcast_rate_bound(t), 40)
+    if kind == "line-7-over-bound":
+        return run_distance_regulated(line(7), adjacency(7), 0.8, 14)
+    if kind == "split-line":
+        # The golden grid's split line: gaps 1,1,2,1,1,1 at hop radius 1.5.
+        t = general_line([0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 7.0], power_law(2.0), 10.0, 1.0)
+        one_hop = [{1}, {0, 2}, {1}, {4}, {3, 5}, {4, 6}, {5}]
+        return run_distance_regulated(t, one_hop, 0.8, 14)
+    if kind.startswith("partial-"):
+        t = line(4)
+        share = float(kind.removeprefix("partial-"))
+        return run_schedule(t, partial_schedule(), share * allcast_rate_bound(t), 12)
+    # A run that succeeds, with one of node 3's decodes taken away.
+    return without_decode(run_distance_regulated(line(7), adjacency(7), 0.3, 14), 3, 2)
+
+
+FAILING = ("ring-6-over-bound", "line-7-over-bound", "split-line", "partial-0.3",
+           "partial-0.9", "line-7-lost-decode")
+
+
+@pytest.mark.parametrize("kind", FAILING)
+@pytest.mark.parametrize("sizes", ["2", "4", "mixed"])
+def test_payload_replay_matches_the_multi_pass_reference(kind, sizes):
+    trace = failing_trace(kind)
+    assert not trace.all_success()
+    n = trace.topology.n
+    sizes = {"2": (2,) * n, "4": (4,) * n, "mixed": tuple(2 + j % 4 for j in range(n))}[sizes]
+    for seed in (0, 3):
+        assert payload_demo(trace, sizes, seed=seed) == reference_replay(trace, sizes, seed)
+
+
+def test_the_reference_runs_cover_bundles_that_recover_nothing():
+    # Without a known repeat a bundle recovers nothing, and neither does any
+    # later bundle that repeats its fresh message.
+    reports = payload_demo(failing_trace("line-7-lost-decode"), (4,) * 7)
+    lost = [r for r in reports if not r.complete]
+    assert [r.node for r in lost] == [3]
+    assert 0 < lost[0].recovered < lost[0].known
+
+
+def test_wrong_decoded_values_are_reported_as_mismatches(monkeypatch):
+    def off_by_one(assignment, bin_index, known, target):
+        value = decode_from_side_info(assignment, bin_index, known, target)
+        return (value + 1) % assignment.sizes[target]
+
+    trace = failing_trace("line-7-over-bound")
+    expected = reference_replay(trace, (4,) * 7, 1, decode=off_by_one)
+    monkeypatch.setattr(protocol_sim, "decode_from_side_info", off_by_one)
+    reports = payload_demo(trace, (4,) * 7, seed=1)
+    assert reports == expected
+    # A node's first recovery reads only its own messages, so it is off by
+    # one and listed; later ones read wrong values too and may land right.
+    assert all(r.mismatches for r in reports if r.recovered)
+    assert sum(r.recovered for r in reports) > 0
 
 
 # ---------------------------------------------------------------------------
