@@ -10,7 +10,8 @@ group to relayed copies.  Every such condition reads ``log2(1 + S/D) >
 count * rate`` with S, D and count independent of the rate, so the
 conditions are one rate-independent table of arrays, built once per
 topology object and kept on it; ``max_achievable_rate`` bisects over that
-table, one array verdict per step.
+table, one array verdict per step.  A report's entries are built from the
+table and its margin arrays only when read.
 ``verify_regular_line_achievability`` replays, on an equally spaced line,
 the argument that those conditions follow from the rate ceiling alone, step
 by numeric step, against limits likewise computed once, one array
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +68,24 @@ class ConditionEntry:
 
 @dataclass(frozen=True)
 class RateReport:
+    """The ordered-line conditions at one rate.
+
+    ``entries`` is a read-only sequence of ``ConditionEntry``: from
+    ``ordered_line_conditions`` it holds the line table and the margin
+    arrays, and builds an entry only when one is read.  It compares and
+    hashes like the tuple of its entries.
+    """
+
     rate: float
     ordering: tuple[int, ...]
-    entries: tuple[ConditionEntry, ...]
+    entries: Sequence[ConditionEntry]
     achievable: bool
     binding_margin: float
 
     def binding_entry(self) -> ConditionEntry:
+        """The first entry of smallest best margin."""
+        if isinstance(self.entries, ConditionEntries):
+            return self.entries.binding()
         return min(self.entries, key=ConditionEntry.best_margin)
 
 
@@ -119,6 +132,77 @@ class _LineTable:
         return bool(np.all(np.maximum(joint, defer) > EPS_BITS))
 
 
+class ConditionEntries(Sequence):
+    """The entries of a ``RateReport``, built from its line table on read.
+
+    Holds the table and the per-row margin arrays at one rate.  ``len`` is
+    the row count; an index or a slice builds the ``ConditionEntry`` of just
+    the rows asked (a slice gives a tuple).  ``==`` and ``hash`` are those of
+    the tuple of all entries.
+    """
+
+    __slots__ = ("_table", "_joint", "_defer", "_best", "_holds")
+
+    def __init__(
+        self,
+        table: _LineTable,
+        joint: np.ndarray,
+        defer: np.ndarray,
+        best: np.ndarray,
+        holds: np.ndarray,
+    ) -> None:
+        self._table = table
+        self._joint = joint
+        self._defer = defer
+        self._best = best
+        self._holds = holds
+
+    def __len__(self) -> int:
+        return len(self._best)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return tuple(map(self._entry, rows))
+        return self._entry(rows)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        table = self._table
+        return (table.position, table.kind, table.lo, table.hi,
+                self._joint, self._defer, self._holds)
+
+    def __iter__(self):
+        return map(self._make, *(column.tolist() for column in self._columns()))
+
+    def _entry(self, k: int) -> ConditionEntry:
+        return self._make(*(column[k].item() for column in self._columns()))
+
+    def _make(self, position, kind, lo, hi, joint, defer, holds) -> ConditionEntry:
+        order = self._table.order
+        return ConditionEntry(
+            receiver=order[position - 1],
+            position=position,
+            kind=_KINDS[kind],
+            far_group=order[lo:hi],
+            joint_margin=joint,
+            defer_margin=defer if kind else None,
+            holds=holds,
+        )
+
+    def binding(self) -> ConditionEntry:
+        """The first entry of smallest best margin, the only one built."""
+        return self._entry(int(np.argmin(self._best)))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def _line_table(topology: Topology) -> _LineTable:
     """The topology's line table, built on first use and kept on ``topology``."""
     derived = topology._derived
@@ -127,12 +211,24 @@ def _line_table(topology: Topology) -> _LineTable:
     return derived["line_table"]
 
 
+def _capacities(signal: np.ndarray, denom) -> np.ndarray:
+    """``log2(1 + signal / denom)`` per element, each bitwise the scalar value.
+
+    The division and the addition are the IEEE operations of Python floats
+    (a quotient too large overflows to inf, without a warning), and
+    ``math.log2`` takes each logarithm, since numpy's may differ in the last
+    bit.
+    """
+    with np.errstate(over="ignore"):
+        ratio = (1.0 + signal / denom).tolist()
+    return np.fromiter(map(math.log2, ratio), float, len(ratio))
+
+
 def _build_line_table(topology: Topology) -> _LineTable:
     order = distance_ordering_check(topology)
     if order is None:
         raise PreconditionError("the topology admits no distance ordering")
     n = topology.n
-    powers = build_power_matrix(topology)
     noise = topology.noise
 
     # into[b][a]: received power at position b from position a (both 0-based).
@@ -140,41 +236,51 @@ def _build_line_table(topology: Topology) -> _LineTable:
     # order.  A running prefix sum would be O(1) per entry, but it rounds
     # differently from sum() (which compensates from Python 3.12 on), and
     # that would move printed rates.
-    into = [[powers.pair(order[a], order[b]) for a in range(n)] for b in range(n)]
+    into = build_power_matrix(topology).received.T[np.ix_(order, order)].tolist()
 
-    def capacity(signal: float, denom: float) -> float:
-        return math.log2(1.0 + signal / denom)
-
-    # (position, kind, lo, hi, joint_count, joint_cap, defer_count, defer_cap)
-    rows: list[tuple] = []
-    for pos in range(n):
+    # One list per column, one element per row.  A row's joint branch decodes
+    # its far group with the side power (a sum row: everything, no far
+    # group); its defer branch decodes the side with the far group as noise.
+    position, kind, lo, hi, joint_count, defer_count = ([] for _ in range(6))
+    far_power, side_power = [], []
+    for pos, col in enumerate(into):
         i = pos + 1
-        col = into[pos]
-        total = sum(col[:pos] + col[pos + 1:])
-        rows.append((i, 0, 0, 0, n - 1, capacity(total, noise), 0, -math.inf))
+        position.append(i)
+        kind.append(0)
+        lo.append(0)
+        hi.append(0)
+        joint_count.append(n - 1)
+        defer_count.append(0)
+        far_power.append(0.0)
+        side_power.append(sum(col[:pos] + col[pos + 1:]))
         if i == 1 or i == n:
             continue
-        right_all = sum(col[i:])
-        left_all = sum(col[: i - 1])
-        for far in range(1, i - 1):
-            far_power = sum(col[:far])
-            rows.append((
-                i, 1, 0, far,
-                far + n - i, capacity(far_power + right_all, noise),
-                n - i, capacity(right_all, far_power + noise),
-            ))
-        for far in range(i + 2, n + 1):
-            far_power = sum(col[far - 1:])
-            rows.append((
-                i, 2, far - 1, n,
-                i + n - far, capacity(left_all + far_power, noise),
-                i - 1, capacity(left_all, far_power + noise),
-            ))
-    columns = list(zip(*rows))
+        lefts = range(1, i - 1)  # far group order[:far]
+        rights = range(i + 2, n + 1)  # far group order[far - 1:]
+        position += [i] * (len(lefts) + len(rights))
+        kind += [1] * len(lefts) + [2] * len(rights)
+        lo += [0] * len(lefts) + [far - 1 for far in rights]
+        hi += list(lefts) + [n] * len(rights)
+        joint_count += [far + n - i for far in lefts] + [i + n - far for far in rights]
+        defer_count += [n - i] * len(lefts) + [i - 1] * len(rights)
+        far_power += [sum(col[:far]) for far in lefts] + [sum(col[far - 1:]) for far in rights]
+        side_power += [sum(col[i:])] * len(lefts) + [sum(col[: i - 1])] * len(rights)
+
+    far = np.array(far_power)
+    side = np.array(side_power)
+    kinds = np.array(kind, dtype=np.intp)
+    defer_cap = _capacities(side, far + noise)
+    defer_cap[kinds == 0] = -math.inf
     return _LineTable(
         tuple(order),
-        *(np.array(column, dtype=np.intp) for column in columns[:4]),
-        *(np.array(column, dtype=float) for column in columns[4:]),
+        np.array(position, dtype=np.intp),
+        kinds,
+        np.array(lo, dtype=np.intp),
+        np.array(hi, dtype=np.intp),
+        np.array(joint_count, dtype=float),
+        _capacities(far + side, noise),
+        np.array(defer_count, dtype=float),
+        defer_cap,
     )
 
 
@@ -185,39 +291,19 @@ def ordered_line_conditions(topology: Topology, rate: float) -> RateReport:
     Entries cover, per receiver: the plain sum constraint, and for every far
     group on either side (leaving at least one nearer relay) the joint/defer
     pair.  All constraints scale linearly with the rate, so the verdict is
-    monotone and safe to bisect on.
+    monotone and safe to bisect on.  The report's entries are built from the
+    margin arrays when read.
     """
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
     table = _line_table(topology)
-    order = table.order
     joint, defer = table.margins(rate)
     best = np.maximum(joint, defer)
     holds = best > EPS_BITS
-    entries = tuple(
-        ConditionEntry(
-            receiver=order[position - 1],
-            position=position,
-            kind=_KINDS[kind],
-            far_group=order[lo:hi],
-            joint_margin=joint_margin,
-            defer_margin=defer_margin if kind else None,
-            holds=row_holds,
-        )
-        for position, kind, lo, hi, joint_margin, defer_margin, row_holds in zip(
-            table.position.tolist(),
-            table.kind.tolist(),
-            table.lo.tolist(),
-            table.hi.tolist(),
-            joint.tolist(),
-            defer.tolist(),
-            holds.tolist(),
-        )
-    )
     return RateReport(
         rate=rate,
-        ordering=order,
-        entries=entries,
+        ordering=table.order,
+        entries=ConditionEntries(table, joint, defer, best, holds),
         achievable=bool(holds.all()),
         binding_margin=float(best.min()),
     )
@@ -330,11 +416,9 @@ def verify_regular_line_achievability(
 
     # A check "count * rate < log2(1 + signal / denom) - EPS_BITS" compares
     # the rate against a rate-independent limit, computed once here, check
-    # by check, as arrays.  math.log2 keeps each limit bitwise the scalar one.
+    # by check, as arrays, each bitwise the scalar one.
     def limits(signal: np.ndarray, denom) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            ratio = (1.0 + signal / denom).tolist()
-        return np.fromiter(map(math.log2, ratio), float, len(ratio)) - EPS_BITS
+        return _capacities(signal, denom) - EPS_BITS
 
     sums = np.array(prefix)
     sum_count, sum_limit = np.arange(1, n), limits(sums[1:], noise)

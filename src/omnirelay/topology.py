@@ -122,18 +122,9 @@ class Topology:
             raise ValueError("transmit power must be finite and positive")
         if not (math.isfinite(self.noise) and self.noise > 0):
             raise ValueError("noise power must be finite and positive")
-        for i, row in enumerate(self.distances):
-            if len(row) != n:
-                raise ValueError("distance matrix must be square")
-            if abs(row[i]) > 0:
-                raise ValueError("distance matrix diagonal must be zero")
-            for j in range(n):
-                if row[j] < 0 or not math.isfinite(row[j]):
-                    raise ValueError("distances must be finite and nonnegative")
-                if i != j and row[j] == 0:
-                    raise ValueError(f"nodes {i} and {j} coincide")
-                if abs(row[j] - self.distances[j][i]) > _DIST_TOL * max(1.0, row[j]):
-                    raise ValueError("distance matrix must be symmetric")
+        if any(len(row) != n for row in self.distances):
+            raise ValueError("distance matrix must be square")
+        _check_distances(np.array(self.distances, dtype=float))
         if self.positions is not None and len(self.positions) != n:
             raise ValueError("positions must cover every node")
 
@@ -154,6 +145,35 @@ class Topology:
         # (distance_ordering_check) and its line table (rate_analysis).
         # Equal but distinct topologies keep their own.
         return {}
+
+
+def _check_distances(d: np.ndarray) -> None:
+    """Raise the first fault of a square distance matrix, in row-major order.
+
+    Row i is checked at its diagonal first, then cell by cell: a value that
+    is negative or not finite, then a zero off the diagonal, then a value
+    farther from its mirror than ``_DIST_TOL`` relative.  A mirror that is
+    not finite is reported as an asymmetry, unless it is NaN.
+    """
+    off_diagonal = ~np.eye(len(d), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad_value = ~(np.isfinite(d) & (d >= 0))
+        coincide = (d == 0) & off_diagonal
+        asymmetric = np.abs(d - d.T) > _DIST_TOL * np.maximum(1.0, d)
+    cell_fault = bad_value | coincide | asymmetric
+    diagonal_fault = np.abs(np.diagonal(d)) > 0
+    row_fault = diagonal_fault | cell_fault.any(axis=1)
+    if not row_fault.any():
+        return
+    i = int(np.argmax(row_fault))
+    if diagonal_fault[i]:
+        raise ValueError("distance matrix diagonal must be zero")
+    j = int(np.argmax(cell_fault[i]))
+    if bad_value[i, j]:
+        raise ValueError("distances must be finite and nonnegative")
+    if coincide[i, j]:
+        raise ValueError(f"nodes {i} and {j} coincide")
+    raise ValueError("distance matrix must be symmetric")
 
 
 def _distance_tuple(matrix: Iterable[Iterable[float]]) -> tuple[tuple[float, ...], ...]:
@@ -186,7 +206,7 @@ def topology_from_positions(
     with np.errstate(over="ignore"):
         diff = arr[:, None, :] - arr[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
-    return Topology(_distance_tuple(dist), gain, float(power), float(noise), tuple(pts))
+    return Topology(tuple(map(tuple, dist.tolist())), gain, float(power), float(noise), tuple(pts))
 
 
 def topology_from_distances(

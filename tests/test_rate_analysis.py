@@ -1,5 +1,6 @@
 """Rate ceiling, ordered-line conditions and the equal-spacing verifier."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from omnirelay.errors import PreconditionError
 from omnirelay.mac_region import EPS_BITS
 from omnirelay.rate_analysis import (
+    ConditionEntry,
     _line_table,
     _LineTable,
     allcast_rate_bound,
@@ -25,6 +27,37 @@ from omnirelay.topology import (
     regular_line,
     topology_from_positions,
 )
+
+
+def assert_entries_read_like_their_tuple(report):
+    """The report's lazily built entries against the tuple of the same entries."""
+    entries = report.entries
+    whole = tuple(entries)
+    assert all(type(e) is ConditionEntry for e in whole)
+    assert entries == whole and whole == entries
+    assert not entries != whole
+    assert entries != list(whole)
+    assert hash(entries) == hash(whole)
+    assert len(entries) == len(whole)
+    assert list(entries) == list(whole)
+    assert list(reversed(entries)) == list(reversed(whole))
+    for k in {0, 1 % len(whole), len(whole) // 2, len(whole) - 1}:
+        assert entries[k] == whole[k]
+        assert entries[k - len(whole)] == whole[k - len(whole)]
+    for bad in (len(whole), -len(whole) - 1):
+        with pytest.raises(IndexError):
+            entries[bad]
+    for part in (slice(1, 5), slice(None, None, -2), slice(-3, None), slice(5, 1), slice(None)):
+        assert entries[part] == whole[part]
+    assert entries[np.int64(-1)] == whole[-1]
+    binding = report.binding_entry()
+    assert binding == min(whole, key=ConditionEntry.best_margin)
+    assert binding.best_margin() == report.binding_margin
+    # A report holding the tuple instead is the same report.
+    plain = dataclasses.replace(report, entries=whole)
+    assert plain == report and report == plain
+    assert hash(plain) == hash(report)
+    assert plain.binding_entry() == binding
 
 
 def test_bound_pinned_values():
@@ -58,6 +91,7 @@ def test_three_nodes_leave_only_sum_conditions():
     assert {e.kind for e in report.entries} == {"sum"}
     assert len(report.entries) == 3
     assert report.achievable
+    assert_entries_read_like_their_tuple(report)
     assert not ordered_line_conditions(t, bound * 1.001).achievable
 
 
@@ -71,6 +105,34 @@ def test_interior_receivers_get_pair_conditions():
     assert {(e.position, e.far_group) for e in far_rights} == {
         (2, (3, 4)), (2, (4,)), (3, (4,)),
     }
+    assert_entries_read_like_their_tuple(report)
+
+
+def entry_lines():
+    # Regular lines, whose mirrored receivers tie, with a constant gain that
+    # ties nearly every row, and uneven lines.
+    for n in (2, 3, 5, 8, 13):
+        yield regular_line(n, 1.0, power_law(2.0), 10.0, 1.0)
+        yield regular_line(n, 1.0, constant(), 2.0, 1.0)
+    rng = random.Random(16)
+    for _ in range(6):
+        coords = [0.0]
+        for _ in range(rng.randint(2, 9)):
+            coords.append(coords[-1] + rng.uniform(0.3, 3.0))
+        yield general_line(coords, power_law(rng.choice([2.0, 4.0])), 10.0, 1.0)
+    yield general_line([2.0, 0.0, 3.5, 1.0, 4.5], power_law(4.0), 10.0, 1.0)
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 0.999, 1.2, None])
+def test_entries_read_like_the_tuple_of_entries(factor):
+    # None: a rate of 1e308, at which products overflow and margins tie at
+    # -inf; the binding entry is still the first of the smallest.
+    for t in entry_lines():
+        rate = 1e308 if factor is None else factor * allcast_rate_bound(t)
+        report = ordered_line_conditions(t, rate)
+        assert_entries_read_like_their_tuple(report)
+        if factor is None:
+            assert report.binding_margin == -math.inf or t.n == 2
 
 
 def test_report_respects_shuffled_labels():
@@ -134,6 +196,7 @@ def test_uneven_line_binds_on_an_interior_pair():
     assert binding.kind == "far-right"
     assert binding.receiver == 2
     assert binding.best_margin() < 0
+    assert_entries_read_like_their_tuple(report)
     assert ordered_line_conditions(t, mx * 0.99).achievable
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from omnirelay.errors import ModelViolationError, TopologyFormatError
 from omnirelay.topology import (
+    _DIST_TOL,
     GainFunction,
     NeighborSets,
     Schedule,
@@ -105,11 +106,117 @@ def test_arc_approaches_a_line_for_large_radius():
         [[0.0, -1.0], [-1.0, 0.0]],  # negative
         [[0.0, 0.0], [0.0, 0.0]],  # coinciding nodes
         [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]],  # not square
+        [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0]],  # ragged, short last row
     ],
 )
 def test_bad_distance_matrices_rejected(matrix):
     with pytest.raises(ValueError):
         topology_from_distances(matrix, constant(), 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0]],
+        [[0.0, 1.0, 1.0], [1.0, 0.0], [1.0, 1.0, 0.0]],
+        [[0.0, 1.0], [1.0, 0.0, 1.0]],
+        # Row lengths are checked before any value: the bad diagonal of row 0
+        # and the asymmetry of row 1 are not reported.
+        [[5.0, 1.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0]],
+    ],
+)
+def test_ragged_distance_matrices_are_not_square(matrix):
+    # A short later row used to be read past by the symmetry check of an
+    # earlier row, which raised IndexError instead.
+    with pytest.raises(ValueError, match="^distance matrix must be square$"):
+        topology_from_distances(matrix, constant(), 1.0, 1.0)
+
+
+def reference_distance_fault(distances):
+    """The scalar validation loop ``Topology`` ran before its checks became
+    array operations, copied verbatim apart from its name and the return:
+    the first fault of a square matrix, in row-major order, with each row's
+    diagonal checked ahead of its cells."""
+    n = len(distances)
+    for i, row in enumerate(distances):
+        if len(row) != n:
+            raise ValueError("distance matrix must be square")
+        if abs(row[i]) > 0:
+            raise ValueError("distance matrix diagonal must be zero")
+        for j in range(n):
+            if row[j] < 0 or not math.isfinite(row[j]):
+                raise ValueError("distances must be finite and nonnegative")
+            if i != j and row[j] == 0:
+                raise ValueError(f"nodes {i} and {j} coincide")
+            if abs(row[j] - distances[j][i]) > _DIST_TOL * max(1.0, row[j]):
+                raise ValueError("distance matrix must be symmetric")
+
+
+def test_distance_validation_matches_the_scalar_loop_property():
+    # Valid symmetric matrices with faults written into them; the array
+    # validator must raise the loop's first error, type and message.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def asymmetry(factor, step):
+        # Move a cell off its mirror by factor * the tolerance at the moved
+        # value, then by `step` floats, so that it lands just inside or just
+        # beyond the symmetry tolerance.
+        def fault(mirror):
+            value = mirror + factor * _DIST_TOL * max(1.0, mirror)
+            for _ in range(abs(step)):
+                value = math.nextafter(value, math.copysign(math.inf, step))
+            return value
+        return fault
+
+    cell_faults = st.sampled_from([
+        lambda v: -v,
+        lambda v: -0.0,
+        lambda v: math.nan,
+        lambda v: math.inf,
+        lambda v: -math.inf,
+        lambda v: 0.0,
+    ]) | st.builds(
+        asymmetry,
+        st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+        st.integers(-2, 2),
+    )
+    diagonal_faults = st.sampled_from([1e-300, 1.0, -1.0, math.inf, -math.inf, math.nan, -0.0])
+
+    @st.composite
+    def faulty_matrices(draw):
+        n = draw(st.integers(2, 5))
+        values = st.floats(1e-3, 1e3) | st.sampled_from([1.0, 1e-9, 1e9, 1e300])
+        d = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = draw(values)
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            d[i][j] = draw(diagonal_faults) if i == j else draw(cell_faults)(d[j][i])
+        return d
+
+    def outcome(check, matrix):
+        try:
+            check(matrix)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @hypothesis.settings(max_examples=600, deadline=None, derandomize=True)
+    @hypothesis.given(faulty_matrices())
+    # Cells exactly the tolerance apart (2e-9 - 1e-9 is exact), which pass,
+    # and one float farther, which do not.
+    @hypothesis.example([[0.0, 2e-9], [1e-9, 0.0]])
+    @hypothesis.example([[0.0, math.nextafter(2e-9, 1.0)], [1e-9, 0.0]])
+    def check(matrix):
+        expected = outcome(reference_distance_fault, matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(lambda m: topology_from_distances(m, constant(), 1.0, 1.0), matrix)
+        assert got == expected
+
+    check()
 
 
 def test_bad_scalars_rejected():
