@@ -10,6 +10,8 @@ recover the missing one exactly.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -53,9 +55,36 @@ class BinAssignment:
                 raise PreconditionError(f"slot {j} value {v} outside [0, {s})")
 
 
+def _whole_size(size) -> int | None:
+    """``size`` as an int when it is a finite integer value (an int, a numpy
+    int or an integer-valued float), else None; a bool is not a size."""
+    if isinstance(size, bool) or not isinstance(size, numbers.Real):
+        return None
+    try:
+        return operator.index(size)
+    except TypeError:
+        value = float(size)
+        return int(value) if value.is_integer() else None
+
+
+def whole_sizes(sizes: Iterable[int], error: type[Exception] = ValueError) -> tuple[int, ...]:
+    """Alphabet sizes as ints; raises ``error`` naming the first size that is
+    not a finite integer value."""
+    out = []
+    for s in sizes:
+        size = _whole_size(s)
+        if size is None:
+            raise error(f"alphabet size {s!r} is not an integer")
+        out.append(size)
+    return tuple(out)
+
+
 def build_binning(sizes: Iterable[int]) -> BinAssignment:
-    """Modular-sum binning with bin count equal to the largest slot alphabet."""
-    sizes = tuple(int(s) for s in sizes)
+    """Modular-sum binning with bin count equal to the largest slot alphabet.
+
+    Raises ValueError for a size that is not a finite integer value.
+    """
+    sizes = whole_sizes(sizes)
     # An empty bundle is rejected by BinAssignment, not by max().
     return BinAssignment(sizes, max(sizes, default=0))
 

@@ -17,7 +17,7 @@ import hashlib
 import io
 import math
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
@@ -153,6 +153,9 @@ def _csv_cell(value):
 _JSON_CONTAINERS = (dict, list, tuple)
 _INT_ONLY = frozenset({int})
 _SEQUENCES = frozenset({list, tuple})
+_BOOL_ONLY = frozenset({bool})
+_STR_ONLY = frozenset({str})
+_DICT_ONLY = frozenset({dict})
 
 
 @functools.cache
@@ -163,9 +166,11 @@ def _int_list_template(indent: str, length: int) -> str:
     return "[" + inner + ("," + inner).join(["%d"] * length) + indent + "]"
 
 
-def _int_lists_format(lengths: list[int], indent: str) -> str:
+@functools.lru_cache(maxsize=256)
+def _int_lists_format(lengths: tuple[int, ...], indent: str) -> str:
     """The ``%`` format of a list of int lists of these lengths, none empty,
-    whose own line ends in ``indent``."""
+    whose own line ends in ``indent``.  A trace's message lists come in few
+    shapes, so each record of a record list finds its formats cached."""
     inner = indent + "  "
     templates = {length: _int_list_template(inner, length) for length in set(lengths)}
     return "[" + inner + ("," + inner).join(map(templates.__getitem__, lengths)) + indent + "]"
@@ -190,6 +195,96 @@ def _json_scalar(value) -> str:
             return "Infinity" if value > 0 else "-Infinity"
         return float.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _int_lists_column(column: tuple, indent: str) -> list[str] | None:
+    """The ``%`` format of each value of a record field whose line ends in
+    ``indent``, or None unless every value is an empty list or a list of
+    non-empty lists of exact ints."""
+    if not set(map(type, column)) <= _SEQUENCES:
+        return None
+    items = list(chain.from_iterable(column))
+    if (
+        not set(map(type, items)) <= _SEQUENCES
+        or 0 in map(len, items)
+        or not set(map(type, chain.from_iterable(items))) <= _INT_ONLY
+    ):
+        return None
+    return [
+        _int_lists_format(tuple(map(len, value)), indent) if value else "[]"
+        for value in column
+    ]
+
+
+def _write_records(records: list, out: list[str], indent: str) -> bool:
+    """Append the JSON text of a non-empty list of plain dicts, whose own
+    line ends in ``indent``, one ``%`` per record; False, with nothing
+    appended, unless every record has the same ``str`` keys in the same
+    order and every field is one kind of value throughout (exact ints,
+    bools, strs, floats, or int lists as :func:`_int_lists_column` takes).
+
+    Keys are sorted and encoded once for the list and each field is checked
+    once, as a column.  A record's template is cached by its shape, the
+    formats of its int-list fields, so records of one shape share it.
+    """
+    orders = set(map(tuple, records))
+    if len(orders) != 1:
+        return False
+    (order,) = orders
+    if not order or set(map(type, order)) != _STR_ONLY:
+        return False
+    inner = indent + "  "
+    field_inner = inner + "  "
+    fields = sorted(zip(order, zip(*map(dict.values, records))))
+    parts: list[str | None] = []  # a scalar field's conversion; None for int lists
+    shape_columns = []
+    arg_columns = []
+    for _, column in fields:
+        kinds = set(map(type, column))
+        if kinds == _INT_ONLY:
+            parts.append("%d")
+            arg_columns.append(zip(column))
+        elif kinds == _BOOL_ONLY or kinds == _STR_ONLY or all(
+            issubclass(kind, float) for kind in kinds
+        ):
+            parts.append("%s")
+            arg_columns.append(zip(map(_json_scalar, column)))
+        else:
+            formats = _int_lists_column(column, field_inner)
+            if formats is None:
+                return False
+            parts.append(None)
+            shape_columns.append(formats)
+            arg_columns.append(map(chain.from_iterable, column))
+    heads = [
+        encode_basestring_ascii(key).replace("%", "%%") + ": " for key, _ in fields
+    ]
+    shapes = zip(*shape_columns) if shape_columns else repeat((), len(records))
+    args = map(tuple, map(chain.from_iterable, zip(*arg_columns)))
+    sep = "," + inner
+    field_sep = "," + field_inner
+    templates: dict[tuple[str, ...], str] = {}
+    start = len(out)
+    for shape, values in zip(shapes, args):
+        template = templates.get(shape)
+        if template is None:
+            formats = iter(shape)
+            template = templates[shape] = (
+                sep
+                + "{"
+                + field_inner
+                + field_sep.join(
+                    head + (next(formats) if part is None else part)
+                    for head, part in zip(heads, parts)
+                )
+                + inner
+                + "}"
+            )
+        out.append(template % values)
+    # Each record was written after a separator; the first opens the list.
+    out[start] = "[" + out[start][1:]
+    out.append(indent + "]")
+    return True
 
 
 def _write_json(value, out: list[str], indent: str) -> None:
@@ -221,11 +316,13 @@ def _write_json(value, out: list[str], indent: str) -> None:
     if kinds <= _SEQUENCES:
         # Non-empty lists of exact ints, such as a trace's message pairs:
         # one ``%`` over all their ints.  ``%d`` writes an exact int as its repr.
-        lengths = list(map(len, value))
+        lengths = tuple(map(len, value))
         flat = tuple(chain.from_iterable(value))
         if 0 not in lengths and set(map(type, flat)) == _INT_ONLY:
             out.append(_int_lists_format(lengths, indent) % flat)
             return
+    if kinds == _DICT_ONLY and _write_records(value, out, indent):
+        return
     lead = "[" + inner
     for item in value:
         if isinstance(item, _JSON_CONTAINERS):
@@ -235,6 +332,17 @@ def _write_json(value, out: list[str], indent: str) -> None:
             out.append(lead + _json_scalar(item))
         lead = sep
     out.append(indent + "]")
+
+
+def _json_pieces(payload) -> list[str]:
+    """The pieces of ``payload``'s JSON text, in order; see :func:`_json_text`."""
+    out: list[str] = []
+    if isinstance(payload, _JSON_CONTAINERS):
+        _write_json(payload, out, "\n")
+    else:
+        out.append(_json_scalar(payload))
+    out.append("\n")
+    return out
 
 
 def _json_text(payload) -> str:
@@ -247,18 +355,16 @@ def _json_text(payload) -> str:
     written in one pass without the copy: that encoder runs in pure Python
     whenever an indent is set.
     """
-    out: list[str] = []
-    if isinstance(payload, _JSON_CONTAINERS):
-        _write_json(payload, out, "\n")
-    else:
-        out.append(_json_scalar(payload))
-    out.append("\n")
-    return "".join(out)
+    return "".join(_json_pieces(payload))
 
 
 def _emit(payload: dict, rows: list[dict], args: argparse.Namespace) -> None:
+    """Write ``payload`` as JSON, or ``rows`` as CSV, to ``--out`` or stdout.
+
+    The JSON pieces are written as they are, without joining them first.
+    """
     if args.format == "json":
-        text = _json_text(payload)
+        pieces = _json_pieces(payload)
     else:
         buf = io.StringIO()
         if rows:
@@ -266,12 +372,12 @@ def _emit(payload: dict, rows: list[dict], args: argparse.Namespace) -> None:
             writer.writeheader()
             for row in rows:
                 writer.writerow({key: _csv_cell(value) for key, value in row.items()})
-        text = buf.getvalue()
+        pieces = [buf.getvalue()]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------

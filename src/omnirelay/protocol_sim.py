@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .binning import BinAssignment, build_binning, decode_from_side_info
+from .binning import BinAssignment, build_binning, decode_from_side_info, whole_sizes
 from .errors import PreconditionError
 from .mac_region import (
     HelperCarrier,
@@ -632,8 +632,11 @@ def interference_accounting(trace: SimulationTrace) -> tuple[InterferenceReport,
 
 
 def check_payload_sizes(sizes: Sequence[int], n: int) -> tuple[int, ...]:
-    """The per-node alphabet sizes of a payload replay over ``n`` nodes, checked."""
-    sizes = tuple(int(s) for s in sizes)
+    """The per-node alphabet sizes of a payload replay over ``n`` nodes, checked.
+
+    Each size must be a finite integer value of at least 1.
+    """
+    sizes = whole_sizes(sizes, PreconditionError)
     if len(sizes) != n:
         raise PreconditionError("need one alphabet size per node")
     for s in sizes:
@@ -663,6 +666,16 @@ def payload_demo(
     first did.  Each bundle is therefore prepared once, with its fresh
     message as the one target slot, and a node decodes it when it knows
     that message and has a value for every other slot.
+
+    A node's values change only through the bundles it decodes, in block
+    order, so the replay is bundle-major: each bundle is offered to every
+    node as soon as it is prepared.  Decoding is a pure function of the
+    bundle and the side values, so a bundle is decoded once for each
+    distinct tuple of side values among the nodes that decode it.  The
+    reports, mismatches included, are those of a node-by-node replay.  One
+    thing can differ: when two nodes would raise on two different bundles,
+    the error raised is that of the earlier bundle, not that of the lower
+    node.  The modular-sum map never raises on correct side information.
     """
     n = trace.topology.n
     sizes = check_payload_sizes(sizes, n)
@@ -675,9 +688,17 @@ def payload_demo(
         for j in range(n):
             truth[(j, beta)] = rng.randrange(sizes[j])
 
+    final: list[set[Message]] = [set() for _ in range(n)]
+    for row in trace.decodes:
+        for rec in row:
+            if rec.success:
+                final[rec.node].update(rec.targets)
+    values: list[dict[Message, int]] = [
+        {(i, beta): truth[i, beta] for beta in range(1, trace.blocks + 1)} for i in range(n)
+    ]
+    mismatches: list[list[Message]] = [[] for _ in range(n)]
     # Bundles share few distinct alphabet-size lists, so each gets one bin map.
     assignments: dict[tuple[int, ...], BinAssignment] = {}
-    prepared = []
     for row in trace.transmissions:
         for tx in row:
             slots = sorted(tx.bundle)
@@ -690,42 +711,37 @@ def payload_demo(
             target = slots.index(fresh)
             side_slots = tuple(idx for idx in range(len(slots)) if idx != target)
             side_msgs = tuple(slots[idx] for idx in side_slots)
-            prepared.append((tx.sender, fresh, target, side_slots, side_msgs, assignment, bin_index))
-
-    final: list[set[Message]] = [set() for _ in range(n)]
-    for row in trace.decodes:
-        for rec in row:
-            if rec.success:
-                final[rec.node].update(rec.targets)
+            # Nodes that hold the same side values share one decode.
+            decoded: dict[tuple[int, ...], int] = {}
+            for i in range(n):
+                # The whole bundle is known to the node when its fresh message
+                # is and every repeat already has a value, since values hold
+                # only the node's own messages and fresh messages it knows.
+                if i == tx.sender or fresh not in final[i]:
+                    continue
+                try:
+                    side = tuple(map(values[i].__getitem__, side_msgs))
+                except KeyError:  # a repeat is still unknown: the bundle recovers nothing
+                    continue
+                value = decoded.get(side)
+                if value is None:
+                    value = decoded[side] = decode_from_side_info(
+                        assignment, bin_index, dict(zip(side_slots, side)), target
+                    )
+                values[i][fresh] = value
+                if value != truth[fresh]:
+                    mismatches[i].append(fresh)
     reports = []
     for i in range(n):
         known_msgs = final[i]
-        values: dict[Message, int] = {
-            (i, beta): truth[i, beta] for beta in range(1, trace.blocks + 1)
-        }
-        mismatches = []
-        for sender, fresh, target, side_slots, side_msgs, assignment, bin_index in prepared:
-            # The whole bundle is known to the node when its fresh message is
-            # and every repeat already has a value, since values hold only
-            # the node's own messages and fresh messages it knows.
-            if sender == i or fresh not in known_msgs:
-                continue
-            try:
-                side = dict(zip(side_slots, map(values.__getitem__, side_msgs)))
-            except KeyError:  # a repeat is still unknown: the bundle recovers nothing
-                continue
-            value = decode_from_side_info(assignment, bin_index, side, target)
-            values[fresh] = value
-            if value != truth[fresh]:
-                mismatches.append(fresh)
-        recovered = len(known_msgs.intersection(values))
+        recovered = len(known_msgs.intersection(values[i]))
         reports.append(
             PayloadReport(
                 node=i,
                 recovered=recovered,
                 known=len(known_msgs),
                 complete=recovered == len(known_msgs),
-                mismatches=tuple(sorted(mismatches)),
+                mismatches=tuple(sorted(mismatches[i])),
             )
         )
     return tuple(reports)

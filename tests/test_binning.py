@@ -5,6 +5,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
 import pytest
 
 from omnirelay.binning import (
@@ -141,6 +142,19 @@ def test_construction_checks():
         build_binning([3, 0])
     with pytest.raises(ValueError):
         BinAssignment(sizes=(2, 2), bin_count=0)
+
+
+@pytest.mark.parametrize("size", [2.9, 0.5, True, "3", math.inf, -math.inf, math.nan, None])
+def test_sizes_must_be_integer_values(size):
+    with pytest.raises(ValueError, match="alphabet size .* is not an integer") as info:
+        build_binning([size, 3])
+    assert info.type is ValueError
+
+
+def test_integer_valued_sizes_are_taken_as_ints():
+    a = build_binning([np.int64(2), 3.0, np.float64(4.0), np.int8(1)])
+    assert a.sizes == (2, 3, 4, 1)
+    assert all(type(s) is int for s in a.sizes)
 
 
 def test_verification_cap():

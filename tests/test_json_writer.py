@@ -122,11 +122,41 @@ def test_a_trace_writes_its_message_lists_in_one_format_each(format_calls):
     assert {2} == {n for lengths in format_calls for n in lengths}
 
 
+@pytest.fixture
+def record_lists(monkeypatch):
+    """Each list offered to the record path, with whether it took it."""
+    calls = []
+    write_records = cli._write_records
+
+    def spy(records, out, indent):
+        taken = write_records(records, out, indent)
+        calls.append((records, taken))
+        return taken
+
+    monkeypatch.setattr(cli, "_write_records", spy)
+    return calls
+
+
+def test_a_trace_writes_its_record_lists_one_record_each(record_lists):
+    topology = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
+    rate = 0.999 * allcast_rate_bound(topology)
+    trace = run_distance_regulated(topology, _default_one_hop(topology, None), rate, 40)
+    payload = {"trace": trace.to_dict()}
+    assert_same_text(payload)
+    assert [(id(records), taken) for records, taken in record_lists] == [
+        (id(payload["trace"]["decodes"]), True),
+        (id(payload["trace"]["transmissions"]), True),
+    ]
+
+
 @pytest.mark.parametrize(
     "payload",
     [{1: "int key"}, {"a": {None: 1}}, {"a": {1.5: 1}}, {"a": {(1, 2): 1}}, {"a": {1, 2}},
-     [np.float32(1.5)], {"a": object()}],
-    ids=["int-key", "none-key", "float-key", "tuple-key", "set", "float32", "object"],
+     [np.float32(1.5)], {"a": object()},
+     [{"a": 1, 2: "b"}, {"a": 3, 2: "d"}], [{2: "b"}, {2: "d"}],
+     [{"a": np.float32(1.5)}, {"a": np.float32(2.5)}]],
+    ids=["int-key", "none-key", "float-key", "tuple-key", "set", "float32", "object",
+         "record-int-key", "record-only-int-key", "record-float32"],
 )
 def test_writer_rejects_what_it_cannot_write(payload):
     with pytest.raises(TypeError):
@@ -165,3 +195,51 @@ def test_writer_matches_the_reference_on_random_payloads():
         assert_same_text(payload)
 
     check()
+
+
+def test_writer_matches_the_reference_on_record_lists(record_lists):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    keys = st.text(max_size=4) | st.sampled_from(["%", "%d", "%s", '"', "é", "node", "block"])
+    floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+    pairs = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=3)
+    odd_pairs = (
+        st.just([])
+        | st.lists(st.integers(0, 3) | st.booleans(), min_size=1, max_size=2)
+        | st.integers(0, 3)
+    )
+    columns = {
+        "int": st.integers(-(2**70), 2**70),
+        "bool": st.booleans(),
+        "none": st.none(),
+        "str": st.text(max_size=4) | st.sampled_from(["%", "%s%%", "\n"]),
+        "float": floats | floats.map(np.float64),
+        "int lists": st.lists(pairs | pairs.map(tuple), max_size=3),
+        "odd int lists": st.lists(pairs | odd_pairs, max_size=3),
+        "int list tuples": st.lists(pairs, max_size=3).map(tuple),
+        "dict": st.dictionaries(keys, st.integers(0, 9) | pairs, max_size=2),
+        "tuple": st.tuples(st.integers(0, 9), floats),
+    }
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        names = data.draw(st.lists(keys, max_size=5, unique=True))
+        kinds = [data.draw(st.sampled_from(sorted(columns))) for _ in names]
+        shuffled = data.draw(st.booleans())
+        mixed = data.draw(st.booleans())
+        records = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            order = data.draw(st.permutations(names)) if shuffled else names
+            record = {}
+            for name in order:
+                values = columns[kinds[names.index(name)]]
+                record[name] = data.draw(values | columns["int"] if mixed else values)
+            records.append(record)
+        where = data.draw(st.sampled_from(["list", "field", "item"]))
+        assert_same_text({"list": records, "field": {"r": records}, "item": [records, 1]}[where])
+
+    check()
+    # Both paths were exercised: record lists taken and lists passed back.
+    assert {taken for _, taken in record_lists} == {True, False}

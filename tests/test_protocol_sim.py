@@ -1,10 +1,12 @@
 """Block-by-block protocol runs: traces, decode records and payload replay."""
 
 import json
+import math
 import random
 from dataclasses import replace
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from omnirelay import protocol_sim
@@ -12,6 +14,7 @@ from omnirelay.binning import build_binning, decode_from_side_info
 from omnirelay.errors import PreconditionError
 from omnirelay.protocol_sim import (
     PayloadReport,
+    check_payload_sizes,
     interference_accounting,
     payload_demo,
     run_distance_regulated,
@@ -382,6 +385,46 @@ def test_payload_demo_empty_and_invalid():
         payload_demo(live, (2, 2))
     with pytest.raises(PreconditionError):
         payload_demo(live, (2, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2.7, 2, 2), (True, 2, 2), ("3", 2, 2), (2, math.inf, 2), (2, 2, math.nan)]
+)
+def test_payload_sizes_must_be_integer_values(sizes):
+    with pytest.raises(PreconditionError, match="alphabet size .* is not an integer"):
+        check_payload_sizes(sizes, 3)
+
+
+def test_integer_valued_payload_sizes_are_taken_as_ints():
+    sizes = check_payload_sizes((np.int64(2), 3.0, np.float64(4.0)), 3)
+    assert sizes == (2, 3, 4)
+    assert all(type(s) is int for s in sizes)
+
+
+def test_a_replay_decodes_each_bundle_once_for_all_nodes(monkeypatch):
+    topology = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
+    one_hop = [frozenset({(i - 1) % 6, (i + 1) % 6}) for i in range(6)]
+    trace = run_distance_regulated(topology, one_hop, 0.999 * allcast_rate_bound(topology), 40)
+    assert trace.all_success()
+    calls = []
+
+    def spy(assignment, bin_index, known, target):
+        calls.append((assignment, bin_index, target))
+        return decode_from_side_info(assignment, bin_index, known, target)
+
+    monkeypatch.setattr(protocol_sim, "decode_from_side_info", spy)
+    reports = payload_demo(trace, (4,) * 6, seed=2)
+    assert all(r.complete and not r.mismatches for r in reports)
+    known = [set() for _ in range(6)]
+    for rec in (rec for row in trace.decodes for rec in row if rec.success):
+        known[rec.node].update(rec.targets)
+    decoded = [
+        tx for row in trace.transmissions for tx in row
+        if any((tx.sender, tx.block) in known[i] for i in range(6) if i != tx.sender)
+    ]
+    # Every node holds the true values, so the nodes that decode a bundle
+    # share one call; a node-by-node replay makes one call per recovery.
+    assert len(calls) == len(decoded) < sum(r.recovered for r in reports)
 
 
 def reference_replay(trace, sizes, seed, decode=decode_from_side_info):
