@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import math
@@ -158,24 +157,6 @@ _STR_ONLY = frozenset({str})
 _DICT_ONLY = frozenset({dict})
 
 
-@functools.cache
-def _int_list_template(indent: str, length: int) -> str:
-    """The ``%`` template of a list of ``length`` ints whose own line ends in
-    ``indent``; few (indent, length) pairs occur, so the cache stays small."""
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(["%d"] * length) + indent + "]"
-
-
-@functools.lru_cache(maxsize=256)
-def _int_lists_format(lengths: tuple[int, ...], indent: str) -> str:
-    """The ``%`` format of a list of int lists of these lengths, none empty,
-    whose own line ends in ``indent``.  A trace's message lists come in few
-    shapes, so each record of a record list finds its formats cached."""
-    inner = indent + "  "
-    templates = {length: _int_list_template(inner, length) for length in set(lengths)}
-    return "[" + inner + ("," + inner).join(map(templates.__getitem__, lengths)) + indent + "]"
-
-
 def _json_scalar(value) -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -197,98 +178,78 @@ def _json_scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _int_lists_column(column: tuple, indent: str) -> list[str] | None:
-    """The ``%`` format of each value of a record field whose line ends in
-    ``indent``, or None unless every value is an empty list or a list of
-    non-empty lists of exact ints."""
-    if not set(map(type, column)) <= _SEQUENCES:
-        return None
-    items = list(chain.from_iterable(column))
-    if (
-        not set(map(type, items)) <= _SEQUENCES
-        or 0 in map(len, items)
-        or not set(map(type, chain.from_iterable(items))) <= _INT_ONLY
-    ):
-        return None
-    return [
-        _int_lists_format(tuple(map(len, value)), indent) if value else "[]"
-        for value in column
-    ]
+def _list_template(templates: list[str], indent: str) -> str:
+    """The template of a list of items with these templates whose own line ends in ``indent``."""
+    if not templates:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(templates) + indent + "]"
 
 
-def _write_records(records: list, out: list[str], indent: str) -> bool:
-    """Append the JSON text of a non-empty list of plain dicts, whose own
-    line ends in ``indent``, one ``%`` per record; False, with nothing
-    appended, unless every record has the same ``str`` keys in the same
-    order and every field is one kind of value throughout (exact ints,
-    bools, strs, floats, or int lists as :func:`_int_lists_column` takes).
+def _column(values: Sequence, indent: str):
+    """``values`` as a column of items whose own lines end in ``indent``.
 
-    Keys are sorted and encoded once for the list and each field is checked
-    once, as a column.  A record's template is cached by its shape, the
-    formats of its int-list fields, so records of one shape share it.
+    Returns ``(shapes, args, template)``: each item's shape and ``%``
+    arguments, in order, and a function giving the ``%`` template of a
+    shape; or None unless every item is one kind of value.  The kinds are
+    exact ints; bools; strs; floats; lists (or tuples) of exact ints; lists
+    of such lists; and plain dicts with the same ``str`` keys in the same
+    order whose fields are each a column.  ``%d`` writes an exact int as
+    its repr, and ``%s`` takes every other scalar as :func:`_json_scalar`
+    encodes it.  An item's arguments are an iterable, to be made a tuple.
     """
-    orders = set(map(tuple, records))
+    kinds = set(map(type, values))
+    if kinds == _INT_ONLY:
+        return repeat(None, len(values)), zip(values), lambda shape: "%d"
+    if kinds == _BOOL_ONLY or kinds == _STR_ONLY or all(issubclass(kind, float) for kind in kinds):
+        return repeat(None, len(values)), zip(map(_json_scalar, values)), lambda shape: "%s"
+    inner = indent + "  "
+    if kinds <= _SEQUENCES:
+        items = list(chain.from_iterable(values))
+        item_kinds = set(map(type, items))
+        if item_kinds <= _INT_ONLY:
+            return map(len, values), values, lambda length: _list_template(["%d"] * length, indent)
+        if item_kinds <= _SEQUENCES and set(map(type, chain.from_iterable(items))) <= _INT_ONLY:
+            return (
+                map(tuple, map(map, repeat(len), values)),
+                map(chain.from_iterable, values),
+                lambda lengths: _list_template(
+                    [_list_template(["%d"] * length, inner) for length in lengths], indent
+                ),
+            )
+        return None
+    if kinds != _DICT_ONLY:
+        return None
+    orders = set(map(tuple, values))
     if len(orders) != 1:
-        return False
+        return None
     (order,) = orders
     if not order or set(map(type, order)) != _STR_ONLY:
-        return False
-    inner = indent + "  "
-    field_inner = inner + "  "
-    fields = sorted(zip(order, zip(*map(dict.values, records))))
-    parts: list[str | None] = []  # a scalar field's conversion; None for int lists
-    shape_columns = []
-    arg_columns = []
-    for _, column in fields:
-        kinds = set(map(type, column))
-        if kinds == _INT_ONLY:
-            parts.append("%d")
-            arg_columns.append(zip(column))
-        elif kinds == _BOOL_ONLY or kinds == _STR_ONLY or all(
-            issubclass(kind, float) for kind in kinds
-        ):
-            parts.append("%s")
-            arg_columns.append(zip(map(_json_scalar, column)))
-        else:
-            formats = _int_lists_column(column, field_inner)
-            if formats is None:
-                return False
-            parts.append(None)
-            shape_columns.append(formats)
-            arg_columns.append(map(chain.from_iterable, column))
-    heads = [
-        encode_basestring_ascii(key).replace("%", "%%") + ": " for key, _ in fields
-    ]
-    shapes = zip(*shape_columns) if shape_columns else repeat((), len(records))
-    args = map(tuple, map(chain.from_iterable, zip(*arg_columns)))
+        return None
+    heads = []
+    fields = []
+    for key, field in sorted(zip(order, zip(*map(dict.values, values)))):
+        column = _column(field, inner)
+        if column is None:
+            return None
+        heads.append(encode_basestring_ascii(key).replace("%", "%%") + ": ")  # a key's % is text
+        fields.append(column)
+    shapes, args, templates = zip(*fields)
     sep = "," + inner
-    field_sep = "," + field_inner
-    templates: dict[tuple[str, ...], str] = {}
-    start = len(out)
-    for shape, values in zip(shapes, args):
-        template = templates.get(shape)
-        if template is None:
-            formats = iter(shape)
-            template = templates[shape] = (
-                sep
-                + "{"
-                + field_inner
-                + field_sep.join(
-                    head + (next(formats) if part is None else part)
-                    for head, part in zip(heads, parts)
-                )
-                + inner
-                + "}"
-            )
-        out.append(template % values)
-    # Each record was written after a separator; the first opens the list.
-    out[start] = "[" + out[start][1:]
-    out.append(indent + "]")
-    return True
+
+    def template(shape) -> str:
+        parts = [head + make(part) for head, make, part in zip(heads, templates, shape)]
+        return "{" + inner + sep.join(parts) + indent + "}"
+
+    return zip(*shapes), map(chain.from_iterable, zip(*args)), template
 
 
 def _write_json(value, out: list[str], indent: str) -> None:
-    """Append the JSON text of container ``value``, whose own line ends in ``indent``."""
+    """Append the JSON text of container ``value``, whose own line ends in ``indent``.
+
+    A list that :func:`_column` takes is written one ``%`` per item, from a
+    template made once per item shape; any other list item by item.
+    """
     inner = indent + "  "
     sep = "," + inner
     if isinstance(value, dict):
@@ -309,19 +270,19 @@ def _write_json(value, out: list[str], indent: str) -> None:
     if not value:
         out.append("[]")
         return
-    kinds = set(map(type, value))
-    if kinds == _INT_ONLY:
-        out.append("[" + inner + sep.join(map(int.__repr__, value)) + indent + "]")
-        return
-    if kinds <= _SEQUENCES:
-        # Non-empty lists of exact ints, such as a trace's message pairs:
-        # one ``%`` over all their ints.  ``%d`` writes an exact int as its repr.
-        lengths = tuple(map(len, value))
-        flat = tuple(chain.from_iterable(value))
-        if 0 not in lengths and set(map(type, flat)) == _INT_ONLY:
-            out.append(_int_lists_format(lengths, indent) % flat)
-            return
-    if kinds == _DICT_ONLY and _write_records(value, out, indent):
+    column = _column(value, inner)
+    if column is not None:
+        shapes, args, template = column
+        templates: dict = {}
+        start = len(out)
+        for shape, item in zip(shapes, args):
+            form = templates.get(shape)
+            if form is None:
+                form = templates[shape] = sep + template(shape)
+            out.append(form % tuple(item))
+        # Each item was written after a separator; the first opens the list.
+        out[start] = "[" + out[start][1:]
+        out.append(indent + "]")
         return
     lead = "[" + inner
     for item in value:

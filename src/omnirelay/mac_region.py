@@ -39,10 +39,15 @@ def _as_floats(values: Iterable[float], label: str) -> tuple[float, ...]:
 
 
 def _subset_sums(values: Sequence[float]) -> np.ndarray:
-    """sums[mask] = sum of values over the bits of mask."""
+    """sums[mask] = sum of values over the bits of mask.
+
+    A sum past the float maximum is inf, which every margin then treats as
+    a rate no round can carry, so the overflow is not warned about.
+    """
     sums = np.zeros(1)
-    for v in values:
-        sums = np.concatenate([sums, sums + v])
+    with np.errstate(over="ignore"):
+        for v in values:
+            sums = np.concatenate([sums, sums + v])
     return sums
 
 

@@ -124,9 +124,12 @@ class Topology:
             raise ValueError("noise power must be finite and positive")
         if any(len(row) != n for row in self.distances):
             raise ValueError("distance matrix must be square")
-        _check_distances(np.array(self.distances, dtype=float))
+        matrix = np.array(self.distances, dtype=float)
+        _check_distances(matrix)
         if self.positions is not None and len(self.positions) != n:
             raise ValueError("positions must cover every node")
+        matrix.flags.writeable = False
+        self._derived["distance_matrix"] = matrix
 
     @property
     def n(self) -> int:
@@ -136,12 +139,14 @@ class Topology:
         return self.distances[i][j]
 
     def distance_matrix(self) -> np.ndarray:
-        return np.asarray(self.distances, dtype=float)
+        """The distances as a read-only float array, converted once per object."""
+        return self._derived["distance_matrix"]
 
     @cached_property
     def _derived(self) -> dict:
         # Values computed from this object alone and kept after their first
-        # use: its power matrix (build_power_matrix), its distance ordering
+        # use: its distance matrix (checked in __post_init__), its power
+        # matrix (build_power_matrix), its distance ordering
         # (distance_ordering_check) and its line table (rate_analysis).
         # Equal but distinct topologies keep their own.
         return {}

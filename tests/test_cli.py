@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism and error codes."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -17,6 +18,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_out_of_process(*argv):
+    """Run the CLI in a child process: pytest would capture a numpy
+    RuntimeWarning instead of letting it reach stderr."""
+    src = pathlib.Path(omnirelay.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "omnirelay.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
 
 
 def run_json(capsys, *argv):
@@ -387,21 +399,32 @@ def test_first_bad_input_is_the_one_reported(capsys, argv, message):
          "ring-distance-overflow"],
 )
 def test_non_finite_spacing_is_one_error_line(argv, code):
-    # Run out of process: pytest would capture a numpy RuntimeWarning
-    # instead of letting it reach stderr.
-    src = pathlib.Path(omnirelay.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
     command, *flags = argv
     if "--preset" not in flags:
         flags = ["--preset", "regular-line", *flags]
-    done = subprocess.run(
-        [sys.executable, "-m", "omnirelay.cli", command, *flags],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    done = run_out_of_process(command, *flags)
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith(code + ":")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("simulate --preset regular-line --n 5 --power 10 --rate 5e307",
+         "aa328496f1da2900593e3434fb1f91b6013563a93dfa2c18104f8bd4c637d51e"),
+        ("sweep --preset regular-line --sweep-n 3,4 --power 10 --rate 1e308",
+         "5b71141ad80092faaeb0c0fbaa5fe68de3484b44904cd4b031850d8e555f3f1b"),
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_a_rate_near_the_float_maximum_runs_without_a_warning(argv, digest):
+    # A region's rate sums overflow to inf, the margin that rejects such a
+    # rate.  The digest is the SHA-256 of stdout.
+    done = run_out_of_process(*argv.split())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("rate", ["foo", "nan", "inf", "-1"])

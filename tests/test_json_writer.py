@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from omnirelay import cli
-from omnirelay.cli import _default_one_hop, _json_text
+from omnirelay.cli import _default_one_hop, _json_pieces, _json_text
 from omnirelay.protocol_sim import run_distance_regulated
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import power_law, ring
@@ -75,78 +75,83 @@ INT_LISTS = {
 
 
 def int_lists(value):
-    """How many containers in ``value`` are non-empty lists of non-empty
-    lists or tuples of exact ints."""
+    """The lists or tuples in ``value``, at any depth, that are non-empty and
+    hold only lists or tuples of exact ints, empty ones included."""
     if isinstance(value, dict):
-        return sum(map(int_lists, value.values()))
+        return [found for item in value.values() for found in int_lists(item)]
     if not isinstance(value, (list, tuple)):
-        return 0
+        return []
     hit = bool(value) and all(
-        type(item) in (list, tuple) and item and all(type(x) is int for x in item)
-        for item in value
+        type(item) in (list, tuple) and all(type(x) is int for x in item) for item in value
     )
-    return hit + sum(map(int_lists, value))
+    return [value] * hit + [found for item in value for found in int_lists(item)]
 
 
 @pytest.fixture
-def format_calls(monkeypatch):
-    """The lists written through the one-``%`` branch, by item lengths."""
+def columns(monkeypatch):
+    """Each column offered to ``_column``, with whether it was taken: a list
+    the writer writes and, inside a record list, each field's values."""
     calls = []
-    make_format = cli._int_lists_format
+    column = cli._column
 
-    def spy(lengths, indent):
-        calls.append(list(lengths))
-        return make_format(lengths, indent)
+    def spy(values, indent):
+        found = column(values, indent)
+        calls.append((values, found is not None))
+        return found
 
-    monkeypatch.setattr(cli, "_int_lists_format", spy)
+    monkeypatch.setattr(cli, "_column", spy)
     return calls
 
 
+def offered_alone(columns, lists):
+    """The items of ``lists`` that were offered to ``_column`` on their own."""
+    offered = {id(values) for values, _ in columns}
+    return [item for items in lists for item in items if id(item) in offered]
+
+
 @pytest.mark.parametrize("payload", INT_LISTS.values(), ids=INT_LISTS.keys())
-def test_writer_matches_the_reference_on_int_lists(payload, format_calls):
+def test_writer_matches_the_reference_on_int_lists(payload, columns):
     assert_same_text(payload)
-    # Only lists of plain-int lists take the one-``%`` branch: none with a
-    # bool or an empty item.
-    assert len(format_calls) == int_lists(payload)
+    lists = int_lists(payload)
+    # Each list of int lists is written whole, one ``%`` per int list, so
+    # none of its items is offered on its own.  A bool in an int list sends
+    # the lists that hold it item by item.
+    assert offered_alone(columns, lists) == []
+    assert bool(lists) != (payload is INT_LISTS["True in a pair"])
+    assert any(not taken for _, taken in columns) == (payload is INT_LISTS["True in a pair"])
 
 
-def test_a_trace_writes_its_message_lists_in_one_format_each(format_calls):
+def ring_trace_payload():
     # The ring-long shape: ring-6 just under the bound, shorter.
     topology = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
     rate = 0.999 * allcast_rate_bound(topology)
     trace = run_distance_regulated(topology, _default_one_hop(topology, None), rate, 40)
-    payload = {"trace": trace.to_dict()}
+    return {"trace": trace.to_dict()}
+
+
+def test_a_trace_writes_its_message_lists_in_one_format_each(columns):
+    payload = ring_trace_payload()
     assert_same_text(payload)
-    # targets, decoded and bundle lists, non-empty on a successful run
-    assert len(format_calls) == int_lists(payload) >= 2 * 6 * 40
-    assert {2} == {n for lengths in format_calls for n in lengths}
+    lists = int_lists(payload)
+    # targets, decoded and bundle lists, non-empty on a successful run, all
+    # of message pairs: each goes whole into its record's template, so
+    # neither a list nor one of its pairs is offered on its own.
+    assert len(lists) >= 2 * 6 * 40
+    assert {len(pair) for items in lists for pair in items} == {2}
+    assert offered_alone(columns, [lists, *lists]) == []
+    assert all(taken for _, taken in columns)
 
 
-@pytest.fixture
-def record_lists(monkeypatch):
-    """Each list offered to the record path, with whether it took it."""
-    calls = []
-    write_records = cli._write_records
-
-    def spy(records, out, indent):
-        taken = write_records(records, out, indent)
-        calls.append((records, taken))
-        return taken
-
-    monkeypatch.setattr(cli, "_write_records", spy)
-    return calls
-
-
-def test_a_trace_writes_its_record_lists_one_record_each(record_lists):
-    topology = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
-    rate = 0.999 * allcast_rate_bound(topology)
-    trace = run_distance_regulated(topology, _default_one_hop(topology, None), rate, 40)
-    payload = {"trace": trace.to_dict()}
-    assert_same_text(payload)
-    assert [(id(records), taken) for records, taken in record_lists] == [
-        (id(payload["trace"]["decodes"]), True),
-        (id(payload["trace"]["transmissions"]), True),
+def test_a_trace_writes_its_record_lists_one_record_each():
+    payload = ring_trace_payload()
+    trace = payload["trace"]
+    # Each record is one piece of the text: the piece after its separator
+    # parses to the record.
+    records = [
+        json.loads(piece[1:]) for piece in _json_pieces(payload) if piece[1:].lstrip()[:1] == "{"
     ]
+    assert records == json.loads(json.dumps(trace["decodes"] + trace["transmissions"]))
+    assert len(records) == len(trace["decodes"]) + len(trace["transmissions"]) > 0
 
 
 @pytest.mark.parametrize(
@@ -197,7 +202,7 @@ def test_writer_matches_the_reference_on_random_payloads():
     check()
 
 
-def test_writer_matches_the_reference_on_record_lists(record_lists):
+def test_writer_matches_the_reference_on_record_lists(columns):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -205,17 +210,21 @@ def test_writer_matches_the_reference_on_record_lists(record_lists):
     floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
     pairs = st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=3)
     odd_pairs = (
-        st.just([])
-        | st.lists(st.integers(0, 3) | st.booleans(), min_size=1, max_size=2)
-        | st.integers(0, 3)
+        st.lists(st.integers(0, 3) | st.booleans(), min_size=1, max_size=2) | st.integers(0, 3)
     )
-    columns = {
+    # Same-keyed dicts, a nested one among their fields: a column of columns.
+    nested = st.fixed_dictionaries({"b": st.booleans(), "%s": st.lists(pairs, max_size=2)})
+    same_keyed = st.fixed_dictionaries({"a": st.integers(0, 9), "n": nested, "f": floats})
+    fields = {
         "int": st.integers(-(2**70), 2**70),
         "bool": st.booleans(),
         "none": st.none(),
         "str": st.text(max_size=4) | st.sampled_from(["%", "%s%%", "\n"]),
         "float": floats | floats.map(np.float64),
         "int lists": st.lists(pairs | pairs.map(tuple), max_size=3),
+        "int lists with an empty one": st.lists(pairs | st.just([]), min_size=1, max_size=3),
+        "flat int list": st.lists(st.integers(-(2**70), 2**70), max_size=4),
+        "same-keyed dict": same_keyed,
         "odd int lists": st.lists(pairs | odd_pairs, max_size=3),
         "int list tuples": st.lists(pairs, max_size=3).map(tuple),
         "dict": st.dictionaries(keys, st.integers(0, 9) | pairs, max_size=2),
@@ -226,7 +235,7 @@ def test_writer_matches_the_reference_on_record_lists(record_lists):
     @hypothesis.given(st.data())
     def check(data):
         names = data.draw(st.lists(keys, max_size=5, unique=True))
-        kinds = [data.draw(st.sampled_from(sorted(columns))) for _ in names]
+        kinds = [data.draw(st.sampled_from(sorted(fields))) for _ in names]
         shuffled = data.draw(st.booleans())
         mixed = data.draw(st.booleans())
         records = []
@@ -234,12 +243,14 @@ def test_writer_matches_the_reference_on_record_lists(record_lists):
             order = data.draw(st.permutations(names)) if shuffled else names
             record = {}
             for name in order:
-                values = columns[kinds[names.index(name)]]
-                record[name] = data.draw(values | columns["int"] if mixed else values)
+                values = fields[kinds[names.index(name)]]
+                record[name] = data.draw(values | fields["int"] if mixed else values)
             records.append(record)
         where = data.draw(st.sampled_from(["list", "field", "item"]))
         assert_same_text({"list": records, "field": {"r": records}, "item": [records, 1]}[where])
 
     check()
-    # Both paths were exercised: record lists taken and lists passed back.
-    assert {taken for _, taken in record_lists} == {True, False}
+    # Both paths were exercised: record lists taken and record lists
+    # written item by item.
+    dict_lists = [taken for values, taken in columns if {type(v) for v in values} == {dict}]
+    assert set(dict_lists) == {True, False}

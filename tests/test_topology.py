@@ -90,6 +90,16 @@ def test_ring_chord_lengths():
     assert t.distance(0, 2) == pytest.approx(2.0 * r)
 
 
+def test_distance_matrix_is_converted_once_and_read_only():
+    t = ring(5, 1.0, constant(), 1.0, 1.0)
+    first = t.distance_matrix()
+    assert t.distance_matrix() is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 1] = 2.0
+    assert first.tolist() == [list(row) for row in t.distances]
+
+
 def test_arc_approaches_a_line_for_large_radius():
     t = arc(3, 1.0, 1000.0, constant(), 1.0, 1.0)
     assert t.distance(0, 2) == pytest.approx(2.0, abs=1e-5)
