@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import math
+import os
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -319,10 +320,12 @@ def _json_text(payload) -> str:
     return "".join(_json_pieces(payload))
 
 
-def _emit(payload: dict, rows: list[dict], args: argparse.Namespace) -> None:
+def _emit(payload: dict, rows: list[dict], args: argparse.Namespace) -> int:
     """Write ``payload`` as JSON, or ``rows`` as CSV, to ``--out`` or stdout.
 
     The JSON pieces are written as they are, without joining them first.
+    Returns the exit status: 0, or 1 when the reader of stdout closed it
+    early (``| head``), which ends the run without a message.
     """
     if args.format == "json":
         pieces = _json_pieces(payload)
@@ -337,8 +340,32 @@ def _emit(payload: dict, rows: list[dict], args: argparse.Namespace) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
-    else:
+        return 0
+    try:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if not _stdout_to_devnull():
+            raise
+        return 1
+    return 0
+
+
+def _stdout_to_devnull() -> bool:
+    """Point stdout's descriptor at devnull; False when it has no descriptor.
+
+    After a broken pipe the unwritten text stays buffered, and the flush at
+    shutdown would fail again and print "Exception ignored" on stderr.  This
+    is the remedy in the SIGPIPE note of the ``signal`` module's docs.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return False
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +415,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             rows.append({"key": "regular_line_verified", "value": check.verified})
         except PreconditionError:
             payload["regular_line_verified"] = None
-    _emit(payload, rows, args)
-    return 0
+    return _emit(payload, rows, args)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -427,8 +453,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for row in trace.decodes
             for rec in row
         ]
-        _emit({}, rows, args)
-        return 0
+        return _emit({}, rows, args)
     payload: dict = {
         "format_version": FORMAT_VERSION,
         "command": "simulate",
@@ -450,8 +475,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             }
             for r in reports
         ]
-    _emit(payload, [], args)
-    return 0
+    return _emit(payload, [], args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -496,8 +520,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "blocks": args.blocks,
         "results": results,
     }
-    _emit(payload, results, args)
-    return 0
+    return _emit(payload, results, args)
 
 
 def _cmd_bin_demo(args: argparse.Namespace) -> int:
@@ -522,8 +545,7 @@ def _cmd_bin_demo(args: argparse.Namespace) -> int:
         "single_slot_decodable": verify_binning_property(assignment),
         "recoveries": recoveries,
     }
-    _emit(payload, recoveries, args)
-    return 0
+    return _emit(payload, recoveries, args)
 
 
 # ---------------------------------------------------------------------------

@@ -160,32 +160,37 @@ class MultiBlockResult:
 
 
 class _MultiBlockEvaluator:
-    """Constraint evaluation with a mutable removed/deadened state for peeling."""
+    """Constraint evaluation with a mutable removed state for peeling.
+
+    Each transmission the receiver can use is one send, a ``(power,
+    trigger)`` pair whose power counts for every subset that meets its
+    trigger: a usable member's send triggers on the member and the members
+    it repeats, a carrier's on the members it repeats.  ``sends[k]`` lists
+    round k's live sends, the members' in member order, then the carriers'.
+    """
 
     def __init__(self, instance: MultiBlockInstance):
         self.inst = instance
         self.rounds = instance.round_ids()
-        self.members_in: dict[int, list[int]] = {k: [] for k in self.rounds}
+        self.sends: dict[int, list[tuple[float, frozenset[int]]]] = {k: [] for k in self.rounds}
+        member_power = {k: 0.0 for k in self.rounds}
         for j, b in enumerate(instance.blocks):
-            self.members_in[b].append(j)
-        self.carriers_in: dict[int, list[int]] = {k: [] for k in self.rounds}
-        for c_idx, c in enumerate(instance.carriers):
-            self.carriers_in[c.block].append(c_idx)
+            member_power[b] += instance.powers[j]
+            if instance.usable[j]:
+                self.sends[b].append((instance.powers[j], instance.helps[j] | {j}))
+        for c in instance.carriers:
+            self.sends[c.block].append((c.power, c.helps))
         block_noise = dict(instance.block_interference)
         # Earlier-round senders keep transmitting; their power loads every
         # later round regardless of decoding outcomes.
         self.base_noise: dict[int, float] = {}
         cross = 0.0
-        per_round_member_power = {
-            k: sum(instance.powers[j] for j in self.members_in[k]) for k in self.rounds
-        }
         for k in self.rounds:
             self.base_noise[k] = (
                 instance.noise + instance.interference + block_noise.get(k, 0.0) + cross
             )
-            cross += per_round_member_power[k]
+            cross += member_power[k]
         self.removed: set[int] = set()
-        self.deadened: set[int] = set()
         self.extra_noise: dict[int, float] = {k: 0.0 for k in self.rounds}
 
     def survivors(self) -> list[int]:
@@ -193,20 +198,12 @@ class _MultiBlockEvaluator:
 
     def rhs(self, subset: frozenset[int]) -> float:
         """Capacity sum available to ``subset`` under the current state."""
-        inst = self.inst
         total = 0.0
         for k in self.rounds:
             q = 0.0
-            for j in self.members_in[k]:
-                if j in self.removed or not inst.usable[j]:
-                    continue
-                if j in subset or inst.helps[j] & subset:
-                    q += inst.powers[j]
-            for c_idx in self.carriers_in[k]:
-                if c_idx in self.deadened:
-                    continue
-                if inst.carriers[c_idx].helps & subset:
-                    q += inst.carriers[c_idx].power
+            for p, trigger in self.sends[k]:
+                if not trigger.isdisjoint(subset):
+                    q += p
             if q > 0.0:
                 total += math.log2(1.0 + q / (self.base_noise[k] + self.extra_noise[k]))
         return total
@@ -218,8 +215,8 @@ class _MultiBlockEvaluator:
         """``margin`` of every subset of ``members`` at once.
 
         Entry ``mask`` is the subset holding ``members[b]`` for each set bit
-        b.  A transmission adds its power to the masks that meet its trigger:
-        its own member bit plus the bits of the members it repeats.  A round
+        b.  A send adds its power to the masks that meet its trigger, whose
+        bits are the trigger's members among ``members``.  A round
         with sends ``0..s-1`` gives each mask a pattern code whose bit i is
         set when send i fires, and builds the ``2**s`` pattern powers by
         doubling in send order, so each entry is the left-to-right sum that
@@ -232,28 +229,11 @@ class _MultiBlockEvaluator:
         then most patterns repeat a sum, and the sort takes far fewer
         logarithms than the table.
         """
-        inst = self.inst
         bit = {j: 1 << b for b, j in enumerate(members)}
-
-        def trigger(targets: Iterable[int]) -> int:
-            out = 0
-            for h in targets:
-                out |= bit.get(h, 0)
-            return out
-
         masks = np.arange(1 << len(members), dtype=np.int64)
         total = np.zeros(len(masks))
         for k in self.rounds:
-            sends = [
-                (inst.powers[j], bit.get(j, 0) | trigger(inst.helps[j]))
-                for j in self.members_in[k]
-                if j not in self.removed and inst.usable[j]
-            ]
-            sends.extend(
-                (inst.carriers[c_idx].power, trigger(inst.carriers[c_idx].helps))
-                for c_idx in self.carriers_in[k]
-                if c_idx not in self.deadened
-            )
+            sends = [(p, sum(bit.get(h, 0) for h in trigger)) for p, trigger in self.sends[k]]
             if not sends:
                 continue
             patterns = 1 << len(sends)
@@ -274,32 +254,30 @@ class _MultiBlockEvaluator:
             d = self.base_noise[k] + self.extra_noise[k]
             logs = [math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in table]
             total += np.array(logs)[code]
-        return _subset_sums([inst.rates[j] for j in members]) - total
+        return _subset_sums([self.inst.rates[j] for j in members]) - total
 
     def remove_closure(self, subset: Iterable[int]) -> None:
         """Drop a violating subset plus everything its loss contaminates.
 
         A surviving member whose bundle repeats a removed message can no
         longer be reconstructed, so it is removed too (ascending rounds make
-        one sweep per fixpoint round enough); carriers helping removed
-        members turn into round noise, as do usable removed members' own
-        transmissions.  Unusable members are already counted as noise.
+        one sweep per fixpoint round enough).  Then every send whose trigger
+        meets a removed member leaves its round's list and turns into that
+        round's noise, in list order.  Unusable members have no send: the
+        caller already counts them as noise.
         """
         newly = set(subset) - self.removed
         while newly:
             self.removed |= newly
-            nxt = set()
-            for j in self.survivors():
-                if self.inst.helps[j] & self.removed:
-                    nxt.add(j)
-            for j in newly:
-                if self.inst.usable[j]:
-                    self.extra_noise[self.inst.blocks[j]] += self.inst.powers[j]
-            newly = nxt
-        for c_idx, c in enumerate(self.inst.carriers):
-            if c_idx not in self.deadened and c.helps & self.removed:
-                self.deadened.add(c_idx)
-                self.extra_noise[c.block] += c.power
+            newly = {j for j in self.survivors() if self.inst.helps[j] & self.removed}
+        for k in self.rounds:
+            live = []
+            for p, trigger in self.sends[k]:
+                if trigger.isdisjoint(self.removed):
+                    live.append((p, trigger))
+                else:
+                    self.extra_noise[k] += p
+            self.sends[k] = live
 
     def worst_violator(self) -> tuple[int, ...] | None:
         """Survivor subset with the largest margin at or above ``-EPS_BITS``.

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism and error codes."""
 
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -20,14 +21,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    src = pathlib.Path(omnirelay.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
 def run_out_of_process(*argv):
     """Run the CLI in a child process: pytest would capture a numpy
     RuntimeWarning instead of letting it reach stderr."""
-    src = pathlib.Path(omnirelay.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-m", "omnirelay.cli", *argv],
-        capture_output=True, text=True, env=env, check=False,
+        capture_output=True, text=True, env=child_env(), check=False,
     )
 
 
@@ -284,6 +288,11 @@ def test_error_codes(capsys, tmp_path):
     )
     assert_fails(
         capsys,
+        ["analyze", "--preset", "regular-line", "--n", "3", "--out", str(tmp_path / "no" / "x")],
+        "E_IO",
+    )
+    assert_fails(
+        capsys,
         ["analyze", "--preset", "line", "--spacings", "1,0,2"],
         "E_VALUE",
     )
@@ -425,6 +434,35 @@ def test_a_rate_near_the_float_maximum_runs_without_a_warning(argv, digest):
     done = run_out_of_process(*argv.split())
     assert (done.returncode, done.stderr) == (0, "")
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # The reader takes one line and closes the pipe, as ``| head -1`` does.
+    # The output (about 2.6 MB) outgrows the pipe's buffer, so the write
+    # fails: status 1 and nothing on stderr, neither an E_IO line nor an
+    # "Exception ignored" from the flush at shutdown.
+    argv = ["simulate", "--preset", "ring", "--n", "6", "--power", "10", "--blocks", "300",
+            "--payload-sizes", "4"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "omnirelay.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=child_env(),
+    )
+    assert child.stdout.readline() == "{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), err) == (1, "")
+
+
+def test_a_broken_pipe_on_a_stdout_without_a_descriptor_is_an_io_error(capsys, monkeypatch):
+    # Such a stdout has no descriptor to point at devnull.
+    class ClosedBuffer(io.StringIO):
+        def writelines(self, lines):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedBuffer())
+    assert main(["analyze", "--preset", "regular-line", "--n", "3"]) == 1
+    assert capsys.readouterr().err == "E_IO: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("rate", ["foo", "nan", "inf", "-1"])

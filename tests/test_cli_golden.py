@@ -114,6 +114,12 @@ GOLDEN = [
          "--power", "10", "--blocks", "14", "--rate", "0.8"),
         "92d1c3a5748b90d540a505ae57bc360108e5d25daa3205abf1bd3d6a91ef79e5",
     ),
+    (
+        # Pools of up to 17 members: more than 16 survivors, so worst_violator
+        # scans its heuristic family of subsets instead of every subset.
+        ("simulate", "--preset", "regular-line", "--n", "18", "--power", "10", "--blocks", "22"),
+        "fe6135d01333dba44e633b7af44c8cbdee720bc25b77de1591fd78a911755189",
+    ),
 ]
 
 
@@ -140,6 +146,7 @@ GOLDEN = [
         "line-12-solve",
         "line-7-over-bound",
         "split-line-over-bound",
+        "line-18-heuristic-violator",
     ],
 )
 def test_cli_output_is_pinned(capsys, argv, digest):

@@ -1,7 +1,9 @@
-"""The all-subsets margin kernel against the scalar evaluator, its tie-break,
+"""The all-subsets margin kernel against the scalar evaluator, both against a
+reference capacity that reads only the instance, the kernel's tie-break,
 round-shift invariance, properties of the peel's verdicts, and the
 simulator's per-run solve memo."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -72,6 +74,39 @@ def subset_of(members, mask):
     return frozenset(members[b] for b in range(len(members)) if mask >> b & 1)
 
 
+def reference_rhs(inst, removed, subset):
+    """Capacity sum available to ``subset`` once ``removed`` is peeled.
+
+    Reads the instance fields only.  Members and carriers are walked as two
+    kinds of transmission: a carrier whose ``helps`` meet ``removed`` is
+    dead, and the removed usable members and the dead carriers are charged
+    as their round's noise.
+    """
+    dead = {c for c, carrier in enumerate(inst.carriers) if carrier.helps & removed}
+    block_noise = dict(inst.block_interference)
+    cross = 0.0
+    total = 0.0
+    for k in inst.round_ids():
+        members = [j for j in range(inst.m) if inst.blocks[j] == k]
+        carriers = [c for c in range(len(inst.carriers)) if inst.carriers[c].block == k]
+        d = inst.noise + inst.interference + block_noise.get(k, 0.0) + cross
+        d += sum(inst.powers[j] for j in members if j in removed and inst.usable[j])
+        d += sum(inst.carriers[c].power for c in carriers if c in dead)
+        q = 0.0
+        for j in members:
+            if j in removed or not inst.usable[j]:
+                continue
+            if j in subset or inst.helps[j] & subset:
+                q += inst.powers[j]
+        for c in carriers:
+            if c not in dead and inst.carriers[c].helps & subset:
+                q += inst.carriers[c].power
+        if q > 0.0:
+            total += math.log2(1.0 + q / d)
+        cross += sum(inst.powers[j] for j in members)
+    return total
+
+
 def scalar_worst_violator(ev):
     """The subset-at-a-time search: largest margin, lexicographic tie-break."""
     surv = sorted(ev.survivors())
@@ -91,7 +126,12 @@ def assert_kernel_matches(ev, common_rate):
         margins = ev.margins(members)
         assert margins.shape == (1 << len(members),)
         for mask in range(1 << len(members)):
-            scalar = ev.margin(subset_of(members, mask))
+            subset = subset_of(members, mask)
+            reference = reference_rhs(ev.inst, ev.removed, subset)
+            assert ev.rhs(subset) == pytest.approx(reference, rel=0.0, abs=1e-12)
+            rates = sum(ev.inst.rates[j] for j in subset)
+            assert margins[mask] == pytest.approx(rates - reference, rel=0.0, abs=1e-12)
+            scalar = ev.margin(subset)
             if common_rate:
                 # Equal rates sum the same in any order, and the capacity
                 # side is bitwise equal to rhs, so the margins are too.
@@ -147,7 +187,9 @@ def test_margins_fall_back_to_the_sort_when_carriers_outnumber_the_bits(sorts):
     )
     ev = _MultiBlockEvaluator(inst)
     ev.remove_closure([1])
-    assert ev.deadened == {2, 4}
+    # Member 1 and the carriers that repeat it (0.25 and 3.0) are noise now.
+    assert ev.extra_noise == {1: 0.5, 2: 0.25, 3: 3.0}
+    assert [p for p, _ in ev.sends[2]] == [0.5, 1.5, 0.125]
     assert_kernel_matches(ev, common_rate=True)
     assert sorts
 
@@ -186,7 +228,7 @@ def test_margins_of_one_send_rounds(sorts, m):
     # pattern code must gather, not mask, the round's two capacities.
     inst = MultiBlockInstance((0.5,) * m, (1.0, 4.0, 0.25)[:m], 1.0, blocks=tuple(range(m)))
     ev = _MultiBlockEvaluator(inst)
-    assert all(len(ev.members_in[k]) == 1 for k in ev.rounds) and not inst.carriers
+    assert all(len(ev.sends[k]) == 1 for k in ev.rounds)
     assert_kernel_matches(ev, common_rate=True)
     assert not sorts
 
