@@ -6,7 +6,11 @@ class ModelViolationError(ValueError):
 
 
 class CapacityLimitError(ValueError):
-    """Problem size exceeds the exact-computation limit of an operation."""
+    """Problem size exceeds the exact-computation limit of an operation.
+
+    Raised only by the exhaustive binning verifier,
+    ``binning.verify_binning_property``.
+    """
 
 
 class PreconditionError(ValueError):

@@ -10,6 +10,11 @@ transmissions repeat earlier messages; the one-receiver multiple-access
 region is its one-round case, ``MultiBlockInstance(rates, powers, noise,
 blocks=(0,) * m, interference=i)``.
 
+Both rest on one search, the most violated subset constraint.  It is exact
+at every member count: up to 16 survivors every subset is scored at once,
+and above that one submodular minimization finds the same subset, since
+each round's capacity is a concave function of the power a subset triggers.
+
 All constraints are evaluated strictly with a fixed slack of ``EPS_BITS``
 bits, so boundary points count as infeasible.
 """
@@ -22,11 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityLimitError
-
 EPS_BITS = 1e-9
 
-_FEASIBLE_LIMIT = 20
 _EXACT_SUBSET_LIMIT = 16
 
 
@@ -283,53 +285,195 @@ class _MultiBlockEvaluator:
         """Survivor subset with the largest margin at or above ``-EPS_BITS``.
 
         Exact ties go to the lexicographically smallest member tuple.  Up to
-        ``_EXACT_SUBSET_LIMIT`` survivors every subset is scored; beyond it a
-        heuristic family of prefixes and index ranges is scanned.
+        ``_EXACT_SUBSET_LIMIT`` survivors every subset is scored at once
+        (``enumerated_violator``); above it one submodular minimization finds
+        the same subset (``min_norm_violator``).
         """
         surv = sorted(self.survivors())
-        k = len(surv)
-        if k == 0:
+        if not surv:
             return None
-        if k <= _EXACT_SUBSET_LIMIT:
-            margins = self.margins(surv)[1:]
-            top = margins.max()
-            if top < -EPS_BITS:
-                return None
-            ties = (np.flatnonzero(margins == top) + 1).tolist()
-            return min(tuple(surv[b] for b in range(k) if mask >> b & 1) for mask in ties)
+        if len(surv) <= _EXACT_SUBSET_LIMIT:
+            return self.enumerated_violator(surv)
+        return self.min_norm_violator(surv)
 
-        best: tuple[float, tuple[int, ...]] | None = None
+    def enumerated_violator(self, surv: list[int]) -> tuple[int, ...] | None:
+        """``worst_violator`` over the sorted survivors ``surv`` by scoring
+        every subset with ``margins``."""
+        margins = self.margins(surv)[1:]
+        top = margins.max()
+        if top < -EPS_BITS:
+            return None
+        ties = (np.flatnonzero(margins == top) + 1).tolist()
+        return min(tuple(surv[b] for b in range(len(surv)) if mask >> b & 1) for mask in ties)
 
-        def consider(subset: tuple[int, ...]) -> None:
-            nonlocal best
-            margin = self.margin(frozenset(subset))
-            if margin < -EPS_BITS:
-                return
-            if best is None or margin > best[0] or (margin == best[0] and subset < best[1]):
-                best = (margin, subset)
+    def min_norm_violator(self, surv: list[int]) -> tuple[int, ...] | None:
+        """``worst_violator`` over the sorted survivors ``surv`` by submodular
+        minimization (see ``_SubmodularSearch``)."""
+        f, members = _SubmodularSearch(self, surv).minimize((), np.arange(len(surv)), EPS_BITS)
+        return None if f > EPS_BITS else tuple(surv[i] for i in members)
 
-        seen: set[tuple[int, ...]] = set()
-        by_rate = sorted(surv, key=lambda j: (-self.inst.rates[j], j))
-        by_margin = sorted(surv, key=lambda j: (self.margin(frozenset([j])), j), reverse=True)
-        for chain in (by_rate, by_margin):
-            for end in range(1, k + 1):
-                seen.add(tuple(sorted(chain[:end])))
-        for lo in range(k):
-            for hi in range(lo + 1, k + 1):
-                seen.add(tuple(surv[lo:hi]))
-        for subset in sorted(seen):
-            consider(subset)
-        return None if best is None else best[1]
+
+# Greedy vertices, the base points built from them and the lower bounds read
+# off those points are float sums accurate to about this many bits; the
+# min-norm-point search stops once its duality gap is this small.
+_GAP_BITS = 1e-12
+# A base-point entry this close to zero leaves open whether its member is in
+# a minimizer: a tie, or a set within the EPS_BITS slack, may turn on it.
+_OPEN_BITS = 2 * EPS_BITS
+_TINY = np.finfo(float).tiny
+
+
+class _SubmodularSearch:
+    """Exact worst violator by submodular function minimization.
+
+    ``f(S) = rhs(S) - sum(rates over S)`` is submodular: a round's capacity
+    ``log2(1 + q(S)/d)`` is a concave nondecreasing function of ``q(S)``, the
+    power of the sends whose trigger meets S, which is a weighted coverage
+    function, and the rate term is modular (the polymatroid structure of the
+    Gaussian multiple-access region, Tse & Hanly 1998).  The worst violator
+    is the lexicographically smallest nonempty minimizer of ``f``, kept when
+    ``f <= EPS_BITS``.
+
+    Members are the survivors' positions ``0..m-1``.  A problem fixes a set
+    ``fixed`` in and minimizes ``g(T) = f(fixed | T) - f(fixed)`` over the
+    subsets T of ``ground``.  Its base polytope's minimum-norm point x, found
+    by Wolfe's algorithm (Fujishige, Hayashi & Isotani 2006), gives the
+    minimizers ``{x < 0}`` and ``{x <= 0}``; every point of the polytope also
+    bounds ``g(T) >= max(x[j], 0) + sum(min(x, 0))`` for each T holding j.
+    Candidates are scored by the evaluator's scalar ``margin``.  Where an
+    entry of x is within ``_OPEN_BITS`` of zero, or float rounding stopped
+    the search before its gap closed, the members are tried in index order,
+    each as the next member with the smaller ones left out, as long as the
+    bound lets that branch beat the best set so far; this finds the
+    lexicographically smallest of tied sets.
+    """
+
+    def __init__(self, ev: _MultiBlockEvaluator, surv: list[int]):
+        self.ev = ev
+        self.surv = surv
+        col = {j: i for i, j in enumerate(surv)}
+        powers, rounds, noise = [], [], []
+        triggers = np.zeros((sum(len(ev.sends[k]) for k in ev.rounds), len(surv)), dtype=bool)
+        for k in ev.rounds:
+            for p, trigger in ev.sends[k]:
+                triggers[len(powers), [col[h] for h in trigger]] = True
+                powers.append(p)
+                rounds.append(len(noise))
+            noise.append(ev.base_noise[k] + ev.extra_noise[k])
+        self.triggers = triggers
+        self.power = np.array(powers)
+        self.round = np.array(rounds, dtype=np.intp)
+        self.noise = np.array(noise)[:, None]
+        self.rates = np.array([ev.inst.rates[j] for j in surv])
+
+    def score(self, members: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+        """``(f, members)`` with f from the scalar ``margin``; keys compare
+        by value, then lexicographically."""
+        return -self.ev.margin(frozenset(self.surv[i] for i in members)), members
+
+    def chain(self, fixed: tuple[int, ...], ground: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """``f(fixed | ground[order[:i]])`` for ``i = 0..len(order)``.
+
+        A send fires at the first step whose member meets its trigger (step
+        0 for ``fixed``), so one sum per round and step gives every round's
+        received power along the chain.
+        """
+        never = len(order) + 1
+        step = np.full(len(self.surv), never)
+        step[list(fixed)] = 0
+        step[ground[order]] = np.arange(1, never)
+        first = np.where(self.triggers, step, never).min(axis=1)
+        q = np.bincount(self.round * (never + 1) + first, self.power, len(self.noise) * (never + 1))
+        q = q.reshape(len(self.noise), never + 1)[:, :-1].cumsum(axis=1)
+        rhs = np.log2(1.0 + q / self.noise).sum(axis=0)
+        rates = np.concatenate(([self.rates[list(fixed)].sum()], self.rates[ground[order]]))
+        return rhs - rates.cumsum()
+
+    def min_norm_point(
+        self, fixed: tuple[int, ...], ground: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Wolfe's min-norm point x of the problem's base polytope, the
+        order that sorts it and the ``chain`` along that order.
+
+        Stops when the best set of the chain is within ``_GAP_BITS`` of the
+        lower bound ``sum(min(x, 0))`` of ``g``, or when float rounding
+        leaves no step that shortens x: then the chain's best set is as
+        close to the minimum as float sums can tell.
+        """
+
+        def vertex(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            values = self.chain(fixed, ground, order)
+            q = np.empty(len(order))
+            q[order] = np.diff(values)
+            return q, values
+
+        x = vertex(np.arange(len(ground)))[0]
+        corral, weights = x[None, :], np.ones(1)
+        norm = math.inf
+        while True:
+            order = np.argsort(x, kind="stable")
+            q, values = vertex(order)
+            gap = values.min() - values[0] - np.minimum(x, 0.0).sum()
+            if gap <= _GAP_BITS or x @ (x - q) <= 0.0 or x @ x >= norm:
+                return x, order, values
+            norm = x @ x
+            corral, weights = np.vstack([corral, q]), np.append(weights, 0.0)
+            # Minor cycle: move to the affine min-norm point of the corral,
+            # dropping vertices until it lies inside their convex hull.  The
+            # affine point is a least-squares solve over differences of
+            # vertices, which stays accurate when they nearly coincide.
+            while True:
+                step = np.linalg.lstsq((corral[1:] - corral[0]).T, -corral[0], rcond=None)[0]
+                alpha = np.concatenate(([1.0 - step.sum()], step))
+                if (alpha > 0.0).all():
+                    weights = alpha
+                    break
+                out = np.flatnonzero(alpha <= 0.0)
+                # A vertex with no weight either way leaves at theta = 0.
+                ratios = weights[out] / np.maximum(weights[out] - alpha[out], _TINY)
+                theta = ratios.min()
+                weights = theta * alpha + (1.0 - theta) * weights
+                keep = weights > 0.0
+                keep[out[ratios.argmin()]] = False
+                corral, weights = corral[keep], weights[keep] / weights[keep].sum()
+            x = weights @ corral
+
+    def minimize(
+        self, fixed: tuple[int, ...], ground: np.ndarray, limit: float
+    ) -> tuple[float, tuple[int, ...]]:
+        """Smallest ``score`` of a nonempty set ``fixed | T``, T a subset of
+        the ascending ``ground``.  Sets scoring above ``limit`` need not be
+        found: a branch whose bound exceeds it is not searched."""
+        x, order, values = self.min_norm_point(fixed, ground)
+        ranked = ground[order].tolist()
+        inside = int(np.count_nonzero(x < -_OPEN_BITS))
+        reach = int(np.count_nonzero(x <= _OPEN_BITS))
+        start = 0 if fixed else 1
+        # Chain prefixes: both ends of the open band, the chain's best and
+        # ``fixed`` alone, each nonempty.
+        argmin = start + int(values[start:].argmin())
+        sizes = {s for s in (inside, reach, argmin, 0) if s >= start}
+        best = min(self.score(tuple(sorted(fixed + tuple(ranked[:s])))) for s in sizes)
+        # Lower bound on f over every set fixed | T.  With the gap closed
+        # and no open entry, {x < 0} is the only minimizer.
+        base = values[0] + np.minimum(x, 0.0).sum()
+        if inside == reach and values.min() - base <= _GAP_BITS:
+            return best
+        for i, j in enumerate(ground.tolist()):
+            bound = base + max(x[i], 0.0)
+            branch = fixed + (j,)
+            if bound > min(limit, best[0]) + _GAP_BITS:
+                continue
+            if bound >= best[0] - _GAP_BITS and branch > best[1][: len(branch)]:
+                continue
+            best = min(best, self.minimize(branch, ground[i + 1 :], limit))
+        return best
 
 
 def multi_block_feasible(instance: MultiBlockInstance) -> bool:
-    """Whole-set feasibility across every member-subset constraint."""
-    if instance.m > _FEASIBLE_LIMIT:
-        raise CapacityLimitError(
-            f"{instance.m} members exceeds the exact limit of {_FEASIBLE_LIMIT}"
-        )
-    margins = _MultiBlockEvaluator(instance).margins(range(instance.m))
-    return bool(np.all(margins[1:] < -EPS_BITS))
+    """Whole-set feasibility: every nonempty member subset meets its
+    constraint with ``EPS_BITS`` to spare, exactly at any member count."""
+    return _MultiBlockEvaluator(instance).worst_violator() is None
 
 
 def multi_block_decodable_subset(instance: MultiBlockInstance) -> MultiBlockResult:

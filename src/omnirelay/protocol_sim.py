@@ -215,22 +215,22 @@ class _Run:
     """What every decode of one run shares: the transmissions so far, and
     the solve memo (see ``_decode_closure``).
 
-    ``skipped_at[l]`` lists, in order, the blocks whose transmission from
-    sender ``l`` skipped a repeat.
+    ``last_skip`` is the latest block with a transmission that skipped a
+    repeat (0 if none yet); rows arrive in block order, so it only grows.
     """
 
-    def __init__(self, n: int, rate: float, noise: float):
+    def __init__(self, rate: float, noise: float):
         self.rate = rate
         self.noise = noise
         self.transmissions: list[tuple[Transmission, ...]] = []
-        self.skipped_at: list[list[int]] = [[] for _ in range(n)]
+        self.last_skip = 0
         self.solved: dict[tuple, MultiBlockResult] = {}
 
     def add_row(self, row: tuple[Transmission, ...]) -> None:
         self.transmissions.append(row)
         for tx in row:
             if tx.skipped:
-                self.skipped_at[tx.sender].append(tx.block)
+                self.last_skip = tx.block
 
 
 class _Receiver:
@@ -450,21 +450,20 @@ def _is_steady(
     before: list[tuple[int, ...]],
     after: list[tuple[int, ...]],
     floors: list[int],
-    skipped_at: list[list[int]],
+    last_skip: int,
 ) -> bool:
     """Conditions 1 and 3, and the decode-window part of condition 2, of
     ``run_schedule``'s steady state for one block.
 
     ``before`` and ``after`` hold every receiver's counters before and after
     the block, ``floors`` each receiver's latest finite ``foreign_from`` (0
-    if none), and ``skipped_at`` is ``_Run.skipped_at`` with the block's own
+    if none), and ``last_skip`` is ``_Run.last_skip`` with the block's own
     transmissions added.
     """
     for was, now in zip(before, after):
         for v, w in zip(now, was):
             if v != w + 1:
                 return False
-    last_skip = max((blocks[-1] for blocks in skipped_at if blocks), default=0)
     # A receiver's decode window of the block started at min(was) + 1.
     return all(
         not was or min(was) >= max(floor - 1, last_skip) for was, floor in zip(before, floors)
@@ -544,7 +543,7 @@ def run_schedule(
             f"lag {first.hop}: {first.message}"
         )
     powers = build_power_matrix(topology)
-    run = _Run(n, rate, topology.noise)
+    run = _Run(rate, topology.noise)
     receivers = [_Receiver(i, schedule, powers) for i in range(n)]
     encode_start = max(
         (k + 1 for row in schedule.encode_sets for k, members in enumerate(row, 1) if members),
@@ -579,7 +578,7 @@ def run_schedule(
             ):
                 completion[i] = b
         after = [tuple(counters.values()) for counters in upto]
-        if b >= encode_start and _is_steady(before, after, floors, run.skipped_at):
+        if b >= encode_start and _is_steady(before, after, floors, run.last_skip):
             shifted_tx, shifted_decodes = _shifted_rows(row, records, b, blocks)
             run.transmissions += shifted_tx
             decode_rows += shifted_decodes

@@ -115,10 +115,18 @@ GOLDEN = [
         "92d1c3a5748b90d540a505ae57bc360108e5d25daa3205abf1bd3d6a91ef79e5",
     ),
     (
-        # Pools of up to 17 members: more than 16 survivors, so worst_violator
-        # scans its heuristic family of subsets instead of every subset.
+        # Pools of up to 17 members: past 16 survivors worst_violator runs
+        # the submodular search instead of scoring every subset.  The
+        # digest dates from a heuristic scan of prefixes and index ranges,
+        # which picked the exact violator on every call of this run.
         ("simulate", "--preset", "regular-line", "--n", "18", "--power", "10", "--blocks", "22"),
         "fe6135d01333dba44e633b7af44c8cbdee720bc25b77de1591fd78a911755189",
+    ),
+    (
+        # Pools of up to 23 members, taken with the exact violator: the
+        # heuristic scan it replaced gave 10 other decode records here.
+        ("simulate", "--preset", "regular-line", "--n", "24", "--power", "10", "--blocks", "28"),
+        "c5c481441bd5878a2cb3d3b4a0571cafff30561297a549b874b4191d6c1bf3bc",
     ),
 ]
 
@@ -147,6 +155,7 @@ GOLDEN = [
         "line-7-over-bound",
         "split-line-over-bound",
         "line-18-heuristic-violator",
+        "line-24-exact-violator",
     ],
 )
 def test_cli_output_is_pinned(capsys, argv, digest):

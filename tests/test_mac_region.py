@@ -6,7 +6,6 @@ from itertools import combinations
 
 import pytest
 
-from omnirelay.errors import CapacityLimitError
 from omnirelay.mac_region import (
     EPS_BITS,
     HelperCarrier,
@@ -116,10 +115,18 @@ def test_instance_validation():
             bad()
 
 
-def test_sender_count_caps():
-    big = one_round((0.01,) * 21, (1.0,) * 21)
-    with pytest.raises(CapacityLimitError):
-        multi_block_feasible(big)
+@pytest.mark.parametrize(
+    "offset, feasible", [(-1e-12, True), (1e-12, False)], ids=["below", "above"]
+)
+def test_a_wide_equal_power_round_binds_at_its_sum_rate(offset, feasible):
+    # 21 equal powers and one rate: k members have capacity log2(1 + k),
+    # concave in k, so the full set binds and the instance is feasible iff
+    # 21 * rate < log2(1 + 21) - EPS_BITS.  Past 16 members the verdict
+    # comes from the submodular search, with no size cap.
+    rate = (math.log2(22.0) - EPS_BITS) / 21 + offset
+    inst = one_round((rate,) * 21, (1.0,) * 21)
+    assert multi_block_feasible(inst) is feasible
+    assert peel(inst) == (tuple(range(21)) if feasible else ())
 
 
 # ---------------------------------------------------------------------------

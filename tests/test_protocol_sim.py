@@ -303,15 +303,15 @@ def test_the_steady_state_waits_for_each_decode_window():
     from omnirelay.protocol_sim import _is_steady
 
     before, after = [(3, 2), (3, 3)], [(4, 3), (4, 4)]
-    assert _is_steady(before, after, [0, 0], [[], []])
-    assert _is_steady(before, after, [0, 0], [[2], []])
-    assert _is_steady(before, after, [3, 4], [[], []])
+    assert _is_steady(before, after, [0, 0], 0)
+    assert _is_steady(before, after, [0, 0], 2)
+    assert _is_steady(before, after, [3, 4], 0)
     # A counter that did not move up by exactly one.
-    assert not _is_steady(before, [(4, 3), (4, 3)], [0, 0], [[], []])
+    assert not _is_steady(before, [(4, 3), (4, 3)], [0, 0], 0)
     # A skipped repeat inside a window is still to be read from its bundle.
-    assert not _is_steady(before, after, [0, 0], [[], [3]])
+    assert not _is_steady(before, after, [0, 0], 3)
     # Foreign content from block 4 on covers only part of receiver 0's window.
-    assert not _is_steady(before, after, [4, 0], [[], []])
+    assert not _is_steady(before, after, [4, 0], 0)
 
 
 # ---------------------------------------------------------------------------

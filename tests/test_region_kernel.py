@@ -1,5 +1,6 @@
 """The all-subsets margin kernel against the scalar evaluator, both against a
-reference capacity that reads only the instance, the kernel's tie-break,
+reference capacity that reads only the instance, the submodular search
+against the kernel on both sides of the size switch, the tie-break,
 round-shift invariance, properties of the peel's verdicts, and the
 simulator's per-run solve memo."""
 
@@ -29,13 +30,23 @@ def adjacency(n, closed=False):
     return [frozenset(x for x in (i - 1, i + 1) if 0 <= x < n) for i in range(n)]
 
 
-def build_instance(rng, common_rate):
-    """Random instance with helps, carriers, unusable members and round noise."""
-    m = rng.randint(1, 8)
+# Member counts past the kernel's 16 survivors, where worst_violator runs the
+# submodular search.
+WIDE = (17, 20)
+
+
+def build_instance(rng, common_rate, members=(1, 8)):
+    """Random instance with helps, carriers, unusable members and round noise.
+
+    Rates reach 12 bits over the largest member count, so that wide
+    instances are not all overloaded.
+    """
+    m = rng.randint(*members)
     rounds = rng.randint(1, 4)
     blocks = [rng.randint(1, rounds) for _ in range(m)]
-    rate = rng.uniform(0.0, 1.5)
-    rates = [rate if common_rate else rng.uniform(0.0, 1.5) for _ in range(m)]
+    top = 12.0 / members[1]
+    rate = rng.uniform(0.0, top)
+    rates = [rate if common_rate else rng.uniform(0.0, top) for _ in range(m)]
     powers = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(m)]
     helps = [
         frozenset(h for h in range(m) if blocks[h] < blocks[j] and rng.random() < 0.4)
@@ -119,6 +130,13 @@ def scalar_worst_violator(ev):
         if best is None or margin > best[0] or (margin == best[0] and subset < best[1]):
             best = (margin, subset)
     return None if best is None else best[1]
+
+
+def assert_solvers_agree(ev):
+    """The submodular search returns the kernel's tuple on the survivors."""
+    surv = sorted(ev.survivors())
+    if surv:
+        assert ev.min_norm_violator(surv) == ev.enumerated_violator(surv)
 
 
 def assert_kernel_matches(ev, common_rate):
@@ -239,6 +257,17 @@ def test_worst_violator_matches_the_scalar_search():
         inst = build_instance(rng, common_rate=True)
         for ev in evaluator_states(inst, rng):
             assert ev.worst_violator() == scalar_worst_violator(ev)
+            assert_solvers_agree(ev)
+
+
+def test_min_norm_violator_matches_the_kernel_past_the_switch():
+    # Above 16 survivors worst_violator runs the submodular search; the
+    # kernel, called past the switch here, stays its reference.
+    rng = random.Random(151)
+    for _ in range(16):
+        inst = build_instance(rng, rng.random() < 0.5, members=WIDE)
+        for ev in evaluator_states(inst, rng):
+            assert_solvers_agree(ev)
 
 
 def test_peel_matches_the_scalar_search():
@@ -261,6 +290,7 @@ def test_margins_property():
         inst = build_instance(rng, common_rate)
         for ev in evaluator_states(inst, rng):
             assert_kernel_matches(ev, common_rate)
+            assert_solvers_agree(ev)
             if common_rate:
                 assert ev.worst_violator() == scalar_worst_violator(ev)
 
@@ -272,23 +302,32 @@ def test_margins_property():
 # ---------------------------------------------------------------------------
 
 
-def test_tied_violators_peel_in_lexicographic_order():
+def assert_tied_singletons_peel_in_order(m):
     # Equal powers, one member per round: round k sees noise k, so member k
     # has capacity log2(1 + 1/k).  Every rate sits 2**-31 bits below its
-    # capacity, inside the EPS_BITS slack, so all four singletons violate
-    # with exactly the same margin and every larger subset violates less.
-    probe = _MultiBlockEvaluator(
-        MultiBlockInstance((0.0,) * 4, (1.0,) * 4, 1.0, blocks=(1, 2, 3, 4))
-    )
-    rates = tuple(probe.rhs(frozenset({j})) - 2.0**-31 for j in range(4))
-    inst = MultiBlockInstance(rates, (1.0,) * 4, 1.0, blocks=(1, 2, 3, 4))
+    # capacity, inside the EPS_BITS slack, so all singletons violate with
+    # exactly the same margin and every larger subset violates less.
+    blocks = tuple(range(1, m + 1))
+    probe = _MultiBlockEvaluator(MultiBlockInstance((0.0,) * m, (1.0,) * m, 1.0, blocks=blocks))
+    rates = tuple(probe.rhs(frozenset({j})) - 2.0**-31 for j in range(m))
+    inst = MultiBlockInstance(rates, (1.0,) * m, 1.0, blocks=blocks)
     ev = _MultiBlockEvaluator(inst)
-    assert len({ev.margin(frozenset({j})) for j in range(4)}) == 1
+    assert len({ev.margin(frozenset({j})) for j in range(m)}) == 1
     peeled = []
     while (worst := ev.worst_violator()) is not None:
+        assert ev.min_norm_violator(sorted(ev.survivors())) == worst
         peeled.append(worst)
         ev.remove_closure(worst)
-    assert peeled == [(0,), (1,), (2,), (3,)]
+    assert peeled == [(j,) for j in range(m)]
+
+
+def test_tied_violators_peel_in_lexicographic_order():
+    assert_tied_singletons_peel_in_order(4)
+
+
+def test_tied_violators_peel_in_lexicographic_order_past_the_switch():
+    # The first peel runs the submodular search, the rest the kernel.
+    assert_tied_singletons_peel_in_order(17)
 
 
 def test_tie_break_is_lexicographic_not_by_mask():
@@ -299,6 +338,7 @@ def test_tie_break_is_lexicographic_not_by_mask():
     assert ev.margin(frozenset({1})) == ev.margin(frozenset({0, 1, 2})) == 0.0
     assert ev.worst_violator() == (0, 1, 2)
     assert scalar_worst_violator(ev) == (0, 1, 2)
+    assert ev.min_norm_violator([0, 1, 2]) == (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +374,14 @@ def test_results_are_invariant_under_round_shifts():
 # ---------------------------------------------------------------------------
 
 
-def test_peel_output_is_self_decodable_property():
+def check_peel_output_is_self_decodable(members, examples):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True)
     @hypothesis.given(st.randoms(use_true_random=False), st.booleans())
     def check(rng, common_rate):
-        inst = build_instance(rng, common_rate)
+        inst = build_instance(rng, common_rate, members)
         decoded = multi_block_decodable_subset(inst).decoded
         # No survivor repeats a peeled member, so peeling all of them at
         # once leaves exactly the survivors.
@@ -350,23 +390,27 @@ def test_peel_output_is_self_decodable_property():
         assert tuple(sorted(ev.survivors())) == decoded
         # With the peeled members and the carriers that repeat them as
         # noise, every nonempty subset of the survivors meets its
-        # constraint, judged one subset at a time by the scalar evaluator.
+        # constraint, judged one subset at a time by the scalar evaluator
+        # (past ten survivors, all at once by the kernel).
+        if len(decoded) > 10:
+            assert (ev.margins(decoded)[1:] < -EPS_BITS).all()
+            return
         for mask in range(1, 1 << len(decoded)):
             assert ev.margin(subset_of(decoded, mask)) < -EPS_BITS
 
     check()
 
 
-def test_verdicts_are_invariant_under_round_shifts_property():
+def check_verdicts_are_invariant_under_round_shifts(members, examples):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True)
     @hypothesis.given(
         st.randoms(use_true_random=False), st.booleans(), st.integers(-1000, 1000)
     )
     def check(rng, common_rate, offset):
-        inst = build_instance(rng, common_rate)
+        inst = build_instance(rng, common_rate, members)
         moved = shifted(inst, offset)
         assert multi_block_decodable_subset(moved) == multi_block_decodable_subset(inst)
         assert multi_block_feasible(moved) == multi_block_feasible(inst)
@@ -374,14 +418,14 @@ def test_verdicts_are_invariant_under_round_shifts_property():
     check()
 
 
-def test_verdicts_are_monotone_as_the_common_rate_falls_property():
+def check_verdicts_are_monotone_as_the_common_rate_falls(members, examples):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
-    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=examples, deadline=None, derandomize=True)
     @hypothesis.given(st.randoms(use_true_random=False), st.floats(0.0, 1.0))
     def check(rng, scale):
-        inst = build_instance(rng, common_rate=True)
+        inst = build_instance(rng, common_rate=True, members=members)
         lower = replace(inst, rates=(inst.rates[0] * scale,) * inst.m)
         high, low = multi_block_decodable_subset(inst), multi_block_decodable_subset(lower)
         assert set(high.decoded) <= set(low.decoded)
@@ -389,6 +433,26 @@ def test_verdicts_are_monotone_as_the_common_rate_falls_property():
         assert multi_block_feasible(lower) or not multi_block_feasible(inst)
 
     check()
+
+
+def test_peel_output_is_self_decodable_property():
+    check_peel_output_is_self_decodable((1, 8), 150)
+
+
+def test_verdicts_are_invariant_under_round_shifts_property():
+    check_verdicts_are_invariant_under_round_shifts((1, 8), 150)
+
+
+def test_verdicts_are_monotone_as_the_common_rate_falls_property():
+    check_verdicts_are_monotone_as_the_common_rate_falls((1, 8), 150)
+
+
+def test_region_properties_hold_past_the_switch():
+    # The three properties on fewer, wide instances, whose first peel step
+    # and feasibility check run the submodular search.
+    check_peel_output_is_self_decodable(WIDE, 40)
+    check_verdicts_are_invariant_under_round_shifts(WIDE, 40)
+    check_verdicts_are_monotone_as_the_common_rate_falls(WIDE, 40)
 
 
 @pytest.fixture
