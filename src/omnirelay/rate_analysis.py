@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,8 +37,11 @@ _BISECT_ITERATIONS = 60
 
 def allcast_rate_bound(topology: Topology) -> float:
     """Ceiling on a common rate: the weakest receiver must take in n-1 messages."""
-    powers = build_power_matrix(topology)
-    weakest = min(powers.total_into(i) for i in range(topology.n))
+    # One reduction over contiguous rows adds each receiver's column in the
+    # order PowerMatrix.total_into does, so every total is bitwise its own;
+    # a sum over axis 0 of ``received`` would add in another order.
+    received = build_power_matrix(topology).received
+    weakest = float(np.ascontiguousarray(received.T).sum(axis=1).min())
     return math.log2(1.0 + weakest / topology.noise) / (topology.n - 1)
 
 
@@ -224,6 +228,58 @@ def _capacities(signal: np.ndarray, denom) -> np.ndarray:
     return np.fromiter(map(math.log2, ratio), float, len(ratio))
 
 
+# sum() of floats adds left to right before Python 3.12 and with Neumaier's
+# compensation from 3.12 on; the line table's powers must be bitwise the
+# sum() of their slices on the running interpreter, since printed rates
+# depend on the last bit, so _chain_sums copies whichever step it takes.
+_SUM_COMPENSATES = sys.version_info >= (3, 12)
+
+
+def _chain_sums(
+    rows: np.ndarray, compensated: bool = _SUM_COMPENSATES
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every prefix and suffix sum of every row of nonnegative floats.
+
+    For an (r, m) array, returns two (r, m + 1) arrays with
+    ``prefix[a, k] == sum(rows[a, :k].tolist())`` and
+    ``suffix[a, s] == sum(rows[a, s:].tolist())``, bitwise.  ``compensated``
+    picks the compensated step of ``sum()`` from Python 3.12 on, or plain
+    left-to-right addition; the default is the running interpreter's.  Every suffix chain moves one term per step, all
+    chains at once, so the work is O(r * m**2) in m array operations; the
+    chain from column 0 passes through every prefix on its way.
+    """
+    r, m = rows.shape
+    prefix = np.zeros((r, m + 1))
+    suffix = np.zeros((r, m + 1))
+    # Chain s runs in f[:, s], its compensation in c[:, s].  Like sum(), it
+    # starts from 0: 0 + x is 0.0 + x for a float x.
+    f, c = suffix[:, :m], np.zeros((r, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(m):
+            x = rows[:, step:]
+            head, comp = f[:, : m - step], c[:, : m - step]
+            if compensated:
+                # Neumaier's step: the rounding error of t is (larger operand
+                # - t) + smaller operand.  Both are nonnegative, so maximum
+                # and minimum pick the branch sum() picks on |f| >= |x|.
+                t = head + x
+                comp += (np.maximum(head, x) - t) + np.minimum(head, x)
+                head[...] = t
+                prefix[:, step + 1] = _compensate(f[:, 0], c[:, 0])
+            else:
+                head += x
+                prefix[:, step + 1] = f[:, 0]
+        if compensated:
+            suffix[:, :m] = _compensate(f, c)
+    return prefix, suffix
+
+
+def _compensate(f: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The sum's last step: add the compensation when it is nonzero and
+    finite, so an overflowed sum stays inf rather than turning NaN."""
+    return np.where((c != 0) & np.isfinite(c), f + c, f)
+
+
 def _build_line_table(topology: Topology) -> _LineTable:
     order = distance_ordering_check(topology)
     if order is None:
@@ -231,55 +287,49 @@ def _build_line_table(topology: Topology) -> _LineTable:
     n = topology.n
     noise = topology.noise
 
-    # into[b][a]: received power at position b from position a (both 0-based).
-    # Each signal is its own sum() over a slice of into[pos], in position
-    # order.  A running prefix sum would be O(1) per entry, but it rounds
-    # differently from sum() (which compensates from Python 3.12 on), and
-    # that would move printed rates.
-    into = build_power_matrix(topology).received.T[np.ix_(order, order)].tolist()
+    # into[b, a]: received power at position b from position a (both 0-based,
+    # the diagonal zero).  Every signal below is the sum() of a slice of a
+    # row, in position order: a far group or a side is a prefix or a suffix.
+    # The sum row skips the diagonal, but adding a zero moves no bit of a
+    # sum of nonnegatives, so it is the whole row.
+    into = build_power_matrix(topology).received.T[np.ix_(order, order)]
+    prefix, suffix = _chain_sums(into)
 
-    # One list per column, one element per row.  A row's joint branch decodes
-    # its far group with the side power (a sum row: everything, no far
-    # group); its defer branch decodes the side with the far group as noise.
-    position, kind, lo, hi, joint_count, defer_count = ([] for _ in range(6))
-    far_power, side_power = [], []
-    for pos, col in enumerate(into):
-        i = pos + 1
-        position.append(i)
-        kind.append(0)
-        lo.append(0)
-        hi.append(0)
-        joint_count.append(n - 1)
-        defer_count.append(0)
-        far_power.append(0.0)
-        side_power.append(sum(col[:pos] + col[pos + 1:]))
-        if i == 1 or i == n:
-            continue
-        lefts = range(1, i - 1)  # far group order[:far]
-        rights = range(i + 2, n + 1)  # far group order[far - 1:]
-        position += [i] * (len(lefts) + len(rights))
-        kind += [1] * len(lefts) + [2] * len(rights)
-        lo += [0] * len(lefts) + [far - 1 for far in rights]
-        hi += list(lefts) + [n] * len(rights)
-        joint_count += [far + n - i for far in lefts] + [i + n - far for far in rights]
-        defer_count += [n - i] * len(lefts) + [i - 1] * len(rights)
-        far_power += [sum(col[:far]) for far in lefts] + [sum(col[far - 1:]) for far in rights]
-        side_power += [sum(col[i:])] * len(lefts) + [sum(col[: i - 1])] * len(rights)
+    # Receiver i (1-based) owns a block of rows: its sum row, then, when
+    # 1 < i < n, its far-left groups order[:far] for far from 1 to i - 2 and
+    # its far-right groups order[far - 1:] for far from i + 2 to n.  Slot j
+    # of the block is the sum row at 0, far-left far = j, or far-right
+    # far = j + 3.  A row's joint branch decodes its far group
+    # order[lo:hi] with the side (a sum row: everything, no far group); its
+    # defer branch decodes the side with the far group as noise.
+    receivers = np.arange(1, n + 1, dtype=np.intp)
+    block = np.where((receivers == 1) | (receivers == n), 1, n - 2)
+    i = np.repeat(receivers, block)
+    j = np.arange(len(i), dtype=np.intp) - np.repeat(np.cumsum(block) - block, block)
+    kind = np.where(j == 0, 0, np.where(j <= i - 2, 1, 2))
+    left, right = kind == 1, kind == 2
+    far = j + 3 * right
+    lo = np.where(right, far - 1, 0)
+    hi = np.where(right, n, far)
+    defer_count = np.where(left, n - i, np.where(right, i - 1, 0))
+    joint_count = np.where(kind == 0, n - 1, hi - lo + defer_count)
 
-    far = np.array(far_power)
-    side = np.array(side_power)
-    kinds = np.array(kind, dtype=np.intp)
-    defer_cap = _capacities(side, far + noise)
-    defer_cap[kinds == 0] = -math.inf
+    # A far group is a suffix on the right, else a prefix (empty for a sum
+    # row); the side is the other end of the row, or the whole row.
+    pos = i - 1
+    far_power = np.where(right, suffix[pos, lo], prefix[pos, hi])
+    side_power = np.where(left, suffix[pos, i], prefix[pos, np.where(right, i - 1, n)])
+    defer_cap = _capacities(side_power, far_power + noise)
+    defer_cap[kind == 0] = -math.inf
     return _LineTable(
         tuple(order),
-        np.array(position, dtype=np.intp),
-        kinds,
-        np.array(lo, dtype=np.intp),
-        np.array(hi, dtype=np.intp),
-        np.array(joint_count, dtype=float),
-        _capacities(far + side, noise),
-        np.array(defer_count, dtype=float),
+        i,
+        kind,
+        lo,
+        hi,
+        joint_count.astype(float),
+        _capacities(far_power + side_power, noise),
+        defer_count.astype(float),
         defer_cap,
     )
 

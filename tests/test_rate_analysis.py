@@ -1,7 +1,9 @@
 """Rate ceiling, ordered-line conditions and the equal-spacing verifier."""
 
 import dataclasses
+import functools
 import math
+import operator
 import random
 import warnings
 
@@ -12,6 +14,7 @@ from omnirelay.errors import PreconditionError
 from omnirelay.mac_region import EPS_BITS
 from omnirelay.rate_analysis import (
     ConditionEntry,
+    _chain_sums,
     _line_table,
     _LineTable,
     allcast_rate_bound,
@@ -20,11 +23,14 @@ from omnirelay.rate_analysis import (
     verify_regular_line_achievability,
 )
 from omnirelay.topology import (
+    arc,
+    build_power_matrix,
     constant,
     exponential,
     general_line,
     power_law,
     regular_line,
+    ring,
     topology_from_positions,
 )
 
@@ -80,6 +86,31 @@ def test_bound_uses_the_weakest_receiver():
     t = general_line([0.0, 1.0, 5.0], power_law(2.0), 1.0, 1.0)
     worst = 1.0 / 16.0 + 1.0 / 25.0
     assert allcast_rate_bound(t) == pytest.approx(math.log2(1.0 + worst) / 2.0)
+
+
+def bound_topologies():
+    # Sizes either side of numpy's 8-term unrolled and 128-term blocked sums.
+    gains = [power_law(2.0), power_law(4.0), exponential(0.5), constant()]
+    for n in (2, 3, 8, 9, 17, 100, 129, 257, 400):
+        yield regular_line(n, 1.0, gains[n % 4], 10.0, 1.0)
+    rng = random.Random(5)
+    for _ in range(20):
+        coords = [0.0]
+        for _ in range(rng.randint(1, 150)):
+            coords.append(coords[-1] + rng.uniform(0.05, 3.0))
+        yield general_line(coords, rng.choice(gains), rng.choice([1.0, 10.0, 1e6]), 1.0)
+    for n in (3, 6, 12, 40, 131):
+        yield ring(n, 1.0, gains[n % 4], 10.0, 1.0)
+        yield arc(n, 1.0, 4.0 * n, gains[(n + 1) % 4], 3.0, 1.0)
+
+
+def test_bound_matches_the_per_receiver_totals():
+    # The reference takes each receiver's total as its own column sum;
+    # the bound's one reduction over all receivers must give the same bits.
+    for t in bound_topologies():
+        powers = build_power_matrix(t)
+        weakest = min(powers.total_into(j) for j in range(t.n))
+        assert allcast_rate_bound(t) == math.log2(1.0 + weakest / t.noise) / (t.n - 1)
 
 
 def test_three_nodes_leave_only_sum_conditions():
@@ -350,6 +381,71 @@ def test_verdict_is_monotone_as_the_rate_falls_property():
         verdicts = [ordered_line_conditions(t, r).achievable for r in rates]
         # Lowering the rate never turns an achievable verdict unachievable.
         assert verdicts == sorted(verdicts)
+
+    check()
+
+
+def reference_plain_sum(values):
+    """``sum()`` of floats before Python 3.12: left to right from the int 0."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def reference_compensated_sum(values):
+    """``sum()`` of floats from Python 3.12 on, step by step: Neumaier's
+    compensated loop, starting from the int 0."""
+    if not values:
+        return 0
+    f, c = 0 + values[0], 0.0
+    for x in values[1:]:
+        t = f + x
+        if abs(f) >= abs(x):
+            c += (f - t) + x
+        else:
+            c += (x - t) + f
+        f = t
+    if c and math.isfinite(c):
+        f += c
+    return f
+
+
+def assert_chains_are(rows, chains, total):
+    """``chains`` holds ``total`` of every prefix and suffix of every row, bitwise."""
+    prefix, suffix = chains
+    width = len(rows[0])
+    expected_prefix = [[float(total(row[:k])) for k in range(width + 1)] for row in rows]
+    expected_suffix = [[float(total(row[s:])) for s in range(width + 1)] for row in rows]
+    assert prefix.tobytes() == np.array(expected_prefix).tobytes()
+    assert suffix.tobytes() == np.array(expected_suffix).tobytes()
+
+
+def test_chain_sums_are_sum_of_every_prefix_and_suffix_property():
+    # Nonnegative rows with zeros, values across the whole exponent range
+    # and near the largest float, so that chains lose low bits and some
+    # overflow to inf.  The default step must be the running interpreter's
+    # sum(); each step must also be the scalar loop it copies, so the step
+    # this interpreter does not run is checked too.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    value = st.just(0.0) | st.floats(1e-300, 1e300) | st.floats(1e300, 1.7976931348623157e308)
+
+    @st.composite
+    def row_sets(draw):
+        width = draw(st.integers(0, 12))
+        row = st.lists(value, min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=1, max_size=4))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(row_sets())
+    def check(rows):
+        array = np.array(rows, dtype=float).reshape(len(rows), -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow is silent, as on floats
+            chains = _chain_sums(array)
+            plain = _chain_sums(array, compensated=False)
+            compensated = _chain_sums(array, compensated=True)
+        assert_chains_are(rows, chains, sum)
+        assert_chains_are(rows, plain, reference_plain_sum)
+        assert_chains_are(rows, compensated, reference_compensated_sum)
 
     check()
 

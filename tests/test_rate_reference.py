@@ -265,6 +265,19 @@ def random_lines(count, seed):
         yield general_line(coords, gain, rng.choice([1.0, 3.0, 10.0, 40.0]), 1.0)
 
 
+def long_uneven_lines(count, seed):
+    """Uneven lines of 30 to 60 nodes, in shuffled label order: long sums,
+    where adding left to right and adding with compensation part ways."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        coords = [0.0]
+        for _ in range(rng.randint(29, 59)):
+            coords.append(coords[-1] + rng.uniform(0.05, 3.0))
+        rng.shuffle(coords)
+        gain = rng.choice(list(GAINS.values()))
+        yield general_line(coords, gain, rng.choice([1.0, 10.0, 40.0]), 1.0)
+
+
 def relabelled_line():
     # An irregular 7-node line with permuted node ids: the ordering is
     # rediscovered, and far groups are tuples of relabelled ids.
@@ -319,6 +332,25 @@ def test_failed_verifier_steps_match_the_reference(power):
 def test_random_lines_match_the_reference():
     for t in random_lines(30, seed=2024):
         assert_conditions_match(t, (1e-6, 1e-9))
+
+
+def test_long_uneven_lines_match_the_reference():
+    # The reference is O(n^3) per rate, so each line takes one rate.
+    for k, t in enumerate(long_uneven_lines(4, seed=3060)):
+        rate = RATE_FACTORS[k % len(RATE_FACTORS)] * allcast_rate_bound(t)
+        assert ordered_line_conditions(t, rate) == reference_ordered_line_conditions(t, rate)
+
+
+def test_high_power_line_matches_the_reference():
+    # At power 1e6 every power is large against the noise and the far
+    # groups' tails are small against their heads.
+    coords = [0.0]
+    rng = random.Random(6)
+    for _ in range(44):
+        coords.append(coords[-1] + rng.uniform(0.3, 2.0))
+    t = general_line(coords, power_law(2.0), 1e6, 1.0)
+    rate = 0.999 * allcast_rate_bound(t)
+    assert ordered_line_conditions(t, rate) == reference_ordered_line_conditions(t, rate)
 
 
 def test_relabelled_line_matches_the_reference():
