@@ -4,14 +4,16 @@ Four subcommands: ``analyze`` (rate bound, ordering, achievable rate),
 ``simulate`` (protocol run under the distance-regulated schedule),
 ``sweep`` (bound/simulation table over network sizes and gain presets) and
 ``bin-demo`` (bundle binning walkthrough).  Output is deterministic: floats
-are rounded to six decimals, JSON keys are sorted, and every report embeds a
-short hash of the canonical topology text.
+are rounded to six decimals and JSON keys are sorted.  The JSON reports of
+``analyze``, ``simulate`` and ``sweep`` embed a short hash of the canonical
+topology text; ``bin-demo`` has no topology to hash.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -20,6 +22,8 @@ import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
+
+import numpy as np
 
 from .binning import build_binning, decode_from_side_info, verify_binning_property
 from .errors import (
@@ -56,35 +60,32 @@ from .topology import (
 FORMAT_VERSION = 1
 
 
-def _parse_floats(text: str, label: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind, label: str) -> tuple:
+    """The comma-separated items of ``text`` converted by ``kind``; blank items are skipped."""
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        return tuple(kind(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise ValueError(f"bad {label} list {text!r}") from exc
-
-
-def _parse_ints(text: str, label: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad {label} list {text!r}") from exc
-
-
-def _check_hop_radius(radius: float | None) -> None:
-    if radius is not None and not (math.isfinite(radius) and radius >= 0):
-        raise ValueError("hop radius must be finite and nonnegative")
 
 
 def _spacings(args: argparse.Namespace) -> tuple[float, ...] | None:
     """The ``--spacings`` gaps, parsed for every preset so a bad list is always reported."""
     if not args.spacings:
         return None
-    gaps = _parse_floats(args.spacings, "spacing")
+    gaps = _parse_list(args.spacings, float, "spacing")
     if not all(math.isfinite(gap) for gap in gaps):
         raise ValueError("spacings must be finite")
     if not all(gap > 0 for gap in gaps):
         raise ValueError("spacings must be positive")
     return gaps
+
+
+def _run_prelude(args: argparse.Namespace) -> tuple[float, ...] | None:
+    """The first checks of ``simulate`` and ``sweep``: ``--hop-radius``, then ``--spacings``."""
+    radius = args.hop_radius
+    if radius is not None and not (math.isfinite(radius) and radius >= 0):
+        raise ValueError("hop radius must be finite and nonnegative")
+    return _spacings(args)
 
 
 def _build_topology(
@@ -114,17 +115,17 @@ def _build_topology(
 def _default_one_hop(
     topology: Topology, radius: float | None
 ) -> tuple[frozenset[int], ...]:
-    """Nearest-neighbor one-hop sets; an explicit radius overrides the default."""
-    n = topology.n
+    """Nearest-neighbor one-hop sets; an explicit radius overrides the default.
+
+    The default radius is the largest distance from a node to its nearest
+    other node, so every node has a neighbor.
+    """
+    dist = topology.distance_matrix()
+    apart = ~np.eye(topology.n, dtype=bool)
     if radius is None:
-        radius = max(
-            min(topology.distances[i][j] for j in range(n) if j != i) for i in range(n)
-        )
+        radius = float(np.where(apart, dist, np.inf).min(axis=1).max())
     cutoff = radius * (1.0 + 1e-9)
-    return tuple(
-        frozenset(j for j in range(n) if j != i and topology.distances[i][j] <= cutoff)
-        for i in range(n)
-    )
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in (dist <= cutoff) & apart)
 
 
 def _topology_hash(topology: Topology, one_hop=None) -> str:
@@ -373,14 +374,17 @@ def _stdout_to_devnull() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+# Each handler returns ``(payload, rows)``: the JSON report without its
+# ``format_version`` and ``command`` keys, which ``main`` adds, and the CSV
+# rows.
+
+
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     topology, one_hop = _build_topology(args, args.n, args.gain, _spacings(args))
     bound = allcast_rate_bound(topology)
     ordering = distance_ordering_check(topology)
     rate = _resolve_rate(args.rate, bound)
     payload: dict = {
-        "format_version": FORMAT_VERSION,
-        "command": "analyze",
         "nodes": topology.n,
         "power": topology.power,
         "noise": topology.noise,
@@ -415,30 +419,37 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             rows.append({"key": "regular_line_verified", "value": check.verified})
         except PreconditionError:
             payload["regular_line_verified"] = None
-    return _emit(payload, rows, args)
+    return payload, rows
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    _check_hop_radius(args.hop_radius)
-    spacings = _spacings(args)
-    payload_sizes = (
-        _parse_ints(args.payload_sizes, "payload size") if args.payload_sizes else None
-    )
-    topology, one_hop = _build_topology(args, args.n, args.gain, spacings)
+def _run(args: argparse.Namespace, n: int, gain_label: str, spacings: tuple[float, ...] | None):
+    """One protocol run of ``simulate`` or ``sweep``.
+
+    Builds the topology, takes its one-hop sets (a topology file's, else
+    :func:`_default_one_hop`'s at ``--hop-radius``), and runs the
+    distance-regulated schedule at ``--rate`` for ``--blocks`` blocks.
+    Returns the topology, the one-hop sets, the all-cast bound and the trace.
+    """
+    topology, one_hop = _build_topology(args, n, gain_label, spacings)
     if one_hop is None:
         one_hop = _default_one_hop(topology, args.hop_radius)
     bound = allcast_rate_bound(topology)
     rate = _resolve_rate(args.rate, bound)
-    trace = run_distance_regulated(topology, one_hop, rate, args.blocks)
+    return topology, one_hop, bound, run_distance_regulated(topology, one_hop, rate, args.blocks)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+    spacings = _run_prelude(args)
+    payload_sizes = (
+        _parse_list(args.payload_sizes, int, "payload size") if args.payload_sizes else None
+    )
+    topology, one_hop, bound, trace = _run(args, args.n, args.gain, spacings)
     # Bad payload sizes exit the same way in both formats; only JSON prints
     # the replay, so only JSON runs it.
-    reports = None
     if payload_sizes is not None:
         if len(payload_sizes) == 1:
             payload_sizes *= topology.n
         payload_sizes = check_payload_sizes(payload_sizes, topology.n)
-        if args.format == "json":
-            reports = payload_demo(trace, payload_sizes, seed=args.seed)
     if args.format == "csv":
         rows = [
             {
@@ -453,10 +464,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for row in trace.decodes
             for rec in row
         ]
-        return _emit({}, rows, args)
+        return {}, rows
     payload: dict = {
-        "format_version": FORMAT_VERSION,
-        "command": "simulate",
         "topology_hash": _topology_hash(topology, one_hop),
         "rate_bound": bound,
         "interference": [
@@ -465,67 +474,46 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ],
         "trace": trace.to_dict(),
     }
-    if reports is not None:
+    if payload_sizes is not None:
         payload["payload"] = [
-            {
-                "node": r.node,
-                "recovered": r.recovered,
-                "known": r.known,
-                "complete": r.complete,
-            }
-            for r in reports
+            {"node": r.node, "recovered": r.recovered, "known": r.known, "complete": r.complete}
+            for r in payload_demo(trace, payload_sizes, seed=args.seed)
         ]
-    return _emit(payload, [], args)
+    return payload, []
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    _check_hop_radius(args.hop_radius)
-    spacings = _spacings(args)
+def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+    spacings = _run_prelude(args)
     if args.topology:
         raise ValueError("sweep builds preset topologies; --topology is not supported")
-    sizes = _parse_ints(args.sweep_n, "sweep size") if args.sweep_n else (args.n,)
+    sizes = _parse_list(args.sweep_n, int, "sweep size") if args.sweep_n else (args.n,)
     if args.sweep_n and args.preset == "line":
         raise ValueError(
             "the line preset takes its size from --spacings; --sweep-n is not supported"
         )
-    gains = (
-        tuple(x.strip() for x in args.sweep_gain.split(",") if x.strip())
-        if args.sweep_gain
-        else (args.gain,)
-    )
+    gains = _parse_list(args.sweep_gain, str.strip, "gain") if args.sweep_gain else (args.gain,)
     results = []
     for gain_label in gains:
         for n in sizes:
-            topology, _ = _build_topology(args, n, gain_label, spacings)
-            one_hop = _default_one_hop(topology, args.hop_radius)
-            bound = allcast_rate_bound(topology)
-            rate = _resolve_rate(args.rate, bound)
-            trace = run_distance_regulated(topology, one_hop, rate, args.blocks)
+            topology, one_hop, bound, trace = _run(args, n, gain_label, spacings)
             completion = [c for c in trace.completion_block if c is not None]
             results.append(
                 {
                     "gain": gain_label,
                     "nodes": topology.n,
                     "rate_bound": bound,
-                    "rate": rate,
+                    "rate": trace.rate,
                     "all_success": trace.all_success(),
                     "max_completion": max(completion) if completion else None,
                     "topology_hash": _topology_hash(topology, one_hop),
                 }
             )
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "command": "sweep",
-        "preset": args.preset,
-        "blocks": args.blocks,
-        "results": results,
-    }
-    return _emit(payload, results, args)
+    return {"preset": args.preset, "blocks": args.blocks, "results": results}, results
 
 
-def _cmd_bin_demo(args: argparse.Namespace) -> int:
-    sizes = _parse_ints(args.sizes, "alphabet size")
-    values = _parse_ints(args.values, "message value")
+def _cmd_bin_demo(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+    sizes = _parse_list(args.sizes, int, "alphabet size")
+    values = _parse_list(args.values, int, "message value")
     if len(values) != len(sizes):
         raise ValueError("need exactly one value per alphabet size")
     assignment = build_binning(sizes)
@@ -536,8 +524,6 @@ def _cmd_bin_demo(args: argparse.Namespace) -> int:
         recovered = decode_from_side_info(assignment, bin_index, known, target)
         recoveries.append({"target_slot": target, "recovered": recovered})
     payload = {
-        "format_version": FORMAT_VERSION,
-        "command": "bin-demo",
         "sizes": list(sizes),
         "values": list(values),
         "bin_count": assignment.bin_count,
@@ -545,7 +531,7 @@ def _cmd_bin_demo(args: argparse.Namespace) -> int:
         "single_slot_decodable": verify_binning_property(assignment),
         "recoveries": recoveries,
     }
-    return _emit(payload, recoveries, args)
+    return payload, recoveries
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +563,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Sharing it keeps no state between calls: ``parse_args`` reads the parser
+    and returns a new namespace each time.
+    """
     parser = _Parser(
         prog="omnirelay",
         description="All-cast relay protocol analysis and simulation.",
@@ -589,17 +581,13 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--rate", default="auto", help="rate to test, or 'auto'")
 
     simulate = subs.add_parser("simulate", help="run the distance-regulated protocol")
-    _add_topology_flags(simulate)
-    simulate.add_argument("--rate", default="auto", help="common rate, or 'auto'")
-    simulate.add_argument("--blocks", type=int, default=8)
-    simulate.add_argument("--hop-radius", type=float, help="one-hop neighbor cutoff")
-    simulate.add_argument("--payload-sizes", help="comma list enabling the payload demo")
-
     sweep = subs.add_parser("sweep", help="bound and simulation table over presets")
-    _add_topology_flags(sweep)
-    sweep.add_argument("--rate", default="auto")
-    sweep.add_argument("--blocks", type=int, default=8)
-    sweep.add_argument("--hop-radius", type=float)
+    for sub in (simulate, sweep):
+        _add_topology_flags(sub)
+        sub.add_argument("--rate", default="auto", help="common rate, or 'auto'")
+        sub.add_argument("--blocks", type=int, default=8)
+        sub.add_argument("--hop-radius", type=float, help="one-hop neighbor cutoff")
+    simulate.add_argument("--payload-sizes", help="comma list enabling the payload demo")
     sweep.add_argument("--sweep-n", help="comma list of node counts")
     sweep.add_argument("--sweep-gain", help="comma list of gain presets")
 
@@ -633,7 +621,9 @@ _ERROR_CODES = [
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        payload, rows = _HANDLERS[args.command](args)
+        payload.update(format_version=FORMAT_VERSION, command=args.command)
+        return _emit(payload, rows, args)
     except tuple(t for t, _ in _ERROR_CODES) as exc:
         for exc_type, code in _ERROR_CODES:
             if isinstance(exc, exc_type):

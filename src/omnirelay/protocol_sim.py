@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -207,10 +206,6 @@ def _build_transmission(
     return Transmission(sender, block, frozenset(bundle), tuple(sorted(skipped)))
 
 
-# Stands for "no such block": later than any block of a run.
-_NEVER = sys.maxsize
-
-
 class _Run:
     """What every decode of one run shares: the transmissions so far, and
     the solve memo (see ``_decode_closure``).
@@ -239,10 +234,11 @@ class _Receiver:
     ``lag`` maps each scheduled source to its decode lag; ``sources`` lists
     them in order, with ``power`` their received powers.  They are also the
     senders whose transmissions the node reads (a valid schedule never has a
-    node decode itself).  ``foreign_from`` maps each sender to the first
-    block from which, by its encode sets, its bundles repeat a source the
-    node never schedules (``_NEVER`` if they never do); the steady-state
-    rule of ``run_schedule`` waits for it.
+    node decode itself).  A sender's foreign block is the first block from
+    which, by its encode sets, its bundles repeat a source the node never
+    schedules; ``floor`` is the latest foreign block over the senders (0 if
+    none has one), which the steady-state rule of ``run_schedule`` waits
+    for.
     """
 
     def __init__(self, node: int, schedule: Schedule, powers: PowerMatrix):
@@ -255,18 +251,20 @@ class _Receiver:
         self.static_interference = sum(
             powers.pair(j, node) for j in range(n) if j != node and j not in lag
         )
-        self.foreign_from = {
-            l: min(
-                (
-                    k + 1
-                    for k, members in enumerate(schedule.encode_sets[l], start=1)
-                    for j in members
-                    if j != node and j not in lag
-                ),
-                default=_NEVER,
-            )
-            for l in self.sources
-        }
+        self.floor = max(
+            (
+                next(
+                    (
+                        k + 1
+                        for k, members in enumerate(schedule.encode_sets[l], start=1)
+                        if any(j != node and j not in lag for j in members)
+                    ),
+                    0,
+                )
+                for l in self.sources
+            ),
+            default=0,
+        )
 
 
 def _read_bundle(tx: Transmission, done: dict[int, int], node: int) -> list[int] | None:
@@ -456,9 +454,9 @@ def _is_steady(
     ``run_schedule``'s steady state for one block.
 
     ``before`` and ``after`` hold every receiver's counters before and after
-    the block, ``floors`` each receiver's latest finite ``foreign_from`` (0
-    if none), and ``last_skip`` is ``_Run.last_skip`` with the block's own
-    transmissions added.
+    the block, ``floors`` each receiver's ``_Receiver.floor``, and
+    ``last_skip`` is ``_Run.last_skip`` with the block's own transmissions
+    added.
     """
     for was, now in zip(before, after):
         for v, w in zip(now, was):
@@ -488,7 +486,7 @@ def run_schedule(
        encode-set start (a lag-k repeat exists from block k + 1 on), and each
        receiver's decode window of block ``b`` (from the oldest message it
        missed before the block, ``min(upto[i]) + 1``, to ``b``) starts at or
-       after every finite ``foreign_from`` of its senders;
+       after every sender's foreign block (``_Receiver.floor``);
     3. no skipped repeat is left to read: every block that skipped one,
        ``b`` included, is older than every such decode window.
 
@@ -516,7 +514,7 @@ def run_schedule(
     schedules, ``(j, 1)`` is known and so nothing to decode, as every
     counter is at least 1 after block ``b`` (1).  A
     sender that repeats a source the receiver never schedules does so in
-    every block from its ``foreign_from`` on, which is at or before the
+    every block from its foreign block on, which is at or before the
     window in both blocks (2), so all its bundles there are noise in both.
     Every role is thus a function of the relative state, and the records of
     block ``b + 1`` are block ``b``'s moved up by one.  They succeed, as
@@ -549,9 +547,7 @@ def run_schedule(
         (k + 1 for row in schedule.encode_sets for k, members in enumerate(row, 1) if members),
         default=1,
     )
-    floors = [
-        max((f for f in rx.foreign_from.values() if f != _NEVER), default=0) for rx in receivers
-    ]
+    floors = [rx.floor for rx in receivers]
 
     # Node i knows (j, beta) iff beta <= upto[i][j]; see _decode_closure.
     upto = [dict.fromkeys(rx.lag, 0) for rx in receivers]

@@ -244,9 +244,10 @@ def _chain_sums(
     ``prefix[a, k] == sum(rows[a, :k].tolist())`` and
     ``suffix[a, s] == sum(rows[a, s:].tolist())``, bitwise.  ``compensated``
     picks the compensated step of ``sum()`` from Python 3.12 on, or plain
-    left-to-right addition; the default is the running interpreter's.  Every suffix chain moves one term per step, all
-    chains at once, so the work is O(r * m**2) in m array operations; the
-    chain from column 0 passes through every prefix on its way.
+    left-to-right addition; the default is the running interpreter's.  Every
+    suffix chain moves one term per step, all chains at once, so the work is
+    O(r * m**2) in m array operations; the chain from column 0 passes through
+    every prefix on its way.
     """
     r, m = rows.shape
     prefix = np.zeros((r, m + 1))

@@ -3,8 +3,10 @@
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -13,6 +15,14 @@ import pytest
 import omnirelay
 from omnirelay import cli
 from omnirelay.cli import main
+from omnirelay.topology import (
+    arc,
+    general_line,
+    power_law,
+    regular_line,
+    ring,
+    topology_from_distances,
+)
 
 
 def run(capsys, *argv):
@@ -265,6 +275,99 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     second = run(capsys, *argv)
     assert first == second
     assert first[0] == 0
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # The parser is built once per process; no call may leave state in it
+    # that changes a later call's output, exit code or error line.
+    calls = [
+        ("simulate", "--preset", "ring", "--n", "4", "--power", "10", "--blocks", "6",
+         "--payload-sizes", "4"),
+        ("analyze", "--preset", "regular-line", "--n", "4", "--power", "10"),
+        ("simulate", "--preset", "ring", "--n", "abc"),
+        ("sweep", "--preset", "regular-line", "--sweep-n", "2,3", "--power", "10",
+         "--blocks", "4"),
+        ("bin-demo", "--sizes", "3,5", "--values", "2,4"),
+    ]
+    calls.append(calls[0])
+    alone = []
+    for argv in calls:
+        done = run_out_of_process(*argv)
+        alone.append((done.returncode, done.stdout, done.stderr))
+    cli.build_parser.cache_clear()
+    in_one_process = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    assert in_one_process == alone
+    assert [code for code, _, _ in alone] == [0, 0, 1, 0, 0, 0]
+    assert alone[2][2] == "E_VALUE: argument --n: invalid int value: 'abc'\n"
+
+
+def reference_one_hop(topology, radius):
+    """The scalar loop ``cli._default_one_hop`` ran before it read the
+    distance matrix; the reference its sets must equal."""
+    n = topology.n
+    if radius is None:
+        radius = max(
+            min(topology.distances[i][j] for j in range(n) if j != i) for i in range(n)
+        )
+    cutoff = radius * (1.0 + 1e-9)
+    return tuple(
+        frozenset(j for j in range(n) if j != i and topology.distances[i][j] <= cutoff)
+        for i in range(n)
+    )
+
+
+def radius_with_cutoff_at(distance):
+    """A radius whose cutoff ``radius * (1.0 + 1e-9)`` is ``distance`` exactly, or None."""
+    radius = distance / (1.0 + 1e-9)
+    for _ in range(4):
+        cutoff = radius * (1.0 + 1e-9)
+        if cutoff == distance:
+            return radius
+        radius = math.nextafter(radius, distance if cutoff < distance else 0.0)
+    return None
+
+
+def one_hop_topologies():
+    gain = power_law(2.0)
+    rng = random.Random(7)
+    yield regular_line(2, 1.0, gain, 10.0, 1.0)
+    yield regular_line(7, 0.3, gain, 10.0, 1.0)
+    yield general_line([0.0, 1.0, 3.5, 4.5, 10.0], gain, 10.0, 1.0)
+    for size in (3, 6, 11):
+        coordinates = [0.0]
+        for _ in range(size - 1):
+            coordinates.append(coordinates[-1] + rng.uniform(0.1, 3.0))
+        yield general_line(coordinates, gain, 10.0, 1.0)
+    yield ring(3, 1.0, gain, 10.0, 1.0)
+    yield ring(8, 2.5, gain, 10.0, 1.0)
+    yield arc(5, 1.0, 3.0, gain, 10.0, 1.0)
+    yield arc(6, 0.7, 1.2, gain, 10.0, 1.0)
+    yield topology_from_distances(
+        [[0, 1, 2, 3], [1, 0, 1.5, 2], [2, 1.5, 0, 1], [3, 2, 1, 0]], gain, 10.0, 1.0
+    )
+    yield topology_from_distances(
+        [[0, 2.0, 0.5], [2.0, 0, 1.75], [0.5, 1.75, 0]], gain, 10.0, 1.0
+    )
+
+
+@pytest.mark.parametrize("topology", list(one_hop_topologies()), ids=lambda t: f"n{t.n}")
+def test_default_one_hop_matches_the_scalar_loop(topology):
+    n = topology.n
+    pair = topology.distances[0][n - 1]
+    nearest = min(topology.distances[0][1:])
+    at_cutoff = [
+        r for r in map(radius_with_cutoff_at, topology.distances[0][1:]) if r is not None
+    ]
+    assert at_cutoff
+    # Radii: the default; explicit ones at a pair distance exactly, just
+    # inside and outside the relative slack of 1e-9, with a cutoff of exactly
+    # a pair distance, between distances, and 0.
+    for radius in (None, pair, nearest, pair * (1 - 5e-10), pair * (1 - 2e-9), *at_cutoff,
+                   1.3 * nearest, 0.0, 1e300):
+        got = cli._default_one_hop(topology, radius)
+        assert got == reference_one_hop(topology, radius), radius
+        assert all(type(j) is int for hop in got for j in hop)
 
 
 # ---------------------------------------------------------------------------
