@@ -297,10 +297,10 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
     content outside the pool (round noise, and an unusable member if it is
     the sender's own pool block), a pool block that repeats other pool
     members (its helps), a pure relay of pool members (a carrier), or
-    nothing new.  Each round reads every such transmission from its bundle
-    against the round's counters (``_read_bundle``), so a repeat the sender
-    skipped or a message it sent that the node cannot place is seen as it
-    was sent.
+    nothing new.  Each round reads these transmissions block by block, in
+    sender order within a block, from their bundles against the round's
+    counters (``_read_bundle``), so a repeat the sender skipped or a message
+    it sent that the node cannot place is seen as it was sent.
 
     ``run.solved`` memoizes region solves for the run, keyed by a tuple of
     every instance field that varies within a run (the node's static
@@ -327,16 +327,18 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
 
         helps = [frozenset()] * len(members)
         usable = [True] * len(members)
-        carriers: list[tuple[int, int, float, frozenset[int]]] = []
+        carriers: list[tuple[int, float, frozenset[int]]] = []
         round_noise: dict[int, float] = {}
-        for sender in senders:
-            p = rx.power[sender]
-            own = frontier.get(sender)
-            # Interference from a pool sender's fresher blocks is already
-            # charged by the instance's cross-round noise.
-            last = block if own is None else own
-            for beta in range(first_round, last + 1):
-                js = _read_bundle(run.transmissions[beta - 1][sender], done, node)
+        for beta in range(first_round, block + 1):
+            row = run.transmissions[beta - 1]
+            for sender in senders:
+                own = frontier.get(sender)
+                # Interference from a pool sender's fresher blocks is already
+                # charged by the instance's cross-round noise.
+                if own is not None and beta > own:
+                    continue
+                p = rx.power[sender]
+                js = _read_bundle(row[sender], done, node)
                 if js is None:
                     round_noise[beta - first_round] = round_noise.get(beta - first_round, 0.0) + p
                     if beta == own:
@@ -344,15 +346,11 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
                 elif beta == own:
                     helps[index[sender]] = frozenset([index[j] for j in js])
                 elif js:
-                    carriers.append(
-                        (beta - first_round, sender, p, frozenset([index[j] for j in js]))
-                    )
-        if carriers:
-            carriers.sort(key=lambda c: c[:2])
+                    carriers.append((beta - first_round, p, frozenset([index[j] for j in js])))
 
         member_powers = tuple([rx.power[j] for j in members])
         blocks = tuple([frontier[j] - first_round for j in members])
-        shifted_carriers = tuple([(b, p, h) for b, _, p, h in carriers])
+        shifted_carriers = tuple(carriers)
         block_noise = tuple(sorted(round_noise.items()))
         key = (
             member_powers,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -106,7 +106,10 @@ def constant() -> GainFunction:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable network description: distances, gain map, power P, noise N."""
+    """Immutable network description: distances, gain map, power P, noise N.
+
+    Only the file form (``canonical_text``, hence the hash) reads ``positions``.
+    """
 
     distances: tuple[tuple[float, ...], ...]
     gain: GainLike
@@ -588,37 +591,18 @@ def validate_schedule(schedule: Schedule) -> list[ScheduleViolation]:
 # ---------------------------------------------------------------------------
 
 
-def _is_distance_ordered(dist: Sequence[Sequence[float]], order: Sequence[int]) -> bool:
-    # From each anchor, distances must be non-decreasing moving outward.
-    n = len(order)
-    for a in range(n):
-        for t in range(a + 2, n):
-            if dist[order[a]][order[t - 1]] > dist[order[a]][order[t]] + _DIST_TOL:
-                return False
-        for t in range(a - 2, -1, -1):
-            if dist[order[a]][order[t + 1]] > dist[order[a]][order[t]] + _DIST_TOL:
-                return False
-    return True
-
-
-def _principal_axis_order(topology: Topology) -> list[int]:
-    if topology.positions is not None:
-        arr = np.asarray(topology.positions, dtype=float)
-        centered = arr - arr.mean(axis=0)
-        if centered.shape[1] == 1:
-            proj = centered[:, 0]
-        else:
-            _, _, vt = np.linalg.svd(centered, full_matrices=False)
-            proj = centered @ vt[0]
-    else:
-        # Classical MDS: first coordinate of the double-centered squared distances.
-        d2 = topology.distance_matrix() ** 2
-        n = topology.n
-        j = np.eye(n) - np.ones((n, n)) / n
-        b = -0.5 * j @ d2 @ j
-        vals, vecs = np.linalg.eigh(b)
-        proj = vecs[:, -1] * math.sqrt(max(vals[-1], 0.0))
-    return sorted(range(topology.n), key=lambda i: (proj[i], i))
+def _is_distance_ordered(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Per row of the ``(k, n)`` labelings ``orders``, whether every node sees
+    distances ``d`` that do not decrease moving outward along it."""
+    n = orders.shape[1]
+    # seen[r, a, t]: the distance the node at place a of row r sees to place
+    # t.  Step t -> t + 1 is checked right of the anchor, t + 1 -> t left.
+    seen = d[orders[:, :, None], orders[:, None, :]]
+    inner, outer = seen[:, :, :-1], seen[:, :, 1:]
+    step, anchor = np.arange(n - 1), np.arange(n)[:, None]
+    right = (inner > outer + _DIST_TOL) & (step >= anchor + 1)
+    left = (outer > inner + _DIST_TOL) & (step <= anchor - 2)
+    return ~(right | left).any(axis=(1, 2))
 
 
 def _canonical(order: Sequence[int]) -> tuple[int, ...]:
@@ -629,11 +613,19 @@ def _canonical(order: Sequence[int]) -> tuple[int, ...]:
 def distance_ordering_check(topology: Topology) -> tuple[int, ...] | None:
     """Find a labeling under which every node sees non-decreasing distances outward.
 
-    Tries the two principal-axis orders first; for n up to
-    ``_EXHAUSTIVE_ORDER_LIMIT`` falls back to trying every labeling.  Returns the
-    labeling (oriented so its first node id is the smaller endpoint), or None.
-    The check runs on the first call for a topology object, and later calls
-    return its result.
+    Reads the distance matrix only.  The one candidate sorts the nodes by
+    distance from ``e``, the first farthest node from node 0, ties broken
+    by index.  If an ordering exists, ``e`` is one of its ends, and when no
+    node sees two others within ``_DIST_TOL`` of the same distance the sort
+    rebuilds it, so a None is then exact at every n.  If the candidate fails
+    and n is at most ``_EXHAUSTIVE_ORDER_LIMIT``, the first passing labeling
+    with first node id below last, in ``itertools.permutations`` order, is
+    returned, exact with ties too.  Above the limit, tied distances can hide
+    an ordering the candidate misses.
+
+    Returns the labeling (oriented so its first node id is the smaller
+    endpoint), or None.  The check runs on the first call for a topology
+    object, and later calls return its result.
     """
     derived = topology._derived
     if "ordering" not in derived:
@@ -642,17 +634,19 @@ def distance_ordering_check(topology: Topology) -> tuple[int, ...] | None:
 
 
 def _find_distance_ordering(topology: Topology) -> tuple[int, ...] | None:
-    dist = topology.distances
-    axis = _principal_axis_order(topology)
-    for cand in (axis, axis[::-1]):
-        if _is_distance_ordered(dist, cand):
-            return _canonical(cand)
-    if topology.n <= _EXHAUSTIVE_ORDER_LIMIT:
-        for perm in permutations(range(topology.n)):
-            if perm[0] > perm[-1]:
-                continue  # reversal is equivalent
-            if _is_distance_ordered(dist, perm):
-                return perm
+    d = topology.distance_matrix()
+    end = int(np.argmax(d[0]))
+    candidate = np.argsort(d[end], kind="stable")
+    if _is_distance_ordered(d, candidate[None, :])[0]:
+        return _canonical(candidate.tolist())
+    n = topology.n
+    if n <= _EXHAUSTIVE_ORDER_LIMIT:
+        labelings = np.fromiter(chain.from_iterable(permutations(range(n))), np.intp)
+        labelings = labelings.reshape(-1, n)
+        labelings = labelings[labelings[:, 0] < labelings[:, -1]]  # reversal is equivalent
+        passed = _is_distance_ordered(d, labelings)
+        if passed.any():
+            return tuple(labelings[int(np.argmax(passed))].tolist())
     return None
 
 
@@ -735,6 +729,8 @@ def parse_topology_text(
                 dist_rows[pair] = value
             elif key == "hop":
                 node = int(parts[1])
+                if node in hop_rows:
+                    raise fail(lineno, f"duplicate hop row for node {node}")
                 hop_rows[node] = frozenset(int(x) for x in parts[2:])
             else:
                 raise fail(lineno, f"unknown directive {key!r}")

@@ -115,9 +115,9 @@ def test_analyze_checks_the_distance_ordering_once(capsys, monkeypatch, argv, co
     orders = []
     is_ordered = topology._is_distance_ordered
 
-    def counting(dist, order):
-        orders.append(tuple(order))
-        return is_ordered(dist, order)
+    def counting(dist, labelings):
+        orders.extend(tuple(row) for row in labelings.tolist())
+        return is_ordered(dist, labelings)
 
     monkeypatch.setattr(topology, "_is_distance_ordered", counting)
     data = run_json(capsys, "analyze", *argv, "--power", "10")
@@ -427,6 +427,14 @@ def test_error_codes(capsys, tmp_path):
         "nodes 2\ngain const\npower nan\nnoise 1\npos 1 0\npos 2 1\n", encoding="utf-8"
     )
     assert_fails(capsys, ["analyze", "--topology", str(non_finite)], "E_TOPOLOGY")
+    two_hop_rows = tmp_path / "two_hop_rows.txt"
+    two_hop_rows.write_text(
+        "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\nhop 1 2\nhop 2 1\nhop 1 2\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "analyze", "--topology", str(two_hop_rows)) == (
+        1, "", "E_TOPOLOGY: line 9: duplicate hop row for node 1\n"
+    )
     for flag, value in (("--rate", "nan"), ("--rate", "inf"), ("--power", "-inf"), ("--n", "abc")):
         assert_fails(
             capsys,

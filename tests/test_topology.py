@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from omnirelay.errors import ModelViolationError, TopologyFormatError
 from omnirelay.topology import (
     _DIST_TOL,
+    _is_distance_ordered,
     GainFunction,
     NeighborSets,
     Schedule,
@@ -504,6 +506,144 @@ def test_exhaustive_fallback_finds_scrambled_lines():
     assert distance_ordering_check(t) == (0, 2, 3, 1)
 
 
+def reference_is_distance_ordered(dist, order):
+    """The scalar check: from each anchor, distances must be non-decreasing
+    moving outward, with ``_DIST_TOL`` of slack."""
+    n = len(order)
+    for a in range(n):
+        for t in range(a + 2, n):
+            if dist[order[a]][order[t - 1]] > dist[order[a]][order[t]] + _DIST_TOL:
+                return False
+        for t in range(a - 2, -1, -1):
+            if dist[order[a]][order[t + 1]] > dist[order[a]][order[t]] + _DIST_TOL:
+                return False
+    return True
+
+
+def shuffled_line(rng, n):
+    """Coordinates of a line with uneven gaps, in a random labeling, and
+    the labels from one end to the other."""
+    coords = np.cumsum(rng.uniform(0.2, 3.0, n))
+    labels = rng.permutation(n)
+    placed = np.empty(n)
+    placed[labels] = coords
+    return placed.tolist(), tuple(labels.tolist())
+
+
+def canonical(order):
+    return order if order[0] <= order[-1] else order[::-1]
+
+
+def test_array_predicate_matches_the_scalar_check():
+    rng = np.random.default_rng(2024)
+    verdicts = set()
+    for n in range(2, 10):
+        for _ in range(15):
+            coords, labels = shuffled_line(rng, n)
+            d = np.abs(np.subtract.outer(coords, coords))
+            if rng.random() < 0.5:  # off the line, so that more labelings fail
+                bend = np.triu(rng.uniform(0.0, 0.5, (n, n)), 1)
+                d = d + bend + bend.T
+            orders = [labels, labels[::-1]]
+            for _ in range(10):
+                near = list(labels)
+                s = int(rng.integers(n - 1))
+                near[s], near[s + 1] = near[s + 1], near[s]
+                orders += [tuple(near), tuple(rng.permutation(n).tolist())]
+            got = _is_distance_ordered(d, np.array(orders))
+            rows = d.tolist()
+            for order, verdict in zip(orders, got.tolist()):
+                assert verdict == reference_is_distance_ordered(rows, order)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_array_predicate_at_the_tolerance_edge(side):
+    # On a line in its own order, one anchor's step is set to exactly
+    # _DIST_TOL against the direction of travel, then one ulp beyond.
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for n in range(3, 9):
+        for _ in range(10):
+            base = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+            if side == "right":
+                a = int(rng.integers(n - 2))
+                t = int(rng.integers(a + 2, n))
+                near, far = t - 1, t
+            else:
+                a = int(rng.integers(2, n))
+                t = int(rng.integers(a - 1))
+                near, far = t + 1, t
+            for value in (base[a, far] + _DIST_TOL, math.nextafter(base[a, far] + _DIST_TOL, math.inf)):
+                d = base.copy()
+                d[a, near] = d[near, a] = value
+                order = tuple(range(n))
+                orders = np.array([order, tuple(rng.permutation(n).tolist())])
+                got = _is_distance_ordered(d, orders).tolist()
+                assert got == [reference_is_distance_ordered(d.tolist(), o) for o in orders.tolist()]
+                verdicts.append(got[0])
+    assert verdicts == [True, False] * (len(verdicts) // 2)
+
+
+def test_shuffled_tie_free_lines_and_arcs_return_their_order():
+    rng = np.random.default_rng(99)
+    for n in [2, 3, 4, 5, 8, 9, 12, 20, 33, 47, 60]:
+        for _ in range(4):
+            coords, labels = shuffled_line(rng, n)
+            expected = canonical(labels)
+            assert distance_ordering_check(general_line(coords, constant(), 1.0, 1.0)) == expected
+            d = np.abs(np.subtract.outer(coords, coords))
+            assert distance_ordering_check(topology_from_distances(d, constant(), 1.0, 1.0)) == expected
+            # A shallow arc: angles with uneven gaps, spanning under pi.
+            span = rng.uniform(0.1, 3.0)
+            angles = np.array(coords) / max(coords) * span
+            pts = list(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))
+            assert distance_ordering_check(topology_from_positions(pts, constant(), 1.0, 1.0)) == expected
+
+
+def test_small_integer_distances_match_an_exhaustive_reference():
+    rng = np.random.default_rng(5)
+    found = set()
+    for n in range(2, 7):
+        for _ in range(40):
+            upper = np.triu(rng.integers(1, 4, (n, n)), 1).astype(float)
+            d = upper + upper.T
+            t = topology_from_distances(d, constant(), 1.0, 1.0)
+            rows = d.tolist()
+            passing = [p for p in permutations(range(n)) if reference_is_distance_ordered(rows, p)]
+            order = distance_ordering_check(t)
+            found.add(order is None)
+            if order is None:
+                assert passing == []
+            else:
+                assert order in passing and order[0] < order[-1]
+            # The rule itself: the sort from the first farthest node from
+            # node 0, else the first passing labeling in permutation order.
+            end = rows[0].index(max(rows[0]))
+            candidate = tuple(sorted(range(n), key=lambda j: (rows[end][j], j)))
+            if reference_is_distance_ordered(rows, candidate):
+                assert order == canonical(candidate)
+            else:
+                assert order == (passing[0] if passing else None)
+    assert found == {True, False}
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0.0, 0.0), (1.0, 0.1), (2.5, 0.0), (3.1, 0.3), (4.0, 0.0)],
+        [(3.0, 1.0), (0.0, 0.0), (1.0, 0.2), (2.0, 0.5)],
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+        [(math.cos(k), math.sin(k)) for k in (0.0, 2.0, 0.5, 2.5, 1.0)],
+    ],
+)
+def test_positions_and_distances_give_the_same_ordering(points):
+    from_positions = topology_from_positions(points, constant(), 1.0, 1.0)
+    from_distances = topology_from_distances(from_positions.distances, constant(), 1.0, 1.0)
+    assert distance_ordering_check(from_positions) == distance_ordering_check(from_distances)
+
+
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
@@ -655,4 +795,13 @@ def test_conflicting_dist_rows_rejected():
         "dist 1 2 1.0\ndist 2 1 3.0\n"
     )
     with pytest.raises(TopologyFormatError, match="conflicting"):
+        parse_topology_text(text)
+
+
+def test_duplicate_hop_rows_rejected():
+    text = (
+        "nodes 3\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\npos 3 2\n"
+        "hop 1 2\nhop 2 1 3\nhop 3 2\nhop 1 3\n"
+    )
+    with pytest.raises(TopologyFormatError, match="line 11: duplicate hop row for node 1"):
         parse_topology_text(text)
