@@ -22,7 +22,9 @@ bits, so boundary points count as infeasible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -211,7 +213,9 @@ class _MultiBlockEvaluator:
         return total
 
     def margin(self, subset: frozenset[int]) -> float:
-        return sum(self.inst.rates[j] for j in subset) - self.rhs(subset)
+        # The rates add left to right from 0, as in margins, on every Python:
+        # the builtin sum() compensates float rounding from 3.12 on.
+        return reduce(operator.add, (self.inst.rates[j] for j in subset), 0) - self.rhs(subset)
 
     def margins(self, members: Sequence[int]) -> np.ndarray:
         """``margin`` of every subset of ``members`` at once.

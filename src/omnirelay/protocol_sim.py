@@ -40,9 +40,10 @@ blocks in hand.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .binning import BinAssignment, build_binning, decode_from_side_info, whole_sizes
@@ -238,18 +239,22 @@ class _Receiver:
     which, by its encode sets, its bundles repeat a source the node never
     schedules; ``floor`` is the latest foreign block over the senders (0 if
     none has one), which the steady-state rule of ``run_schedule`` waits
-    for.
+    for.  ``undecoded`` lists the other nodes it never schedules, whose
+    total power ``static_interference`` adds to its noise.
     """
 
     def __init__(self, node: int, schedule: Schedule, powers: PowerMatrix):
-        n = schedule.n
         lag = schedule.decode_lag(node)
         self.node = node
         self.lag = lag
         self.sources = tuple(sorted(lag))
         self.power = {j: powers.pair(j, node) for j in lag}
-        self.static_interference = sum(
-            powers.pair(j, node) for j in range(n) if j != node and j not in lag
+        self.undecoded = tuple(j for j in range(schedule.n) if j != node and j not in lag)
+        # Added left to right from the int 0, as sum() did before Python 3.12;
+        # from 3.12 on sum() compensates float rounding, so printed powers would
+        # depend on the Python version.
+        self.static_interference = reduce(
+            operator.add, (powers.pair(j, node) for j in self.undecoded), 0
         )
         self.floor = max(
             (
@@ -614,14 +619,8 @@ def interference_accounting(trace: SimulationTrace) -> tuple[InterferenceReport,
     """Per node: which sources stay forever undecoded and how much power they add."""
     topology = trace.topology
     powers = build_power_matrix(topology)
-    out = []
-    for i in range(topology.n):
-        scheduled = set(trace.schedule.decode_lag(i))
-        undecoded = tuple(j for j in range(topology.n) if j != i and j not in scheduled)
-        out.append(
-            InterferenceReport(i, undecoded, sum(powers.pair(j, i) for j in undecoded))
-        )
-    return tuple(out)
+    receivers = [_Receiver(i, trace.schedule, powers) for i in range(topology.n)]
+    return tuple(InterferenceReport(r.node, r.undecoded, r.static_interference) for r in receivers)
 
 
 def check_payload_sizes(sizes: Sequence[int], n: int) -> tuple[int, ...]:

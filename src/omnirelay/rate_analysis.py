@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -228,57 +227,26 @@ def _capacities(signal: np.ndarray, denom) -> np.ndarray:
     return np.fromiter(map(math.log2, ratio), float, len(ratio))
 
 
-# sum() of floats adds left to right before Python 3.12 and with Neumaier's
-# compensation from 3.12 on; the line table's powers must be bitwise the
-# sum() of their slices on the running interpreter, since printed rates
-# depend on the last bit, so _chain_sums copies whichever step it takes.
-_SUM_COMPENSATES = sys.version_info >= (3, 12)
-
-
-def _chain_sums(
-    rows: np.ndarray, compensated: bool = _SUM_COMPENSATES
-) -> tuple[np.ndarray, np.ndarray]:
+def _chain_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every prefix and suffix sum of every row of nonnegative floats.
 
-    For an (r, m) array, returns two (r, m + 1) arrays with
-    ``prefix[a, k] == sum(rows[a, :k].tolist())`` and
-    ``suffix[a, s] == sum(rows[a, s:].tolist())``, bitwise.  ``compensated``
-    picks the compensated step of ``sum()`` from Python 3.12 on, or plain
-    left-to-right addition; the default is the running interpreter's.  Every
-    suffix chain moves one term per step, all chains at once, so the work is
-    O(r * m**2) in m array operations; the chain from column 0 passes through
-    every prefix on its way.
+    For an (r, m) array, returns two (r, m + 1) arrays with ``prefix[a, k]``
+    the sum of ``rows[a, :k]`` and ``suffix[a, s]`` that of ``rows[a, s:]``,
+    each added left to right from 0, on every Python.  Every suffix chain
+    moves one term per step, all chains at once, so the work is O(r * m**2)
+    in m array operations; the chain from column 0 passes through every
+    prefix on its way.
     """
     r, m = rows.shape
     prefix = np.zeros((r, m + 1))
     suffix = np.zeros((r, m + 1))
-    # Chain s runs in f[:, s], its compensation in c[:, s].  Like sum(), it
-    # starts from 0: 0 + x is 0.0 + x for a float x.
-    f, c = suffix[:, :m], np.zeros((r, m))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Chain s runs in f[:, s], from 0: 0 + x is 0.0 + x for a float x.
+    f = suffix[:, :m]
+    with np.errstate(over="ignore"):
         for step in range(m):
-            x = rows[:, step:]
-            head, comp = f[:, : m - step], c[:, : m - step]
-            if compensated:
-                # Neumaier's step: the rounding error of t is (larger operand
-                # - t) + smaller operand.  Both are nonnegative, so maximum
-                # and minimum pick the branch sum() picks on |f| >= |x|.
-                t = head + x
-                comp += (np.maximum(head, x) - t) + np.minimum(head, x)
-                head[...] = t
-                prefix[:, step + 1] = _compensate(f[:, 0], c[:, 0])
-            else:
-                head += x
-                prefix[:, step + 1] = f[:, 0]
-        if compensated:
-            suffix[:, :m] = _compensate(f, c)
+            f[:, : m - step] += rows[:, step:]
+            prefix[:, step + 1] = f[:, 0]
     return prefix, suffix
-
-
-def _compensate(f: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The sum's last step: add the compensation when it is nonzero and
-    finite, so an overflowed sum stays inf rather than turning NaN."""
-    return np.where((c != 0) & np.isfinite(c), f + c, f)
 
 
 def _build_line_table(topology: Topology) -> _LineTable:
@@ -289,10 +257,10 @@ def _build_line_table(topology: Topology) -> _LineTable:
     noise = topology.noise
 
     # into[b, a]: received power at position b from position a (both 0-based,
-    # the diagonal zero).  Every signal below is the sum() of a slice of a
-    # row, in position order: a far group or a side is a prefix or a suffix.
-    # The sum row skips the diagonal, but adding a zero moves no bit of a
-    # sum of nonnegatives, so it is the whole row.
+    # the diagonal zero).  Every signal below is the left-to-right sum of a
+    # slice of a row, in position order: a far group or a side is a prefix
+    # or a suffix.  The sum row skips the diagonal, but adding a zero moves
+    # no bit of a sum of nonnegatives, so it is the whole row.
     into = build_power_matrix(topology).received.T[np.ix_(order, order)]
     prefix, suffix = _chain_sums(into)
 

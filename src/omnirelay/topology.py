@@ -11,6 +11,7 @@ the line-network analysis.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations
@@ -25,6 +26,8 @@ GainLike = Callable[[float], float]
 _DIST_TOL = 1e-9
 # Largest n for which distance_ordering_check tries every labeling (n! work).
 _EXHAUSTIVE_ORDER_LIMIT = 8
+# Distances one chunk of the ordering check gathers (half a megabyte).
+_GATHER_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +355,14 @@ def _received_powers(topology: Topology) -> PowerMatrix:
             powers.append(math.inf)
     received = np.zeros((n, n))
     received[off_diagonal] = np.array(powers)[where]
-    for j in range(n):
-        # Checked in Python, before a numpy reduction can overflow with a warning.
-        total = sum(received[:, j].tolist())
+    # Every receiver's total adds its column left to right from 0, one sender
+    # row at a time, so each is bitwise the plain Python loop on every
+    # version; an overflow to inf is what the check below reports.
+    totals = np.zeros(n)
+    with np.errstate(over="ignore"):
+        for row in received:
+            totals += row
+    for j, total in enumerate(totals.tolist()):
         if not math.isfinite(total / topology.noise):
             raise ModelViolationError(
                 f"received power at node {j} overflows: total {total} over noise "
@@ -593,16 +601,22 @@ def validate_schedule(schedule: Schedule) -> list[ScheduleViolation]:
 
 def _is_distance_ordered(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Per row of the ``(k, n)`` labelings ``orders``, whether every node sees
-    distances ``d`` that do not decrease moving outward along it."""
+    distances ``d`` that do not decrease moving outward along it.  The rows
+    go in chunks of about ``_GATHER_CELLS`` distances, at least one row."""
     n = orders.shape[1]
-    # seen[r, a, t]: the distance the node at place a of row r sees to place
-    # t.  Step t -> t + 1 is checked right of the anchor, t + 1 -> t left.
-    seen = d[orders[:, :, None], orders[:, None, :]]
-    inner, outer = seen[:, :, :-1], seen[:, :, 1:]
     step, anchor = np.arange(n - 1), np.arange(n)[:, None]
-    right = (inner > outer + _DIST_TOL) & (step >= anchor + 1)
-    left = (outer > inner + _DIST_TOL) & (step <= anchor - 2)
-    return ~(right | left).any(axis=(1, 2))
+    rows = max(1, _GATHER_CELLS // (n * n))
+    verdicts = []
+    for first in range(0, len(orders), rows):
+        chunk = orders[first : first + rows]
+        # seen[r, a, t]: the distance the node at place a of row r sees to
+        # place t.  Step t -> t + 1 is checked right of the anchor, t + 1 -> t left.
+        seen = d[chunk[:, :, None], chunk[:, None, :]]
+        inner, outer = seen[:, :, :-1], seen[:, :, 1:]
+        right = (inner > outer + _DIST_TOL) & (step >= anchor + 1)
+        left = (outer > inner + _DIST_TOL) & (step <= anchor - 2)
+        verdicts.append(~(right | left).any(axis=(1, 2)))
+    return np.concatenate(verdicts)
 
 
 def _canonical(order: Sequence[int]) -> tuple[int, ...]:
@@ -748,8 +762,10 @@ def parse_topology_text(
     if not pos_rows and not dist_rows:
         raise TopologyFormatError("no pos or dist rows found")
 
+    # Coverage is checked from the rows given, so that a large node count
+    # allocates nothing before the file is known to list every node or pair.
     if pos_rows:
-        if sorted(pos_rows) != list(range(1, n + 1)):
+        if len(pos_rows) != n or min(pos_rows) != 1 or max(pos_rows) != n:
             raise TopologyFormatError("pos rows must cover node ids 1..n exactly")
         dims = {len(c) for c in pos_rows.values()}
         if len(dims) > 1:
@@ -758,20 +774,24 @@ def parse_topology_text(
             [pos_rows[i] for i in range(1, n + 1)], gain, power, noise
         )
     else:
-        matrix = [[0.0] * n for _ in range(n)]
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if (a, b) not in dist_rows:
-                    raise TopologyFormatError(f"missing dist row for pair ({a}, {b})")
-                matrix[a - 1][b - 1] = matrix[b - 1][a - 1] = dist_rows[(a, b)]
+        # Row a misses a pair when it has fewer than n - a; the first missing
+        # b is found within its count + 1 tries.
+        row_counts = Counter(a for a, b in dist_rows if a >= 1 and b <= n)
+        a = next((a for a in range(1, n) if row_counts[a] < n - a), None)
+        if a is not None:
+            b = next(b for b in range(a + 1, n + 1) if (a, b) not in dist_rows)
+            raise TopologyFormatError(f"missing dist row for pair ({a}, {b})")
         for (a, b) in dist_rows:
             if not (1 <= a <= n and 1 <= b <= n):
                 raise TopologyFormatError(f"dist row node out of range in pair ({a}, {b})")
+        matrix = [[0.0] * n for _ in range(n)]
+        for (a, b), value in dist_rows.items():
+            matrix[a - 1][b - 1] = matrix[b - 1][a - 1] = value
         topo = topology_from_distances(matrix, gain, power, noise)
 
     one_hop = None
     if hop_rows:
-        if sorted(hop_rows) != list(range(1, n + 1)):
+        if len(hop_rows) != n or min(hop_rows) != 1 or max(hop_rows) != n:
             raise TopologyFormatError("hop rows, when present, must cover node ids 1..n")
         sets = []
         for i in range(1, n + 1):

@@ -128,6 +128,19 @@ GOLDEN = [
         ("simulate", "--preset", "regular-line", "--n", "24", "--power", "10", "--blocks", "28"),
         "c5c481441bd5878a2cb3d3b4a0571cafff30561297a549b874b4191d6c1bf3bc",
     ),
+    (
+        # The mirror ends 0 and 9 bind with the same margin to six places;
+        # the binding receiver is 9 when the table's powers add left to
+        # right, as they do on every Python, and 0 under the compensated
+        # sum() of Python 3.12.
+        ("analyze", "--preset", "regular-line", "--n", "10", "--power", "10", "--gain", "exp:0.5"),
+        "799863428c8b8122990aa85e81723df223191e6839cad433ebc55960efa71dc8",
+    ),
+    (
+        # Likewise: receiver 199 binds, and 0 under a compensated sum.
+        ("analyze", "--preset", "regular-line", "--n", "200", "--power", "1000", "--gain", "pl:4"),
+        "25ad70e6df49fb45d2a0e834f1de0d064273617705f3debde41fdc8b8b446abd",
+    ),
 ]
 
 
@@ -156,6 +169,8 @@ GOLDEN = [
         "split-line-over-bound",
         "line-18-heuristic-violator",
         "line-24-exact-violator",
+        "analyze-line-10-mirror-tie",
+        "analyze-line-200-pl4",
     ],
 )
 def test_cli_output_is_pinned(capsys, argv, digest):

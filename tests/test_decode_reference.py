@@ -24,9 +24,10 @@ repeat and carries another.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import AbstractSet, Sequence
 
 import pytest
@@ -211,7 +212,9 @@ def reference_run(topology, schedule, rate, blocks):
     powers = build_power_matrix(topology)
     lag = [schedule.decode_lag(i) for i in range(n)]
     static = [
-        sum(powers.pair(j, i) for j in range(n) if j != i and j not in lag[i])
+        reduce(
+            operator.add, (powers.pair(j, i) for j in range(n) if j != i and j not in lag[i]), 0
+        )
         for i in range(n)
     ]
     know: list[set[Message]] = [set() for _ in range(n)]
@@ -564,7 +567,11 @@ def test_the_reference_grid_covers_every_sender_role(monkeypatch):
     topology, _, schedule, _, _ = build_case("split", 7, 0.3)
     power = build_power_matrix(topology)
     statics = {
-        sum(power.pair(j, i) for j in range(7) if j != i and j not in schedule.decode_lag(i))
+        reduce(
+            operator.add,
+            (power.pair(j, i) for j in range(7) if j != i and j not in schedule.decode_lag(i)),
+            0,
+        )
         for i in range(7)
     }
     assert len(statics) == 7

@@ -390,24 +390,6 @@ def reference_plain_sum(values):
     return functools.reduce(operator.add, values, 0)
 
 
-def reference_compensated_sum(values):
-    """``sum()`` of floats from Python 3.12 on, step by step: Neumaier's
-    compensated loop, starting from the int 0."""
-    if not values:
-        return 0
-    f, c = 0 + values[0], 0.0
-    for x in values[1:]:
-        t = f + x
-        if abs(f) >= abs(x):
-            c += (f - t) + x
-        else:
-            c += (x - t) + f
-        f = t
-    if c and math.isfinite(c):
-        f += c
-    return f
-
-
 def assert_chains_are(rows, chains, total):
     """``chains`` holds ``total`` of every prefix and suffix of every row, bitwise."""
     prefix, suffix = chains
@@ -421,9 +403,8 @@ def assert_chains_are(rows, chains, total):
 def test_chain_sums_are_sum_of_every_prefix_and_suffix_property():
     # Nonnegative rows with zeros, values across the whole exponent range
     # and near the largest float, so that chains lose low bits and some
-    # overflow to inf.  The default step must be the running interpreter's
-    # sum(); each step must also be the scalar loop it copies, so the step
-    # this interpreter does not run is checked too.
+    # overflow to inf.  Every chain must be the left-to-right loop from 0,
+    # on every Python.
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     value = st.just(0.0) | st.floats(1e-300, 1e300) | st.floats(1e300, 1.7976931348623157e308)
@@ -441,11 +422,7 @@ def test_chain_sums_are_sum_of_every_prefix_and_suffix_property():
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # overflow is silent, as on floats
             chains = _chain_sums(array)
-            plain = _chain_sums(array, compensated=False)
-            compensated = _chain_sums(array, compensated=True)
-        assert_chains_are(rows, chains, sum)
-        assert_chains_are(rows, plain, reference_plain_sum)
-        assert_chains_are(rows, compensated, reference_compensated_sum)
+        assert_chains_are(rows, chains, reference_plain_sum)
 
     check()
 

@@ -3,13 +3,17 @@
 The ``reference_*`` functions are the per-step implementations of
 ``ordered_line_conditions``, ``max_achievable_rate`` and
 ``verify_regular_line_achievability`` from before the conditions became one
-rate-independent table, copied verbatim apart from their names.  Every
+rate-independent table, copied verbatim apart from their names and their
+float totals, which add left to right from 0 as ``sum()`` did before Python
+3.12 and as the package does on every Python.  Every
 report, rate and check must be ``==`` to theirs: the table must change
 nothing but the amount of work.
 """
 
 import math
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -66,7 +70,7 @@ def reference_ordered_line_conditions(topology: Topology, rate: float) -> RateRe
     entries: list[ConditionEntry] = []
     for pos in range(n):
         i = pos + 1
-        total = sum(q[a][pos] for a in range(n) if a != pos)
+        total = reduce(operator.add, (q[a][pos] for a in range(n) if a != pos), 0)
         m = margin(n - 1, total, noise)
         entries.append(
             ConditionEntry(
@@ -81,10 +85,10 @@ def reference_ordered_line_conditions(topology: Topology, rate: float) -> RateRe
         )
         if i == 1 or i == n:
             continue
-        right_all = sum(q[a][pos] for a in range(i, n))
-        left_all = sum(q[a][pos] for a in range(0, i - 1))
+        right_all = reduce(operator.add, (q[a][pos] for a in range(i, n)), 0)
+        left_all = reduce(operator.add, (q[a][pos] for a in range(0, i - 1)), 0)
         for far in range(1, i - 1):
-            far_power = sum(q[a][pos] for a in range(0, far))
+            far_power = reduce(operator.add, (q[a][pos] for a in range(0, far)), 0)
             joint = margin(far + n - i, far_power + right_all, noise)
             defer = margin(n - i, right_all, far_power + noise)
             entries.append(
@@ -99,7 +103,7 @@ def reference_ordered_line_conditions(topology: Topology, rate: float) -> RateRe
                 )
             )
         for far in range(i + 2, n + 1):
-            far_power = sum(q[a][pos] for a in range(far - 1, n))
+            far_power = reduce(operator.add, (q[a][pos] for a in range(far - 1, n)), 0)
             joint = margin(i + n - far, left_all + far_power, noise)
             defer = margin(i - 1, left_all, far_power + noise)
             entries.append(
@@ -267,7 +271,8 @@ def random_lines(count, seed):
 
 def long_uneven_lines(count, seed):
     """Uneven lines of 30 to 60 nodes, in shuffled label order: long sums,
-    where adding left to right and adding with compensation part ways."""
+    whose last bits move when a term is added out of order or with
+    compensation."""
     rng = random.Random(seed)
     for _ in range(count):
         coords = [0.0]

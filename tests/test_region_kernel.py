@@ -1,17 +1,22 @@
 """The all-subsets margin kernel against the scalar evaluator, both against a
 reference capacity that reads only the instance, the submodular search
 against the kernel on both sides of the size switch, the tie-break,
-round-shift invariance, properties of the peel's verdicts, and the
-simulator's per-run solve memo."""
+round-shift invariance, properties of the peel's verdicts, the simulator's
+per-run solve memo, and float totals that do not depend on the Python
+version's ``sum()``."""
 
+import builtins
+import importlib
 import math
+import pkgutil
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from omnirelay import protocol_sim
+import omnirelay
+from omnirelay import cli, protocol_sim
 from omnirelay.mac_region import (
     EPS_BITS,
     HelperCarrier,
@@ -488,3 +493,82 @@ def test_memo_solves_each_shifted_instance_once_per_run(solver_calls, topo, one_
     assert len(solver_calls) == 2 * per_run
     assert solver_calls[per_run:] == solver_calls[:per_run]
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# float totals on every Python
+# ---------------------------------------------------------------------------
+
+
+def reference_compensated_sum(values):
+    """``sum()`` of floats from Python 3.12 on, step by step: Neumaier's
+    compensated loop, starting from the int 0."""
+    if not values:
+        return 0
+    f, c = 0 + values[0], 0.0
+    for x in values[1:]:
+        t = f + x
+        if abs(f) >= abs(x):
+            c += (f - t) + x
+        else:
+            c += (x - t) + f
+        f = t
+    if c and math.isfinite(c):
+        f += c
+    return f
+
+
+def sum_of_python_312(iterable, start=0):
+    """The builtin ``sum()`` as Python 3.12 and later run it on floats."""
+    values = list(iterable)
+    if start == 0 and values and all(type(v) is float for v in values):
+        return reference_compensated_sum(values)
+    return builtins.sum(values, start)
+
+
+SUM_ORDER_ARGV = [
+    # The two mirror ends of this line bind with equal margins; a compensated
+    # sum of the table's powers breaks the tie the other way.
+    ("analyze", "--preset", "regular-line", "--n", "10", "--power", "10", "--gain", "exp:0.5"),
+    ("analyze", "--preset", "line", "--spacings", "1,2,0.5,3,1", "--power", "10"),
+    # Every node has its own static interference, and decodes fail.
+    ("simulate", "--preset", "line", "--spacings", "1,1,2,1,1,1", "--hop-radius", "1.5",
+     "--power", "10", "--blocks", "14", "--rate", "0.8"),
+    ("simulate", "--preset", "regular-line", "--n", "7", "--power", "10", "--blocks", "14",
+     "--rate", "0.8"),
+    ("simulate", "--preset", "regular-line", "--n", "3", "--power", "10", "--hop-radius", "0"),
+    ("simulate", "--preset", "ring", "--n", "6", "--power", "10", "--blocks", "12"),
+]
+
+
+def test_no_float_total_depends_on_the_python_sum(monkeypatch, capsys):
+    # The builtin sum() of floats adds left to right before Python 3.12 and
+    # with Neumaier's compensation from 3.12 on.  With a 3.12-style sum()
+    # injected into every module of the package, whatever the running
+    # Python, the kernel's left-to-right margins must still equal margin()
+    # bitwise and the CLI must print the same bytes.
+    assert sum_of_python_312([0.1] * 10) == 1.0
+    unpatched = []
+    for argv in SUM_ORDER_ARGV:
+        assert cli.main(list(argv)) == 0
+        unpatched.append(capsys.readouterr().out)
+
+    modules = [omnirelay] + [
+        importlib.import_module(f"omnirelay.{info.name}")
+        for info in pkgutil.iter_modules(omnirelay.__path__)
+    ]
+    for module in modules:
+        monkeypatch.setattr(module, "sum", sum_of_python_312, raising=False)
+
+    rng = random.Random(2412)
+    for _ in range(60):
+        inst = build_instance(rng, common_rate=True)
+        for ev in evaluator_states(inst, rng):
+            members = list(range(inst.m))
+            margins = ev.margins(members)
+            for mask in range(1 << len(members)):
+                assert margins[mask] == ev.margin(subset_of(members, mask))
+
+    for argv, out in zip(SUM_ORDER_ARGV, unpatched):
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == out

@@ -1,7 +1,11 @@
 """Geometry, received powers, hop layers, schedules and the text format."""
 
 import math
+import operator
+import re
+import tracemalloc
 import warnings
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
@@ -306,6 +310,22 @@ def test_received_power_symmetric_for_shared_gain():
             assert pm.pair(i, j) == pytest.approx(pm.pair(j, i))
 
 
+def test_an_overflowing_total_is_the_left_to_right_sum():
+    # Each receiver's total adds its column left to right from 0, the loop
+    # below; an overflow over the noise prints the first such total.
+    rng = np.random.default_rng(5)
+    other_bits = 0
+    for _ in range(10):
+        coords = rng.permutation(np.cumsum(rng.uniform(0.1, 2.0, 40))).tolist()
+        column = build_power_matrix(general_line(coords, power_law(2.0), 1e300, 1.0)).into(0)
+        total = reduce(operator.add, column.tolist(), 0)
+        other_bits += total != column.sum()  # numpy's pairwise sum
+        tiny_noise = general_line(coords, power_law(2.0), 1e300, 1e-300)
+        with pytest.raises(ModelViolationError, match=re.escape(f"node 0 overflows: total {total} ")):
+            build_power_matrix(tiny_noise)
+    assert other_bits
+
+
 def test_growing_gain_rejected():
     t = regular_line(3, 1.0, lambda d: d, 1.0, 1.0)
     with pytest.raises(ModelViolationError):
@@ -558,6 +578,34 @@ def test_array_predicate_matches_the_scalar_check():
     assert verdicts == {True, False}
 
 
+def test_array_predicate_across_chunks():
+    # 3,000 labelings of an 8-node line: three chunks of 1,024 rows, with
+    # the passing orders on both sides of each chunk boundary.
+    rng = np.random.default_rng(11)
+    coords, labels = shuffled_line(rng, 8)
+    d = np.abs(np.subtract.outer(coords, coords))
+    orders = rng.permuted(np.tile(np.arange(8), (3000, 1)), axis=1)
+    for row in (0, 1023, 1024, 2047, 2048, 2999):
+        orders[row] = labels if row % 2 else labels[::-1]
+    got = _is_distance_ordered(d, orders).tolist()
+    rows = d.tolist()
+    assert got == [reference_is_distance_ordered(rows, o) for o in orders.tolist()]
+    assert got.count(True) >= 6
+
+
+def test_the_largest_labeling_scan_runs_in_bounded_memory():
+    # A ring of 8 has no ordering, so every one of its 20,160 labelings is
+    # checked; gathered as one (k, n, n) array they took about 23 MB.
+    t = ring(8, 1.0, power_law(2.0), 10.0, 1.0)
+    tracemalloc.start()
+    try:
+        assert distance_ordering_check(t) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_array_predicate_at_the_tolerance_edge(side):
     # On a line in its own order, one anchor's step is set to exactly
@@ -775,6 +823,43 @@ def test_load_topology_file(tmp_path):
 def test_parse_structural_errors(text, fragment):
     with pytest.raises(TopologyFormatError, match=fragment):
         parse_topology_text(text)
+
+
+HEADER = "gain const\npower 1\nnoise 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nodes 3000\n" + HEADER + "dist 1 2 1.0\n", r"missing dist row for pair \(1, 3\)"),
+        ("nodes 3000000\n" + HEADER + "pos 1 0\npos 2 1\n", r"pos rows must cover node ids 1\.\.n"),
+    ],
+    ids=["dist", "pos"],
+)
+def test_a_large_node_count_is_checked_before_allocating(text, message):
+    # An n x n matrix (about 72 MB at n = 3000) or a list of every node id
+    # (about 120 MB at n = 3,000,000) used to be built before these checks.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TopologyFormatError, match=message):
+            parse_topology_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_the_first_missing_dist_pair_is_reported_in_row_order():
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4), (4, 5)]
+    rows = "".join(f"dist {b} {a} 1.0\n" for a, b in pairs)
+    with pytest.raises(TopologyFormatError, match=r"missing dist row for pair \(1, 5\)"):
+        parse_topology_text("nodes 5\n" + HEADER + rows)
+    rows += "dist 1 5 1.0\n"
+    with pytest.raises(TopologyFormatError, match=r"missing dist row for pair \(2, 4\)"):
+        parse_topology_text("nodes 5\n" + HEADER + rows)
+    # A missing pair is reported before a row out of range.
+    with pytest.raises(TopologyFormatError, match=r"missing dist row for pair \(1, 2\)"):
+        parse_topology_text("nodes 2\n" + HEADER + "dist 1 3 1.0\n")
 
 
 def test_parse_errors_carry_line_numbers():
