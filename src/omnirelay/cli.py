@@ -120,7 +120,7 @@ def _default_one_hop(
     The default radius is the largest distance from a node to its nearest
     other node, so every node has a neighbor.
     """
-    dist = topology.distance_matrix()
+    dist = topology.distances
     apart = ~np.eye(topology.n, dtype=bool)
     if radius is None:
         radius = float(np.where(apart, dist, np.inf).min(axis=1).max())

@@ -46,6 +46,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .binning import BinAssignment, build_binning, decode_from_side_info, whole_sizes
 from .errors import PreconditionError
 from .mac_region import (
@@ -55,7 +57,6 @@ from .mac_region import (
     multi_block_decodable_subset,
 )
 from .topology import (
-    PowerMatrix,
     Schedule,
     Topology,
     build_power_matrix,
@@ -243,18 +244,19 @@ class _Receiver:
     total power ``static_interference`` adds to its noise.
     """
 
-    def __init__(self, node: int, schedule: Schedule, powers: PowerMatrix):
+    def __init__(self, node: int, schedule: Schedule, powers: np.ndarray):
         lag = schedule.decode_lag(node)
+        column = powers[:, node].tolist()
         self.node = node
         self.lag = lag
         self.sources = tuple(sorted(lag))
-        self.power = {j: powers.pair(j, node) for j in lag}
+        self.power = {j: column[j] for j in lag}
         self.undecoded = tuple(j for j in range(schedule.n) if j != node and j not in lag)
         # Added left to right from the int 0, as sum() did before Python 3.12;
         # from 3.12 on sum() compensates float rounding, so printed powers would
         # depend on the Python version.
         self.static_interference = reduce(
-            operator.add, (powers.pair(j, node) for j in self.undecoded), 0
+            operator.add, (column[j] for j in self.undecoded), 0
         )
         self.floor = max(
             (

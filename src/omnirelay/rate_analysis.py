@@ -36,10 +36,11 @@ _BISECT_ITERATIONS = 60
 
 def allcast_rate_bound(topology: Topology) -> float:
     """Ceiling on a common rate: the weakest receiver must take in n-1 messages."""
-    # One reduction over contiguous rows adds each receiver's column in the
-    # order PowerMatrix.total_into does, so every total is bitwise its own;
-    # a sum over axis 0 of ``received`` would add in another order.
-    received = build_power_matrix(topology).received
+    # Each receiver's total is numpy's pairwise sum of its column, taken in
+    # one reduction over the contiguous rows of the transpose.  A sum over
+    # axis 0 of ``received`` would add left to right instead, and could move
+    # the last bit of the printed bound.
+    received = build_power_matrix(topology)
     weakest = float(np.ascontiguousarray(received.T).sum(axis=1).min())
     return math.log2(1.0 + weakest / topology.noise) / (topology.n - 1)
 
@@ -261,7 +262,7 @@ def _build_line_table(topology: Topology) -> _LineTable:
     # slice of a row, in position order: a far group or a side is a prefix
     # or a suffix.  The sum row skips the diagonal, but adding a zero moves
     # no bit of a sum of nonnegatives, so it is the whole row.
-    into = build_power_matrix(topology).received.T[np.ix_(order, order)]
+    into = build_power_matrix(topology).T[np.ix_(order, order)]
     prefix, suffix = _chain_sums(into)
 
     # Receiver i (1-based) owns a block of rows: its sum row, then, when
@@ -401,18 +402,16 @@ def verify_regular_line_achievability(
     if order is None:
         raise PreconditionError("the topology admits no distance ordering")
     n = topology.n
-    along = topology.distance_matrix()[np.ix_(order, order)]
+    along = topology.distances[np.ix_(order, order)]
     steps_apart = np.arange(n)
     want = np.abs(steps_apart[:, None] - steps_apart[None, :]) * along[0, 1]
     if np.any(np.abs(along - want) > 1e-9 * np.maximum(1.0, want)):
         raise PreconditionError("node spacing is not equal along the ordering")
 
-    powers = build_power_matrix(topology)
     noise = topology.noise
-    # step_power[k]: received power across k hops of the line (1-based).
-    step_power = [0.0] * n
-    for k in range(1, n):
-        step_power[k] = powers.pair(order[0], order[k])
+    # step_power[k]: received power across k hops of the line (1-based);
+    # step_power[0] is the zero diagonal.
+    step_power = build_power_matrix(topology)[order[0], list(order)].tolist()
     prefix = [0.0] * n
     for k in range(1, n):
         prefix[k] = prefix[k - 1] + step_power[k]

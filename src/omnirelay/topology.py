@@ -107,14 +107,17 @@ def constant() -> GainFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Immutable network description: distances, gain map, power P, noise N.
 
-    Only the file form (``canonical_text``, hence the hash) reads ``positions``.
+    ``distances`` is kept as a read-only n x n float array, converted (and
+    copied) once from any square nested sequence or array.  Topologies
+    compare and hash by identity.  Only the file form (``canonical_text``,
+    hence the hash) reads ``positions``.
     """
 
-    distances: tuple[tuple[float, ...], ...]
+    distances: np.ndarray
     gain: GainLike
     power: float
     noise: float
@@ -131,30 +134,23 @@ class Topology:
         if any(len(row) != n for row in self.distances):
             raise ValueError("distance matrix must be square")
         matrix = np.array(self.distances, dtype=float)
+        if matrix.ndim != 2:
+            raise ValueError("distance matrix must be square")
         _check_distances(matrix)
         if self.positions is not None and len(self.positions) != n:
             raise ValueError("positions must cover every node")
         matrix.flags.writeable = False
-        self._derived["distance_matrix"] = matrix
+        object.__setattr__(self, "distances", matrix)
 
     @property
     def n(self) -> int:
         return len(self.distances)
 
-    def distance(self, i: int, j: int) -> float:
-        return self.distances[i][j]
-
-    def distance_matrix(self) -> np.ndarray:
-        """The distances as a read-only float array, converted once per object."""
-        return self._derived["distance_matrix"]
-
     @cached_property
     def _derived(self) -> dict:
         # Values computed from this object alone and kept after their first
-        # use: its distance matrix (checked in __post_init__), its power
-        # matrix (build_power_matrix), its distance ordering
+        # use: its power matrix (build_power_matrix), its distance ordering
         # (distance_ordering_check) and its line table (rate_analysis).
-        # Equal but distinct topologies keep their own.
         return {}
 
 
@@ -187,10 +183,6 @@ def _check_distances(d: np.ndarray) -> None:
     raise ValueError("distance matrix must be symmetric")
 
 
-def _distance_tuple(matrix: Iterable[Iterable[float]]) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in matrix)
-
-
 def topology_from_positions(
     positions: Sequence[Sequence[float] | float],
     gain: GainLike,
@@ -217,17 +209,17 @@ def topology_from_positions(
     with np.errstate(over="ignore"):
         diff = arr[:, None, :] - arr[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
-    return Topology(tuple(map(tuple, dist.tolist())), gain, float(power), float(noise), tuple(pts))
+    return Topology(dist, gain, float(power), float(noise), tuple(pts))
 
 
 def topology_from_distances(
-    matrix: Iterable[Iterable[float]],
+    matrix: Sequence[Sequence[float]] | np.ndarray,
     gain: GainLike,
     power: float,
     noise: float,
 ) -> Topology:
     """Build a topology from a symmetric distance matrix (no coordinates kept)."""
-    return Topology(_distance_tuple(matrix), gain, float(power), float(noise), None)
+    return Topology(matrix, gain, float(power), float(noise), None)
 
 
 def regular_line(n: int, spacing: float, gain: GainLike, power: float, noise: float) -> Topology:
@@ -286,35 +278,13 @@ def arc(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PowerMatrix:
-    """Received powers; ``received[i, j]`` is the power node j sees from node i.
-
-    The diagonal is unused and stored as zero.
-    """
-
-    received: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.received.shape[0]
-
-    def pair(self, sender: int, receiver: int) -> float:
-        return float(self.received[sender, receiver])
-
-    def into(self, receiver: int) -> np.ndarray:
-        """Column of powers arriving at ``receiver`` (own entry zero)."""
-        return self.received[:, receiver].copy()
-
-    def total_into(self, receiver: int) -> float:
-        return float(self.received[:, receiver].sum())
-
-
-def build_power_matrix(topology: Topology) -> PowerMatrix:
+def build_power_matrix(topology: Topology) -> np.ndarray:
     """Evaluate the gain on every pairwise distance and square into received power.
 
-    The matrix is built on the first call for a topology object and kept on
-    that object, so later calls return the same, read-only, matrix.
+    Returns the read-only n x n array whose ``[i, j]`` is the power node j
+    receives from node i, with a zero diagonal.  The array is built on the
+    first call for a topology object and kept on that object, so later calls
+    return the same one.
 
     Raises ModelViolationError if the sampled gain is negative, non-finite, or
     increases anywhere over the sorted pairwise distances, or if a received
@@ -326,12 +296,12 @@ def build_power_matrix(topology: Topology) -> PowerMatrix:
     return derived["power_matrix"]
 
 
-def _received_powers(topology: Topology) -> PowerMatrix:
+def _received_powers(topology: Topology) -> np.ndarray:
     n = topology.n
     off_diagonal = ~np.eye(n, dtype=bool)
     # The gain, its square and the received power are Python float
     # operations, once per distinct distance; ``where`` spreads them out.
-    unique, where = np.unique(topology.distance_matrix()[off_diagonal], return_inverse=True)
+    unique, where = np.unique(topology.distances[off_diagonal], return_inverse=True)
     gains = []
     for d in unique:
         try:
@@ -369,7 +339,7 @@ def _received_powers(topology: Topology) -> PowerMatrix:
                 f"{topology.noise} is not finite"
             )
     received.flags.writeable = False
-    return PowerMatrix(received)
+    return received
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +618,7 @@ def distance_ordering_check(topology: Topology) -> tuple[int, ...] | None:
 
 
 def _find_distance_ordering(topology: Topology) -> tuple[int, ...] | None:
-    d = topology.distance_matrix()
+    d = topology.distances
     end = int(np.argmax(d[0]))
     candidate = np.argsort(d[end], kind="stable")
     if _is_distance_ordered(d, candidate[None, :])[0]:
@@ -814,17 +784,21 @@ def load_topology_file(path: str) -> tuple[Topology, tuple[frozenset[int], ...] 
 def canonical_text(
     topology: Topology, one_hop: Sequence[Iterable[int]] | None = None
 ) -> str:
-    """Deterministic textual form of a topology, reusable as a file and for hashing."""
+    """Deterministic textual form of a topology, reusable as a file and for hashing.
+
+    Raises ValueError when the gain is not a ``GainFunction``: the file format
+    has no form for any other gain.
+    """
+    g = topology.gain
+    if not isinstance(g, GainFunction):
+        name = getattr(g, "__qualname__", type(g).__qualname__)
+        raise ValueError(f"gain {name} has no text form; only pl, exp and const gains do")
     lines = [f"nodes {topology.n}"]
-    if isinstance(topology.gain, GainFunction):
-        g = topology.gain
-        if g.kind == "constant":
-            lines.append("gain const")
-        else:
-            short = {"power-law": "pl", "exponential": "exp"}[g.kind]
-            lines.append(f"gain {short} {g.parameter!r}")
+    if g.kind == "constant":
+        lines.append("gain const")
     else:
-        lines.append(f"gain custom {topology.gain!r}")
+        short = {"power-law": "pl", "exponential": "exp"}[g.kind]
+        lines.append(f"gain {short} {g.parameter!r}")
     lines.append(f"power {topology.power!r}")
     lines.append(f"noise {topology.noise!r}")
     if topology.positions is not None:
@@ -832,9 +806,9 @@ def canonical_text(
             coords = " ".join(repr(x) for x in p)
             lines.append(f"pos {i} {coords}")
     else:
-        for i in range(topology.n):
+        for i, row in enumerate(topology.distances.tolist()):
             for j in range(i + 1, topology.n):
-                lines.append(f"dist {i + 1} {j + 1} {topology.distances[i][j]!r}")
+                lines.append(f"dist {i + 1} {j + 1} {row[j]!r}")
     if one_hop is not None:
         for i, members in enumerate(one_hop, start=1):
             tail = " ".join(str(j + 1) for j in sorted(members))

@@ -493,6 +493,11 @@ GAP_SIGN_ERROR = "spacings must be positive"
         ("simulate --preset regular-line --n 0 --spacings=-1,nan --payload-sizes x",
          SPACINGS_ERROR),
         ("sweep --preset ring --sweep-n x --spacings 0", GAP_SIGN_ERROR),
+        # Preset arguments, checked when the topology is built.
+        ("simulate --preset arc --n 4", "the arc preset needs --arc-radius"),
+        ("analyze --preset arc --n 6 --arc-radius 1",
+         "arc subtends an angle >= pi; increase radius"),
+        ("analyze --preset line --power 10", "the line preset needs --spacings"),
     ],
 )
 def test_first_bad_input_is_the_one_reported(capsys, argv, message):

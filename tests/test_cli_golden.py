@@ -141,6 +141,11 @@ GOLDEN = [
         ("analyze", "--preset", "regular-line", "--n", "200", "--power", "1000", "--gain", "pl:4"),
         "25ad70e6df49fb45d2a0e834f1de0d064273617705f3debde41fdc8b8b446abd",
     ),
+    (
+        # A shallow arc: nodes in two dimensions, ordered along the arc.
+        ("analyze", "--preset", "arc", "--n", "6", "--arc-radius", "20", "--power", "10"),
+        "8271bad1312c95d9f9f8aa62f74e48848a429f167e1406dc4a8a8b590232083c",
+    ),
 ]
 
 
@@ -171,6 +176,7 @@ GOLDEN = [
         "line-24-exact-violator",
         "analyze-line-10-mirror-tie",
         "analyze-line-200-pl4",
+        "analyze-arc-6",
     ],
 )
 def test_cli_output_is_pinned(capsys, argv, digest):

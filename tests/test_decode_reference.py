@@ -49,7 +49,6 @@ from omnirelay.protocol_sim import (
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import (
     GainFunction,
-    PowerMatrix,
     Schedule,
     arc,
     build_power_matrix,
@@ -87,7 +86,7 @@ def reference_decode_closure(
     transmissions: Sequence[Sequence[Transmission]],
     lag: dict[int, int],
     static_interference: float,
-    powers: PowerMatrix,
+    powers: list[list[float]],
     rate: float,
     noise: float,
     solved: dict[tuple, MultiBlockResult],
@@ -139,7 +138,7 @@ def reference_decode_closure(
                 unknown = {m for m in tx.bundle if m not in work and m[0] != node}
                 if not unknown:
                     continue
-                p = powers.pair(sender, node)
+                p = powers[sender][node]
                 if sender in frontier and beta > frontier[sender]:
                     # Interference from a pool sender's fresher blocks is
                     # already charged by the instance's cross-round noise.
@@ -156,7 +155,7 @@ def reference_decode_closure(
                 else:
                     round_noise[beta] = round_noise.get(beta, 0.0) + p
 
-        member_powers = tuple(powers.pair(j, node) for j in members)
+        member_powers = tuple(powers[j][node] for j in members)
         blocks = tuple(frontier[j] for j in members)
         block_noise = tuple(sorted(round_noise.items()))
         # Every instance field, with round ids relative to the first round.
@@ -209,11 +208,11 @@ def reference_decode_closure(
 def reference_run(topology, schedule, rate, blocks):
     """``run_schedule``'s block loop over plain knowledge sets."""
     n = topology.n
-    powers = build_power_matrix(topology)
+    powers = build_power_matrix(topology).tolist()
     lag = [schedule.decode_lag(i) for i in range(n)]
     static = [
         reduce(
-            operator.add, (powers.pair(j, i) for j in range(n) if j != i and j not in lag[i]), 0
+            operator.add, (powers[j][i] for j in range(n) if j != i and j not in lag[i]), 0
         )
         for i in range(n)
     ]
@@ -569,7 +568,7 @@ def test_the_reference_grid_covers_every_sender_role(monkeypatch):
     statics = {
         reduce(
             operator.add,
-            (power.pair(j, i) for j in range(7) if j != i and j not in schedule.decode_lag(i)),
+            (float(power[j, i]) for j in range(7) if j != i and j not in schedule.decode_lag(i)),
             0,
         )
         for i in range(7)

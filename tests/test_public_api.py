@@ -7,8 +7,9 @@ import pytest
 import omnirelay
 
 # Names the package no longer exports: the one-round region facade and its
-# exhaustive solver.  A one-round instance is a MultiBlockInstance with every
-# member in round 0.
+# exhaustive solver (a one-round instance is a MultiBlockInstance with every
+# member in round 0), and the received-power wrapper and distance tuples (the
+# topology keeps each as one read-only array).
 REMOVED = (
     "MacInstance",
     "mac_feasible",
@@ -17,6 +18,8 @@ REMOVED = (
     "decodable_subset",
     "_one_round",
     "_power_thresholds",
+    "PowerMatrix",
+    "_distance_tuple",
 )
 
 
@@ -27,7 +30,7 @@ def test_all_is_sorted_unique_and_resolves():
     assert [n for n in names if not hasattr(omnirelay, n)] == []
 
 
-@pytest.mark.parametrize("module", ["omnirelay", "omnirelay.mac_region"])
+@pytest.mark.parametrize("module", ["omnirelay", "omnirelay.mac_region", "omnirelay.topology"])
 def test_removed_names_stay_removed(module):
     mod = importlib.import_module(module)
     assert [n for n in REMOVED if hasattr(mod, n)] == []

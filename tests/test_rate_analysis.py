@@ -109,7 +109,7 @@ def test_bound_matches_the_per_receiver_totals():
     # the bound's one reduction over all receivers must give the same bits.
     for t in bound_topologies():
         powers = build_power_matrix(t)
-        weakest = min(powers.total_into(j) for j in range(t.n))
+        weakest = min(float(powers[:, j].sum()) for j in range(t.n))
         assert allcast_rate_bound(t) == math.log2(1.0 + weakest / t.noise) / (t.n - 1)
 
 
@@ -229,6 +229,14 @@ def test_uneven_line_binds_on_an_interior_pair():
     assert binding.best_margin() < 0
     assert_entries_read_like_their_tuple(report)
     assert ordered_line_conditions(t, mx * 0.99).achievable
+
+
+def test_max_rate_is_zero_when_rate_zero_already_fails():
+    # At power 1e-12 the margins fall below the strictness slack at rate 0,
+    # so the bisection never starts.
+    t = regular_line(5, 1.0, power_law(2.0), 1e-12, 1.0)
+    assert not ordered_line_conditions(t, 0.0).achievable
+    assert max_achievable_rate(t) == 0.0
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.inf, math.nan])
@@ -430,7 +438,7 @@ def test_chain_sums_are_sum_of_every_prefix_and_suffix_property():
 def test_line_table_is_kept_per_topology_object():
     t = regular_line(6, 1.0, power_law(2.0), 10.0, 1.0)
     twin = regular_line(6, 1.0, power_law(2.0), 10.0, 1.0)
-    assert t == twin
+    assert t != twin and np.array_equal(t.distances, twin.distances)
     table = _line_table(t)
     assert _line_table(t) is table
     assert _line_table(twin) is not table
@@ -480,6 +488,12 @@ def test_verifier_agrees_with_the_condition_report():
 def test_verifier_rejects_unequal_spacing():
     t = general_line([0.0, 1.0, 2.5], power_law(2.0), 1.0, 1.0)
     with pytest.raises(PreconditionError):
+        verify_regular_line_achievability(t)
+
+
+def test_verifier_needs_a_distance_ordering():
+    t = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
+    with pytest.raises(PreconditionError, match="^the topology admits no distance ordering$"):
         verify_regular_line_achievability(t)
 
 

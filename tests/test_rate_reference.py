@@ -58,11 +58,11 @@ def reference_ordered_line_conditions(topology: Topology, rate: float) -> RateRe
     if order is None:
         raise PreconditionError("the topology admits no distance ordering")
     n = topology.n
-    powers = build_power_matrix(topology)
+    powers = build_power_matrix(topology).tolist()
     noise = topology.noise
 
     # q[a][b]: received power at position b from position a (both 0-based).
-    q = [[powers.pair(order[a], order[b]) for b in range(n)] for a in range(n)]
+    q = [[powers[order[a]][order[b]] for b in range(n)] for a in range(n)]
 
     def margin(count: int, signal: float, denom: float) -> float:
         return math.log2(1.0 + signal / denom) - count * rate
@@ -169,7 +169,7 @@ def reference_verify_regular_line_achievability(
     if order is None:
         raise PreconditionError("the topology admits no distance ordering")
     n = topology.n
-    dist = topology.distances
+    dist = topology.distances.tolist()
     spacing = dist[order[0]][order[1]] if n >= 2 else 0.0
     for a in range(n):
         for b in range(n):
@@ -177,12 +177,12 @@ def reference_verify_regular_line_achievability(
             if abs(dist[order[a]][order[b]] - want) > 1e-9 * max(1.0, want):
                 raise PreconditionError("node spacing is not equal along the ordering")
 
-    powers = build_power_matrix(topology)
+    powers = build_power_matrix(topology).tolist()
     noise = topology.noise
     # step_power[k]: received power across k hops of the line (1-based).
     step_power = [0.0] * n
     for k in range(1, n):
-        step_power[k] = powers.pair(order[0], order[k])
+        step_power[k] = powers[order[0]][order[k]]
     prefix = [0.0] * n
     for k in range(1, n):
         prefix[k] = prefix[k - 1] + step_power[k]

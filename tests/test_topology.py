@@ -80,36 +80,44 @@ def test_gain_parse_rejects_junk():
 def test_regular_line_distances():
     t = regular_line(4, 2.0, constant(), 1.0, 1.0)
     assert t.n == 4
-    assert t.distance(0, 3) == pytest.approx(6.0)
-    assert t.distance(2, 1) == pytest.approx(2.0)
+    assert t.distances[0, 3] == pytest.approx(6.0)
+    assert t.distances[2, 1] == pytest.approx(2.0)
 
 
 def test_general_line_uses_coordinates():
     t = general_line([0.0, 1.0, 3.5], constant(), 1.0, 1.0)
-    assert t.distance(1, 2) == pytest.approx(2.5)
+    assert t.distances[1, 2] == pytest.approx(2.5)
 
 
 def test_ring_chord_lengths():
     t = ring(4, 1.0, constant(), 1.0, 1.0)
     r = 4.0 / (2.0 * math.pi)
-    assert t.distance(0, 1) == pytest.approx(2.0 * r * math.sin(math.pi / 4.0))
-    assert t.distance(0, 2) == pytest.approx(2.0 * r)
+    assert t.distances[0, 1] == pytest.approx(2.0 * r * math.sin(math.pi / 4.0))
+    assert t.distances[0, 2] == pytest.approx(2.0 * r)
 
 
 def test_distance_matrix_is_converted_once_and_read_only():
     t = ring(5, 1.0, constant(), 1.0, 1.0)
-    first = t.distance_matrix()
-    assert t.distance_matrix() is first
+    first = t.distances
+    assert t.distances is first
+    assert not hasattr(t, "distance") and not hasattr(t, "distance_matrix")
+    assert first.dtype == np.float64 and first.shape == (5, 5)
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 1] = 2.0
-    assert first.tolist() == [list(row) for row in t.distances]
+    # A caller's array is copied: it stays writable, and writing to it
+    # moves nothing in the topology.
+    given = np.array(first)
+    built = topology_from_distances(given, constant(), 1.0, 1.0)
+    assert given.flags.writeable and not np.shares_memory(built.distances, given)
+    given[0, 1] = given[1, 0] = 9.0
+    assert built.distances[0, 1] == first[0, 1]
 
 
 def test_arc_approaches_a_line_for_large_radius():
     t = arc(3, 1.0, 1000.0, constant(), 1.0, 1.0)
-    assert t.distance(0, 2) == pytest.approx(2.0, abs=1e-5)
-    assert t.distance(0, 2) < 2.0  # chord is shorter than the arc
+    assert t.distances[0, 2] == pytest.approx(2.0, abs=1e-5)
+    assert t.distances[0, 2] < 2.0  # chord is shorter than the arc
     with pytest.raises(ValueError):
         arc(10, 1.0, 2.0, constant(), 1.0, 1.0)  # subtends more than pi
 
@@ -139,6 +147,8 @@ def test_bad_distance_matrices_rejected(matrix):
         # Row lengths are checked before any value: the bad diagonal of row 0
         # and the asymmetry of row 1 are not reported.
         [[5.0, 1.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0]],
+        # Cells that are rows themselves.
+        [[[0.0], [1.0]], [[1.0], [0.0]]],
     ],
 )
 def test_ragged_distance_matrices_are_not_square(matrix):
@@ -294,20 +304,20 @@ def test_positions_must_be_finite(positions):
 def test_received_power_squares_the_gain():
     t = regular_line(4, 1.0, power_law(2.0), 10.0, 1.0)
     pm = build_power_matrix(t)
-    assert pm.pair(0, 1) == pytest.approx(10.0)
-    assert pm.pair(0, 2) == pytest.approx(2.5)
-    assert pm.pair(0, 3) == pytest.approx(10.0 / 9.0)
-    assert pm.total_into(1) == pytest.approx(10.0 + 10.0 + 2.5)
-    np.testing.assert_allclose(pm.into(1), [10.0, 0.0, 10.0, 2.5])
+    assert float(pm[0, 1]) == pytest.approx(10.0)
+    assert float(pm[0, 2]) == pytest.approx(2.5)
+    assert float(pm[0, 3]) == pytest.approx(10.0 / 9.0)
+    assert float(pm[:, 1].sum()) == pytest.approx(10.0 + 10.0 + 2.5)
+    np.testing.assert_allclose(pm[:, 1], [10.0, 0.0, 10.0, 2.5])
 
 
 def test_received_power_symmetric_for_shared_gain():
     t = general_line([0.0, 0.7, 1.9, 4.0], exponential(0.3), 2.0, 1.0)
     pm = build_power_matrix(t)
     for i in range(4):
-        assert pm.pair(i, i) == 0.0
+        assert float(pm[i, i]) == 0.0
         for j in range(4):
-            assert pm.pair(i, j) == pytest.approx(pm.pair(j, i))
+            assert float(pm[i, j]) == pytest.approx(float(pm[j, i]))
 
 
 def test_an_overflowing_total_is_the_left_to_right_sum():
@@ -317,13 +327,20 @@ def test_an_overflowing_total_is_the_left_to_right_sum():
     other_bits = 0
     for _ in range(10):
         coords = rng.permutation(np.cumsum(rng.uniform(0.1, 2.0, 40))).tolist()
-        column = build_power_matrix(general_line(coords, power_law(2.0), 1e300, 1.0)).into(0)
+        column = build_power_matrix(general_line(coords, power_law(2.0), 1e300, 1.0))[:, 0]
         total = reduce(operator.add, column.tolist(), 0)
         other_bits += total != column.sum()  # numpy's pairwise sum
         tiny_noise = general_line(coords, power_law(2.0), 1e300, 1e-300)
         with pytest.raises(ModelViolationError, match=re.escape(f"node 0 overflows: total {total} ")):
             build_power_matrix(tiny_noise)
     assert other_bits
+
+
+def test_an_overflowing_received_power_is_reported():
+    # The gain at 1e-160 is 1e160; its square overflows a float.
+    t = topology_from_distances([[0, 1e-160], [1e-160, 0]], power_law(2.0), 1.0, 1.0)
+    with pytest.raises(ModelViolationError, match="^received power at node 0 overflows: total inf "):
+        build_power_matrix(t)
 
 
 def test_growing_gain_rejected():
@@ -341,23 +358,24 @@ def test_negative_gain_rejected():
 def test_power_matrix_is_kept_per_topology_object():
     t = regular_line(5, 1.0, power_law(2.0), 10.0, 1.0)
     twin = regular_line(5, 1.0, power_law(2.0), 10.0, 1.0)
-    assert t == twin
+    assert t != twin and np.array_equal(t.distances, twin.distances)
     pm = build_power_matrix(t)
     assert build_power_matrix(t) is pm
-    # Equal but separately built topologies do not share a matrix.
+    # Topologies built from equal inputs do not share a matrix.
     assert build_power_matrix(twin) is not pm
-    np.testing.assert_array_equal(build_power_matrix(twin).received, pm.received)
+    np.testing.assert_array_equal(build_power_matrix(twin), pm)
 
 
 def test_kept_power_matrix_is_read_only():
     t = regular_line(4, 1.0, power_law(2.0), 10.0, 1.0)
     pm = build_power_matrix(t)
+    assert pm.dtype == np.float64 and pm.shape == (4, 4)
     with pytest.raises(ValueError):
-        pm.received[0, 1] = 1.0
-    assert build_power_matrix(t).pair(0, 1) == pytest.approx(10.0)
-    column = pm.into(1)  # a copy, free to change
+        pm[0, 1] = 1.0
+    assert float(build_power_matrix(t)[0, 1]) == pytest.approx(10.0)
+    column = pm[:, 1].copy()  # a copy, free to change
     column[0] = 0.0
-    assert pm.pair(0, 1) == pytest.approx(10.0)
+    assert float(pm[0, 1]) == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +736,7 @@ def test_parse_positions_and_hops():
     topo, one_hop = parse_topology_text(SAMPLE)
     assert topo.n == 4
     assert topo.power == 10.0
-    assert topo.distance(0, 3) == pytest.approx(3.0)
+    assert topo.distances[0, 3] == pytest.approx(3.0)
     assert one_hop == tuple(adjacency(4))
 
 
@@ -726,18 +744,27 @@ def test_parse_distance_rows():
     text = "nodes 3\ngain const\npower 1\nnoise 1\ndist 1 2 1.0\ndist 1 3 2.0\ndist 2 3 1.0\n"
     topo, one_hop = parse_topology_text(text)
     assert one_hop is None
-    assert topo.distance(0, 2) == pytest.approx(2.0)
+    assert topo.distances[0, 2] == pytest.approx(2.0)
 
 
 def test_canonical_text_round_trip():
     t = general_line([0.0, 1.25, 2.0], exponential(0.5), 3.0, 0.5)
     text = canonical_text(t, adjacency(3))
     back, one_hop = parse_topology_text(text)
-    assert back.distances == t.distances
+    assert np.array_equal(back.distances, t.distances)
     assert back.gain == t.gain
     assert (back.power, back.noise) == (t.power, t.noise)
     assert one_hop == tuple(adjacency(3))
     assert canonical_text(back, one_hop) == text
+
+
+def test_canonical_text_rejects_a_gain_without_a_text_form():
+    # A gain that is not a GainFunction has no file form; writing its repr
+    # put a memory address into the text, and so into the topology hash.
+    gain = lambda d: 1.0 / d  # noqa: E731
+    t = regular_line(3, 1.0, gain, 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"^gain {re.escape(gain.__qualname__)} has no text form"):
+        canonical_text(t)
 
 
 def test_canonical_text_round_trip_property():
@@ -752,7 +779,7 @@ def test_canonical_text_round_trip_property():
     @st.composite
     def topologies(draw):
         gain, power, noise = draw(gains), draw(positive), draw(positive)
-        shape = draw(st.sampled_from(["line", "ring", "arc"]))
+        shape = draw(st.sampled_from(["line", "ring", "arc", "dist"]))
         try:
             # Builds that fail, on huge coordinates too, fail without a warning.
             with warnings.catch_warnings():
@@ -760,6 +787,14 @@ def test_canonical_text_round_trip_property():
                 if shape == "line":
                     coords = draw(st.lists(finite, min_size=2, max_size=7, unique=True))
                     t = general_line(coords, gain, power, noise)
+                elif shape == "dist":
+                    # Distance rows only: any symmetric matrix of positive floats.
+                    n = draw(st.integers(2, 7))
+                    d = [[0.0] * n for _ in range(n)]
+                    for i in range(n):
+                        for j in range(i + 1, n):
+                            d[i][j] = d[j][i] = draw(positive)
+                    t = topology_from_distances(d, gain, power, noise)
                 else:
                     n, spacing = draw(st.integers(2, 7)), draw(positive)
                     if shape == "ring":
@@ -776,13 +811,13 @@ def test_canonical_text_round_trip_property():
             )
         return t, one_hop
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(topologies())
     def check(case):
         t, one_hop = case
         text = canonical_text(t, one_hop)
         back, back_hop = parse_topology_text(text)
-        assert back.distances == t.distances
+        assert np.array_equal(back.distances, t.distances)
         assert back.gain == t.gain
         assert (back.power, back.noise) == (t.power, t.noise)
         assert back_hop == one_hop
