@@ -605,15 +605,15 @@ def run_distance_regulated(
     blocks: int,
 ) -> SimulationTrace:
     """Simulate the schedule that decodes and relays the k-hop layers at lag k."""
-    neighbors = k_hop_neighbors(one_hop)
-    if neighbors.n != topology.n:
+    layers = k_hop_neighbors(one_hop)
+    if len(layers) != topology.n:
         raise PreconditionError("one-hop sets and topology disagree on the node count")
     warnings = []
-    for i, covered in enumerate(coverage_check(neighbors)):
+    for i, covered in enumerate(coverage_check(layers)):
         if not covered:
-            missing = sorted(set(range(topology.n)) - {i} - set(neighbors.reachable(i)))
+            missing = sorted(set(range(topology.n)) - {i}.union(*layers[i]))
             warnings.append(f"node {i} never reaches nodes {missing}")
-    schedule = distance_regulated_schedule(neighbors)
+    schedule = distance_regulated_schedule(layers)
     return run_schedule(topology, schedule, rate, blocks, warnings=warnings)
 
 

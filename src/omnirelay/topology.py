@@ -14,8 +14,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, permutations
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, permutations, zip_longest
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -347,68 +347,25 @@ def _received_powers(topology: Topology) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NeighborSets:
-    """Per-node layered neighbor sets; layer k holds the nodes first reached in k hops."""
-
-    hop_sets: tuple[tuple[frozenset[int], ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.hop_sets)
-
-    def horizon(self, node: int) -> int:
-        """Number of nonempty layers of ``node`` (0 for an isolated node)."""
-        return len(self.hop_sets[node])
-
-    def sets(self, node: int) -> tuple[frozenset[int], ...]:
-        return self.hop_sets[node]
-
-    def k_set(self, node: int, k: int) -> frozenset[int]:
-        """Layer k (1-based); empty beyond the node's horizon."""
-        if k < 1:
-            raise ValueError("hop index is 1-based")
-        layers = self.hop_sets[node]
-        return layers[k - 1] if k <= len(layers) else frozenset()
-
-    def reachable(self, node: int) -> frozenset[int]:
-        out: set[int] = set()
-        for layer in self.hop_sets[node]:
-            out |= layer
-        return frozenset(out)
+Layers = tuple[tuple[frozenset[int], ...], ...]
 
 
-def _normalize_one_hop(
-    one_hop: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
-) -> list[frozenset[int]]:
-    if isinstance(one_hop, Mapping):
-        n = len(one_hop)
-        if sorted(one_hop) != list(range(n)):
-            raise ValueError("one-hop mapping must have keys 0..n-1")
-        sets = [frozenset(one_hop[i]) for i in range(n)]
-    else:
-        sets = [frozenset(s) for s in one_hop]
-        n = len(sets)
+def k_hop_neighbors(one_hop: Sequence[Iterable[int]]) -> Layers:
+    """Unroll one-hop sets into one row of layers per node.
+
+    Layer k of node i (entry k-1 of row i) collects every j that is a
+    one-hop neighbor of some layer-(k-1) member and has not appeared in an
+    earlier layer (nor is i itself).  Layers stop as soon as one comes up
+    empty, so a row is never padded and an isolated node's row is empty.
+    """
+    sets = [frozenset(s) for s in one_hop]
+    n = len(sets)
     for i, s in enumerate(sets):
         for j in s:
             if not (0 <= j < n):
                 raise ValueError(f"one-hop neighbor {j} of node {i} out of range")
         if i in s:
             raise ValueError(f"node {i} lists itself as a one-hop neighbor")
-    return sets
-
-
-def k_hop_neighbors(
-    one_hop: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
-) -> NeighborSets:
-    """Unroll one-hop sets into layers of first-time-reachable nodes.
-
-    Layer k of node i collects every j that is a one-hop neighbor of some
-    layer-(k-1) member and has not appeared in an earlier layer (nor is i
-    itself).  Layers stop as soon as one comes up empty.
-    """
-    sets = _normalize_one_hop(one_hop)
-    n = len(sets)
     all_layers = []
     for i in range(n):
         layers: list[frozenset[int]] = []
@@ -427,16 +384,13 @@ def k_hop_neighbors(
             layers.append(frontier)
             seen |= nxt
         all_layers.append(tuple(layers))
-    return NeighborSets(tuple(all_layers))
+    return tuple(all_layers)
 
 
-def coverage_check(neighbors: NeighborSets) -> tuple[bool, ...]:
-    """Per node: do the layers jointly reach every other node?"""
-    total = neighbors.n
-    result = []
-    for i in range(total):
-        result.append(neighbors.reachable(i) == frozenset(range(total)) - {i})
-    return tuple(result)
+def coverage_check(layers: Layers) -> tuple[bool, ...]:
+    """Per node: does the union of its row reach every other node?"""
+    everyone = frozenset(range(len(layers)))
+    return tuple(frozenset().union(*row) == everyone - {i} for i, row in enumerate(layers))
 
 
 # ---------------------------------------------------------------------------
@@ -446,38 +400,27 @@ def coverage_check(neighbors: NeighborSets) -> tuple[bool, ...]:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-node decode-set and encode-set sequences, both indexed by hop lag.
+    """Per-node decode-set and encode-set rows, both indexed by hop lag.
 
     ``decode_sets[i][k-1]`` is the set of sources whose lag-k message node i
     decodes each block; ``encode_sets[i][k-1]`` is the set whose lag-k message
     node i re-transmits.  Rows may be ragged; missing entries mean empty.
+    Any nested iterables are kept as tuples of frozensets.
     """
 
-    decode_sets: tuple[tuple[frozenset[int], ...], ...]
-    encode_sets: tuple[tuple[frozenset[int], ...], ...]
+    decode_sets: Layers
+    encode_sets: Layers
 
     def __post_init__(self) -> None:
+        for name in ("decode_sets", "encode_sets"):
+            rows = tuple(tuple(frozenset(s) for s in row) for row in getattr(self, name))
+            object.__setattr__(self, name, rows)
         if len(self.decode_sets) != len(self.encode_sets):
             raise ValueError("decode and encode rows must cover the same nodes")
 
     @property
     def n(self) -> int:
         return len(self.decode_sets)
-
-    @property
-    def horizon(self) -> int:
-        return max(
-            (len(row) for row in self.decode_sets + self.encode_sets),
-            default=0,
-        )
-
-    def decode_set(self, node: int, k: int) -> frozenset[int]:
-        row = self.decode_sets[node]
-        return row[k - 1] if 1 <= k <= len(row) else frozenset()
-
-    def encode_set(self, node: int, k: int) -> frozenset[int]:
-        row = self.encode_sets[node]
-        return row[k - 1] if 1 <= k <= len(row) else frozenset()
 
     def decode_lag(self, node: int) -> dict[int, int]:
         """Map each scheduled source to its (unique) decode lag for ``node``."""
@@ -490,19 +433,9 @@ class Schedule:
         return lag
 
 
-def schedule_from_sets(
-    decode_sets: Sequence[Sequence[Iterable[int]]],
-    encode_sets: Sequence[Sequence[Iterable[int]]],
-) -> Schedule:
-    dec = tuple(tuple(frozenset(s) for s in row) for row in decode_sets)
-    enc = tuple(tuple(frozenset(s) for s in row) for row in encode_sets)
-    return Schedule(dec, enc)
-
-
-def distance_regulated_schedule(neighbors: NeighborSets) -> Schedule:
+def distance_regulated_schedule(layers: Layers) -> Schedule:
     """Schedule that decodes and re-transmits layer k at lag k for every node."""
-    rows = tuple(neighbors.hop_sets)
-    return Schedule(rows, rows)
+    return Schedule(layers, layers)
 
 
 @dataclass(frozen=True)
@@ -523,14 +456,10 @@ def validate_schedule(schedule: Schedule) -> list[ScheduleViolation]:
     total = schedule.n
     out: list[ScheduleViolation] = []
     for i in range(total):
-        dec = schedule.decode_sets[i]
-        enc = schedule.encode_sets[i]
-        horizon = max(len(dec), len(enc))
+        rows = zip_longest(schedule.decode_sets[i], schedule.encode_sets[i], fillvalue=frozenset())
         dec_union: set[int] = set()
         enc_union: set[int] = set()
-        for k in range(1, horizon + 1):
-            d = schedule.decode_set(i, k)
-            e = schedule.encode_set(i, k)
+        for k, (d, e) in enumerate(rows, start=1):
             for j in d | e:
                 if not (0 <= j < total):
                     out.append(ScheduleViolation(i, k, f"member {j} out of range"))
@@ -664,6 +593,7 @@ def parse_topology_text(
     pos_rows: dict[int, tuple[float, ...]] = {}
     dist_rows: dict[tuple[int, int], float] = {}
     hop_rows: dict[int, frozenset[int]] = {}
+    headers: set[str] = set()
 
     def fail(lineno: int, msg: str) -> TopologyFormatError:
         return TopologyFormatError(f"line {lineno}: {msg}")
@@ -674,20 +604,30 @@ def parse_topology_text(
             continue
         parts = line.split()
         key = parts[0]
+        # A fixed-width row unpacks its tokens, so a missing or extra one is
+        # a ValueError and reads as malformed below.
         try:
+            if key in ("nodes", "gain", "power", "noise"):
+                if key in headers:
+                    raise fail(lineno, f"duplicate {key!r} row")
+                headers.add(key)
             if key == "nodes":
-                n = int(parts[1])
+                (count,) = parts[1:]
+                n = int(count)
             elif key == "gain":
-                if parts[1] == "const":
+                kind, *args = parts[1:]
+                if kind == "const":
+                    if args:
+                        raise fail(lineno, "malformed 'gain' row")
                     gain = constant()
-                elif parts[1] == "pl":
-                    gain = power_law(float(parts[2]))
-                elif parts[1] == "exp":
-                    gain = exponential(float(parts[2]))
+                elif kind in ("pl", "exp"):
+                    (parameter,) = args
+                    gain = (power_law if kind == "pl" else exponential)(float(parameter))
                 else:
-                    raise fail(lineno, f"unknown gain preset {parts[1]!r}")
+                    raise fail(lineno, f"unknown gain preset {kind!r}")
             elif key in ("power", "noise"):
-                value = float(parts[1])
+                (token,) = parts[1:]
+                value = float(token)
                 if not math.isfinite(value):
                     raise fail(lineno, f"{key} must be finite")
                 if key == "power":
@@ -703,8 +643,8 @@ def parse_topology_text(
                     raise fail(lineno, f"duplicate pos row for node {node}")
                 pos_rows[node] = coords
             elif key == "dist":
-                a, b = int(parts[1]), int(parts[2])
-                value = float(parts[3])
+                a, b, value = parts[1:]
+                a, b, value = int(a), int(b), float(value)
                 if a == b:
                     raise fail(lineno, "dist rows need two distinct nodes")
                 pair = (min(a, b), max(a, b))

@@ -133,6 +133,8 @@ def test_side_info_checks():
         decode_from_side_info(a, idx, {0: 1, 2: 3}, target=5)
     with pytest.raises(PreconditionError):
         decode_from_side_info(a, 99, {0: 1, 2: 3}, target=1)
+    with pytest.raises(PreconditionError, match="slot 0 value 9 outside its alphabet"):
+        decode_from_side_info(build_binning((4, 4, 4)), 1, {0: 9, 1: 0}, 2)
 
 
 def test_construction_checks():

@@ -435,6 +435,13 @@ def test_error_codes(capsys, tmp_path):
     assert run(capsys, "analyze", "--topology", str(two_hop_rows)) == (
         1, "", "E_TOPOLOGY: line 9: duplicate hop row for node 1\n"
     )
+    two_power_rows = tmp_path / "two_power_rows.txt"
+    two_power_rows.write_text(
+        "nodes 2\ngain const\npower 10\npower 20\nnoise 1\npos 1 0\npos 2 1\n", encoding="utf-8"
+    )
+    assert run(capsys, "analyze", "--topology", str(two_power_rows)) == (
+        1, "", "E_TOPOLOGY: line 4: duplicate 'power' row\n"
+    )
     for flag, value in (("--rate", "nan"), ("--rate", "inf"), ("--power", "-inf"), ("--n", "abc")):
         assert_fails(
             capsys,
@@ -498,6 +505,7 @@ GAP_SIGN_ERROR = "spacings must be positive"
         ("analyze --preset arc --n 6 --arc-radius 1",
          "arc subtends an angle >= pi; increase radius"),
         ("analyze --preset line --power 10", "the line preset needs --spacings"),
+        ("bin-demo --sizes 4,6 --values 1", "need exactly one value per alphabet size"),
     ],
 )
 def test_first_bad_input_is_the_one_reported(capsys, argv, message):

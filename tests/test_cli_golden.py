@@ -183,3 +183,22 @@ def test_cli_output_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# A unit-spaced 6-node line whose one-hop sets come from the file's hop
+# rows: node i hears i +- 1 and i +- 2, where the default radius would give
+# i +- 1 only.  The digest does not depend on the file's path.
+HOP6 = "\n".join(
+    ["nodes 6", "gain pl 2.0", "power 10.0", "noise 1.0"]
+    + [f"pos {i} {i - 1}" for i in range(1, 7)]
+    + ["hop 1 2 3", "hop 2 1 3 4", "hop 3 1 2 4 5", "hop 4 2 3 5 6", "hop 5 3 4 6", "hop 6 4 5"]
+) + "\n"
+
+
+def test_simulate_from_a_file_with_hop_rows_is_pinned(capsys, tmp_path):
+    path = tmp_path / "hop6.txt"
+    path.write_text(HOP6, encoding="utf-8")
+    assert main(["simulate", "--topology", str(path), "--blocks", "8"]) == 0
+    out = capsys.readouterr().out
+    digest = "cd72332ea1857c5066339b3a908ad421ad83cda1650b656aebab1c804bbedbb9"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

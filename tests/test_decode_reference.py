@@ -57,7 +57,6 @@ from omnirelay.topology import (
     power_law,
     regular_line,
     ring,
-    schedule_from_sets,
 )
 
 
@@ -268,7 +267,7 @@ def late_schedule(n):
     regulated = distance_regulated_schedule(k_hop_neighbors(path_one_hop(n)))
     rows = [list(row) for row in regulated.decode_sets]
     rows[2] = LATE_ROWS[n]
-    return schedule_from_sets(rows, rows)
+    return Schedule(rows, rows)
 
 
 LATE_ROWS = {5: [{1, 3}, {0}, {4}], 6: [{1, 3}, (), {0, 4}, (), {5}]}
@@ -280,7 +279,7 @@ def foreign_schedule():
     carry foreign content at node 2.  Nodes 0 and 4 decode node 2 directly
     at lag 2, as nobody relays it.
     """
-    return schedule_from_sets(
+    return Schedule(
         [[{1}, {2}], [{0, 2}], [{1, 3}, (), {4}], [{2, 4}], [{3}, {2}]],
         [[{1}], [{0}], [{1}], [{4}], [{3}]],
     )
@@ -293,7 +292,7 @@ def late_foreign_schedule():
     the first block whose transmissions repeat everything they schedule,
     still starts at block 2, before that content arrives.
     """
-    return schedule_from_sets(
+    return Schedule(
         [[(), (), (), {1}], [(), {2}, {0}], [{1}]],
         [[(), (), (), {1}], [(), (), {2}], [{1}]],
     )
@@ -307,7 +306,7 @@ def partial_schedule():
     built on its success in block 1 alone, skips ``(2, 2)`` but repeats
     ``(0, 1)``, which node 2 decodes at lag 3.
     """
-    return schedule_from_sets(
+    return Schedule(
         [[{1}, {2}], [{0, 2}], [{1, 3}, (), {0}], [{2}]],
         [[()], [{2}, {0}], [{3}], [()]],
     )

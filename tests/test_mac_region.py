@@ -493,6 +493,20 @@ def test_multi_block_validation():
         MultiBlockInstance(
             (0.1,), (1.0,), 1.0, blocks=(1,), block_interference=((1, -2.0),)
         )
+    with pytest.raises(ValueError, match="carrier power must be finite and nonnegative"):
+        HelperCarrier(block=2, power=math.inf, helps=frozenset({0}))
+    with pytest.raises(ValueError, match="helps must have one entry per sender"):
+        MultiBlockInstance((0.1, 0.1), (1.0, 1.0), 1.0, blocks=(1, 2), helps=(frozenset(),))
+    with pytest.raises(ValueError, match="help target 5 of member 1 out of range"):
+        MultiBlockInstance(
+            (0.1, 0.1), (1.0, 1.0), 1.0, blocks=(1, 2),
+            helps=(frozenset(), frozenset({5})),
+        )
+    with pytest.raises(ValueError, match="carrier help target 7 out of range"):
+        MultiBlockInstance(
+            (0.1,), (1.0,), 1.0, blocks=(1,),
+            carriers=(HelperCarrier(block=2, power=1.0, helps=frozenset({7})),),
+        )
 
 
 def test_round_ids_cover_all_mentions():

@@ -22,11 +22,11 @@ from omnirelay.protocol_sim import (
 )
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import (
+    Schedule,
     general_line,
     power_law,
     regular_line,
     ring,
-    schedule_from_sets,
 )
 
 
@@ -132,10 +132,10 @@ def test_bundles_carry_fresh_plus_known_repeats():
             assert (i, b) in tx.bundle
             expected = {(i, b)}
             know = trace.knowledge[b - 1][i]
-            for k in range(1, sched.horizon + 1):
+            for k, members in enumerate(sched.encode_sets[i], start=1):
                 # Lag-k decodes finish at block beta + k - 1, so the block
                 # b repeat of that set covers beta = b - k.
-                for j in sched.encode_set(i, k):
+                for j in members:
                     beta = b - k
                     if beta >= 1 and (j, beta) in know:
                         expected.add((j, beta))
@@ -329,7 +329,7 @@ def test_full_schedules_leave_no_interference():
 def test_truncated_decode_sets_show_up_as_interference():
     t = line(4)
     rows = [[{1}], [{0, 2}], [{1, 3}], [{2}]]
-    schedule = schedule_from_sets(rows, rows)
+    schedule = Schedule(rows, rows)
     trace = run_schedule(t, schedule, 0.05, 4)
     reports = interference_accounting(trace)
     assert reports[0].undecoded == (2, 3)
@@ -472,7 +472,7 @@ def partial_schedule():
     """The decode-reference grid's hand-built 4-node schedule: node 2
     relays node 3, which node 1 never schedules, so node 1's decodes fail
     from block 2 on and its bundle of block 3 skips ``(2, 2)``."""
-    return schedule_from_sets(
+    return Schedule(
         [[{1}, {2}], [{0, 2}], [{1, 3}, (), {0}], [{2}]],
         [[()], [{2}, {0}], [{3}], [()]],
     )
@@ -558,7 +558,7 @@ def test_wrong_decoded_values_are_reported_as_mismatches(monkeypatch):
 def test_run_schedule_rejects_bad_inputs():
     t = line(3)
     rows = [[{1}], [{0, 2}], [{1}]]
-    schedule = schedule_from_sets(rows, rows)
+    schedule = Schedule(rows, rows)
     with pytest.raises(ValueError):
         run_schedule(t, schedule, -0.1, 3)
     with pytest.raises(ValueError):
@@ -569,7 +569,7 @@ def test_run_schedule_rejects_bad_inputs():
 
 def test_run_schedule_rejects_rule_violations():
     t = line(2)
-    bad = schedule_from_sets([[{0, 1}], [{0}]], [[set()], [set()]])
+    bad = Schedule([[{0, 1}], [{0}]], [[set()], [set()]])
     with pytest.raises(PreconditionError, match="rule"):
         run_schedule(t, bad, 0.1, 2)
 

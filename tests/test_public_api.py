@@ -9,7 +9,9 @@ import omnirelay
 # Names the package no longer exports: the one-round region facade and its
 # exhaustive solver (a one-round instance is a MultiBlockInstance with every
 # member in round 0), and the received-power wrapper and distance tuples (the
-# topology keeps each as one read-only array).
+# topology keeps each as one read-only array), and the wrappers around
+# schedule rows (k-hop layers are plain rows, and Schedule converts any
+# nested iterables itself).
 REMOVED = (
     "MacInstance",
     "mac_feasible",
@@ -20,6 +22,8 @@ REMOVED = (
     "_power_thresholds",
     "PowerMatrix",
     "_distance_tuple",
+    "NeighborSets",
+    "schedule_from_sets",
 )
 
 

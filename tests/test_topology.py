@@ -16,8 +16,8 @@ from omnirelay.topology import (
     _DIST_TOL,
     _is_distance_ordered,
     GainFunction,
-    NeighborSets,
     Schedule,
+    Topology,
     arc,
     build_power_matrix,
     canonical_text,
@@ -33,7 +33,6 @@ from omnirelay.topology import (
     power_law,
     regular_line,
     ring,
-    schedule_from_sets,
     topology_from_distances,
     topology_from_positions,
     validate_schedule,
@@ -254,6 +253,12 @@ def test_bad_scalars_rejected():
         regular_line(3, 1.0, constant(), 1.0, -1.0)
     with pytest.raises(ValueError):
         regular_line(3, 0.0, constant(), 1.0, 1.0)
+    with pytest.raises(ValueError, match="positions must cover every node"):
+        Topology([[0.0, 1.0], [1.0, 0.0]], constant(), 1.0, 1.0, positions=((0.0,),))
+    with pytest.raises(ValueError, match="spacing must be positive"):
+        ring(4, 0.0, constant(), 1.0, 1.0)
+    with pytest.raises(ValueError, match="spacing and radius must be positive"):
+        arc(4, 1.0, -1.0, constant(), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("power, noise", [
@@ -389,14 +394,12 @@ def adjacency(n):
 
 def test_line_layers():
     nb = k_hop_neighbors(adjacency(5))
-    assert nb.sets(0) == (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}))
-    assert nb.sets(2) == (frozenset({1, 3}), frozenset({0, 4}))
-    assert nb.horizon(0) == 4
-    assert nb.horizon(2) == 2
-    assert nb.k_set(2, 5) == frozenset()
-    assert nb.reachable(2) == frozenset({0, 1, 3, 4})
-    with pytest.raises(ValueError):
-        nb.k_set(0, 0)
+    assert len(nb) == 5
+    assert nb[0] == (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}))
+    assert nb[2] == (frozenset({1, 3}), frozenset({0, 4}))
+    assert len(nb[0]) == 4
+    assert len(nb[2]) == 2
+    assert frozenset().union(*nb[2]) == frozenset({0, 1, 3, 4})
 
 
 def test_layers_partition_the_reachable_set():
@@ -409,7 +412,7 @@ def test_layers_partition_the_reachable_set():
     nb = k_hop_neighbors(one_hop)
     for i in range(6):
         seen = set()
-        for layer in nb.sets(i):
+        for layer in nb[i]:
             assert layer, "layers are never empty"
             assert not (layer & seen)
             assert i not in layer
@@ -420,7 +423,7 @@ def test_layers_partition_the_reachable_set():
 def test_coverage_reports_unreachable_nodes():
     nb = k_hop_neighbors([{1}, {0}, set()])
     assert coverage_check(nb) == (False, False, False)
-    assert nb.horizon(2) == 0
+    assert len(nb[2]) == 0
 
 
 def test_one_hop_validation():
@@ -428,8 +431,6 @@ def test_one_hop_validation():
         k_hop_neighbors([{0}, {0}])  # self loop
     with pytest.raises(ValueError):
         k_hop_neighbors([{5}, {0}])  # out of range
-    with pytest.raises(ValueError):
-        k_hop_neighbors({0: {1}, 2: {0}})  # mapping with a gap
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +441,34 @@ def test_one_hop_validation():
 def test_distance_regulated_schedule_matches_layers():
     nb = k_hop_neighbors(adjacency(4))
     s = distance_regulated_schedule(nb)
-    assert s.decode_sets == nb.hop_sets
-    assert s.encode_sets == nb.hop_sets
+    assert s.decode_sets == nb
+    assert s.encode_sets == nb
     assert validate_schedule(s) == []
     assert s.decode_lag(0) == {1: 1, 2: 2, 3: 3}
-    assert s.horizon == 3
+    assert max(len(row) for row in s.decode_sets + s.encode_sets) == 3
 
 
 def test_ragged_rows_read_as_empty():
-    s = schedule_from_sets([[{1}], [{0}, {2}], []], [[{1}], [], []])
-    assert s.decode_set(1, 2) == frozenset({2})
-    assert s.decode_set(2, 1) == frozenset()
-    assert s.encode_set(1, 1) == frozenset()
-    assert s.decode_set(0, 9) == frozenset()
+    f = frozenset
+    s = Schedule([[{1}], [{0}, {2}], []], [[{1}], [], []])
+    assert s == Schedule(((f({1}),), (f({0}), f({2})), ()), ((f({1}),), (), ()))
+    # Missing entries validate as empty sets: the same violations as on
+    # rows padded to one length.
+    dec, enc = [[{1}, {1}], [{0}], [{7}]], [[{1, 2}], [{0}, {0}], []]
+    padded = Schedule([[{1}, {1}], [{0}, set()], [{7}]], [[{1, 2}, set()], [{0}, {0}], [set()]])
+    assert validate_schedule(Schedule(dec, enc)) == validate_schedule(padded)
+    assert [(v.node, v.hop) for v in validate_schedule(padded)] == [(0, 1), (0, 2), (1, 2), (2, 1)]
 
 
 def test_decode_lag_rejects_duplicate_sources():
-    s = schedule_from_sets([[{1}, {1}], []], [[], []])
+    s = Schedule([[{1}, {1}], []], [[], []])
     with pytest.raises(ValueError):
         s.decode_lag(0)
 
 
 def test_schedule_rules():
     def violations(dec, enc):
-        return validate_schedule(schedule_from_sets(dec, enc))
+        return validate_schedule(Schedule(dec, enc))
 
     # Encode lag 1 outside decode lag 1.
     v = violations([[{1}], [{0}]], [[{1}], [{0, 1}]])
@@ -492,8 +497,8 @@ def test_schedule_rules():
 
 def test_relay_after_decode_is_legal():
     # Decoding at lag 1 and repeating at lag 2 is the canonical relay pattern.
-    s = schedule_from_sets([[{1}, {2}], [{0, 2}], [{1}, {0}]],
-                           [[{1}], [{0, 2}], [{1}, {0}]])
+    s = Schedule([[{1}, {2}], [{0, 2}], [{1}, {0}]],
+                 [[{1}], [{0, 2}], [{1}, {0}]])
     assert validate_schedule(s) == []
 
 
@@ -853,6 +858,33 @@ def test_load_topology_file(tmp_path):
             "hop rows",
         ),
         ("nodes 2\ngain pl inf\npower 1\nnoise 1\npos 1 0\npos 2 1\n", "line 2: malformed 'gain'"),
+        # A fixed-width row with a token too many.
+        ("nodes 2\ngain pl 2 9\npower 1\nnoise 1\npos 1 0\npos 2 1\n", "line 2: malformed 'gain' row"),
+        ("nodes 2\ngain const 7\npower 1\nnoise 1\npos 1 0\npos 2 1\n", "line 2: malformed 'gain' row"),
+        ("nodes 2 3\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\n", "line 1: malformed 'nodes' row"),
+        ("nodes 2\ngain const\npower 1 2\nnoise 1\npos 1 0\npos 2 1\n", "line 3: malformed 'power' row"),
+        ("nodes 2\ngain const\npower 1\nnoise 1 2\npos 1 0\npos 2 1\n", "line 4: malformed 'noise' row"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\ndist 1 2 1.0 5\n", "line 5: malformed 'dist' row"),
+        # A header given twice.
+        ("nodes 2\nnodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\n", "line 2: duplicate 'nodes' row"),
+        ("nodes 2\ngain const\ngain pl 2\npower 1\nnoise 1\npos 1 0\npos 2 1\n", "line 3: duplicate 'gain' row"),
+        ("nodes 2\ngain const\npower 10\npower 20\nnoise 1\npos 1 0\npos 2 1\n", "line 4: duplicate 'power' row"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\nnoise 1\npos 1 0\npos 2 1\n", "line 5: duplicate 'noise' row"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\npos 1 0 1 2\npos 2 1\n", "line 5: pos rows take one or two coordinates"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 1 1\n", "line 6: duplicate pos row for node 1"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1 1\n", "pos rows must share one dimension"),
+        (
+            "nodes 2\ngain const\npower 1\nnoise 1\ndist 1 2 1\ndist 1 3 1\n",
+            r"dist row node out of range in pair \(1, 3\)",
+        ),
+        (
+            "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\nhop 1 9\nhop 2 1\n",
+            "hop row of node 1 references node 9",
+        ),
+        (
+            "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\nhop 1 1\nhop 2 1\n",
+            "hop row of node 1 references itself",
+        ),
     ],
 )
 def test_parse_structural_errors(text, fragment):
