@@ -9,9 +9,8 @@ whole opposite side, or decode the opposite side while deferring the far
 group to relayed copies.  Every such condition reads ``log2(1 + S/D) >
 count * rate`` with S, D and count independent of the rate, so the
 conditions are one rate-independent table of arrays, built once per
-topology object and kept on it; ``max_achievable_rate`` bisects over that
-table, one array verdict per step.  A report's entries are built from the
-table and its margin arrays only when read.
+topology object and kept on it.  A ``RateReport`` is that table read at
+one rate, and ``max_achievable_rate`` bisects over such reads.
 ``verify_regular_line_achievability`` replays, on an equally spaced line,
 the argument that those conditions follow from the rate ceiling alone, step
 by numeric step, against limits likewise computed once, one array
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,29 +69,6 @@ class ConditionEntry:
         return max(self.joint_margin, self.defer_margin)
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """The ordered-line conditions at one rate.
-
-    ``entries`` is a read-only sequence of ``ConditionEntry``: from
-    ``ordered_line_conditions`` it holds the line table and the margin
-    arrays, and builds an entry only when one is read.  It compares and
-    hashes like the tuple of its entries.
-    """
-
-    rate: float
-    ordering: tuple[int, ...]
-    entries: Sequence[ConditionEntry]
-    achievable: bool
-    binding_margin: float
-
-    def binding_entry(self) -> ConditionEntry:
-        """The first entry of smallest best margin."""
-        if isinstance(self.entries, ConditionEntries):
-            return self.entries.binding()
-        return min(self.entries, key=ConditionEntry.best_margin)
-
-
 _KINDS = ("sum", "far-left", "far-right")
 
 
@@ -130,39 +106,67 @@ class _LineTable:
                 self.defer_cap - self.defer_count * rate,
             )
 
-    def holds(self, rate: float) -> bool:
-        """Whether every row's better branch clears the strictness slack at ``rate``."""
-        joint, defer = self.margins(rate)
-        return bool(np.all(np.maximum(joint, defer) > EPS_BITS))
+
+@dataclass(frozen=True, eq=False)
+class RateReport:
+    """The ordered-line conditions at one rate: a line table read at ``rate``.
+
+    The joint, defer and best margin arrays are computed once, when the
+    report is made; the ordering, the verdict and the binding margin are
+    read off them.  ``entries`` is a read-only sequence of
+    ``ConditionEntry`` that builds an entry only when one is read.  Reports
+    compare and hash by identity.
+    """
+
+    rate: float
+    table: _LineTable = field(repr=False)
+    _joint: np.ndarray = field(init=False, repr=False)
+    _defer: np.ndarray = field(init=False, repr=False)
+    _best: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        joint, defer = self.table.margins(self.rate)
+        object.__setattr__(self, "_joint", joint)
+        object.__setattr__(self, "_defer", defer)
+        object.__setattr__(self, "_best", np.maximum(joint, defer))
+
+    @property
+    def entries(self) -> ConditionEntries:
+        # Made per read: held, they would put the report in a reference cycle.
+        return ConditionEntries(self)
+
+    @property
+    def ordering(self) -> tuple[int, ...]:
+        return self.table.order
+
+    @property
+    def achievable(self) -> bool:
+        """Whether every row's better branch clears the strictness slack."""
+        return bool(np.all(self._best > EPS_BITS))
+
+    @property
+    def binding_margin(self) -> float:
+        return float(self._best.min())
+
+    def binding_entry(self) -> ConditionEntry:
+        """The first entry of smallest best margin, the only one built."""
+        return self.entries[int(np.argmin(self._best))]
 
 
 class ConditionEntries(Sequence):
-    """The entries of a ``RateReport``, built from its line table on read.
+    """The entries of a ``RateReport``, built from its arrays on read.
 
-    Holds the table and the per-row margin arrays at one rate.  ``len`` is
-    the row count; an index or a slice builds the ``ConditionEntry`` of just
-    the rows asked (a slice gives a tuple).  ``==`` and ``hash`` are those of
-    the tuple of all entries.
+    ``len`` is the row count; an index or a slice builds the
+    ``ConditionEntry`` of just the rows asked (a slice gives a tuple).
     """
 
-    __slots__ = ("_table", "_joint", "_defer", "_best", "_holds")
+    __slots__ = ("_report",)
 
-    def __init__(
-        self,
-        table: _LineTable,
-        joint: np.ndarray,
-        defer: np.ndarray,
-        best: np.ndarray,
-        holds: np.ndarray,
-    ) -> None:
-        self._table = table
-        self._joint = joint
-        self._defer = defer
-        self._best = best
-        self._holds = holds
+    def __init__(self, report: RateReport) -> None:
+        self._report = report
 
     def __len__(self) -> int:
-        return len(self._best)
+        return len(self._report._best)
 
     def __getitem__(self, index):
         rows = range(len(self))[index]
@@ -170,41 +174,18 @@ class ConditionEntries(Sequence):
             return tuple(map(self._entry, rows))
         return self._entry(rows)
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        table = self._table
-        return (table.position, table.kind, table.lo, table.hi,
-                self._joint, self._defer, self._holds)
-
-    def __iter__(self):
-        return map(self._make, *(column.tolist() for column in self._columns()))
-
     def _entry(self, k: int) -> ConditionEntry:
-        return self._make(*(column[k].item() for column in self._columns()))
-
-    def _make(self, position, kind, lo, hi, joint, defer, holds) -> ConditionEntry:
-        order = self._table.order
+        report, table = self._report, self._report.table
+        position, kind = table.position[k].item(), table.kind[k].item()
         return ConditionEntry(
-            receiver=order[position - 1],
+            receiver=table.order[position - 1],
             position=position,
             kind=_KINDS[kind],
-            far_group=order[lo:hi],
-            joint_margin=joint,
-            defer_margin=defer if kind else None,
-            holds=holds,
+            far_group=table.order[table.lo[k]:table.hi[k]],
+            joint_margin=report._joint[k].item(),
+            defer_margin=report._defer[k].item() if kind else None,
+            holds=bool(report._best[k] > EPS_BITS),
         )
-
-    def binding(self) -> ConditionEntry:
-        """The first entry of smallest best margin, the only one built."""
-        return self._entry(int(np.argmin(self._best)))
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 def _line_table(topology: Topology) -> _LineTable:
@@ -311,22 +292,11 @@ def ordered_line_conditions(topology: Topology, rate: float) -> RateReport:
     Entries cover, per receiver: the plain sum constraint, and for every far
     group on either side (leaving at least one nearer relay) the joint/defer
     pair.  All constraints scale linearly with the rate, so the verdict is
-    monotone and safe to bisect on.  The report's entries are built from the
-    margin arrays when read.
+    monotone and safe to bisect on.
     """
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
-    table = _line_table(topology)
-    joint, defer = table.margins(rate)
-    best = np.maximum(joint, defer)
-    holds = best > EPS_BITS
-    return RateReport(
-        rate=rate,
-        ordering=table.order,
-        entries=ConditionEntries(table, joint, defer, best, holds),
-        achievable=bool(holds.all()),
-        binding_margin=float(best.min()),
-    )
+    return RateReport(rate, _line_table(topology))
 
 
 def max_achievable_rate(topology: Topology, tol: float = 1e-6) -> float:
@@ -334,21 +304,21 @@ def max_achievable_rate(topology: Topology, tol: float = 1e-6) -> float:
 
     The rate ceiling is an exclusive upper end (its sum constraint fails
     there by construction), so the search runs on [0, ceiling].  The
-    conditions are the topology's one table; a step only re-evaluates the
-    margins, as array operations.
+    conditions are the topology's one table; a step only reads it at one
+    more rate, as array operations.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tolerance must be finite and positive")
     hi = allcast_rate_bound(topology)
     table = _line_table(topology)
     lo = 0.0
-    if not table.holds(lo):
+    if not RateReport(lo, table).achievable:
         return 0.0
     for _ in range(_BISECT_ITERATIONS):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0
-        if table.holds(mid):
+        if RateReport(mid, table).achievable:
             lo = mid
         else:
             hi = mid
@@ -362,27 +332,29 @@ def max_achievable_rate(topology: Topology, tol: float = 1e-6) -> float:
 
 @dataclass(frozen=True)
 class CheckWitness:
-    """A single numeric step of the regular-line argument."""
+    """A numeric step of the regular-line argument that failed."""
 
     description: str
     rate: float | None
-    holds: bool
 
 
 @dataclass(frozen=True)
 class RegularLineCheck:
     """Outcome of replaying the achievability argument on an equally spaced line.
 
-    ``steps`` lists the comparisons that failed, so it is empty exactly when
-    ``verified``; every check then passed at every sampled rate below the
-    ceiling.
+    ``steps`` lists the comparisons that failed; the line is ``verified``
+    when it is empty, every check having passed at every sampled rate below
+    the ceiling.
     """
 
     bound: float
     rates: tuple[float, ...]
     conditions_checked: int
-    verified: bool
     steps: tuple[CheckWitness, ...]
+
+    @property
+    def verified(self) -> bool:
+        return not self.steps
 
 
 def verify_regular_line_achievability(
@@ -423,7 +395,7 @@ def verify_regular_line_achievability(
     steps: list[CheckWitness] = []
 
     def fail(description: str, rate: float | None) -> None:
-        steps.append(CheckWitness(description, rate, False))
+        steps.append(CheckWitness(description, rate))
 
     # Rate-independent: concavity carries the ceiling down to every prefix.
     for k in range(1, n):
@@ -478,6 +450,5 @@ def verify_regular_line_achievability(
         bound=bound,
         rates=tuple(rates),
         conditions_checked=checked,
-        verified=not steps,
         steps=tuple(steps),
     )

@@ -112,9 +112,10 @@ class Topology:
     """Immutable network description: distances, gain map, power P, noise N.
 
     ``distances`` is kept as a read-only n x n float array, converted (and
-    copied) once from any square nested sequence or array.  Topologies
-    compare and hash by identity.  Only the file form (``canonical_text``,
-    hence the hash) reads ``positions``.
+    copied) once from any square nested sequence or array, and ``power``
+    and ``noise`` as floats, so that an int and a float of one value give
+    one file form.  Topologies compare and hash by identity.  Only the file
+    form (``canonical_text``, hence the hash) reads ``positions``.
     """
 
     distances: np.ndarray
@@ -141,6 +142,8 @@ class Topology:
             raise ValueError("positions must cover every node")
         matrix.flags.writeable = False
         object.__setattr__(self, "distances", matrix)
+        object.__setattr__(self, "power", float(self.power))
+        object.__setattr__(self, "noise", float(self.noise))
 
     @property
     def n(self) -> int:
@@ -209,7 +212,7 @@ def topology_from_positions(
     with np.errstate(over="ignore"):
         diff = arr[:, None, :] - arr[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
-    return Topology(dist, gain, float(power), float(noise), tuple(pts))
+    return Topology(dist, gain, power, noise, tuple(pts))
 
 
 def topology_from_distances(
@@ -219,7 +222,7 @@ def topology_from_distances(
     noise: float,
 ) -> Topology:
     """Build a topology from a symmetric distance matrix (no coordinates kept)."""
-    return Topology(matrix, gain, float(power), float(noise), None)
+    return Topology(matrix, gain, power, noise, None)
 
 
 def regular_line(n: int, spacing: float, gain: GainLike, power: float, noise: float) -> Topology:
@@ -584,13 +587,16 @@ def parse_topology_text(
         hop 1 2 3            # optional explicit one-hop sets
 
     Returns the topology and, when ``hop`` rows are present, the one-hop sets
-    (0-based).  Exactly one of ``pos``/``dist`` must be used.
+    (0-based).  Exactly one of ``pos``/``dist`` must be used.  A bad value is
+    reported at the row that holds it, with the file's node ids; two nodes
+    that coincide, at the later of their rows.
     """
     n = None
     gain: GainFunction | None = None
     power = None
     noise = None
     pos_rows: dict[int, tuple[float, ...]] = {}
+    node_at: dict[tuple[float, ...], int] = {}
     dist_rows: dict[tuple[int, int], float] = {}
     hop_rows: dict[int, frozenset[int]] = {}
     headers: set[str] = set()
@@ -614,6 +620,8 @@ def parse_topology_text(
             if key == "nodes":
                 (count,) = parts[1:]
                 n = int(count)
+                if n < 2:
+                    raise fail(lineno, "topology needs at least two nodes")
             elif key == "gain":
                 kind, *args = parts[1:]
                 if kind == "const":
@@ -630,6 +638,8 @@ def parse_topology_text(
                 value = float(token)
                 if not math.isfinite(value):
                     raise fail(lineno, f"{key} must be finite")
+                if value <= 0:
+                    raise fail(lineno, f"{key} must be positive")
                 if key == "power":
                     power = value
                 else:
@@ -639,8 +649,13 @@ def parse_topology_text(
                 coords = tuple(float(x) for x in parts[2:])
                 if not 1 <= len(coords) <= 2:
                     raise fail(lineno, "pos rows take one or two coordinates")
+                if not all(map(math.isfinite, coords)):
+                    raise fail(lineno, "positions must be finite")
                 if node in pos_rows:
                     raise fail(lineno, f"duplicate pos row for node {node}")
+                other = node_at.setdefault(coords, node)
+                if other != node:
+                    raise fail(lineno, f"nodes {min(node, other)} and {max(node, other)} coincide")
                 pos_rows[node] = coords
             elif key == "dist":
                 a, b, value = parts[1:]
@@ -648,6 +663,10 @@ def parse_topology_text(
                 if a == b:
                     raise fail(lineno, "dist rows need two distinct nodes")
                 pair = (min(a, b), max(a, b))
+                if not (math.isfinite(value) and value >= 0):
+                    raise fail(lineno, "distances must be finite and nonnegative")
+                if value == 0:
+                    raise fail(lineno, f"nodes {pair[0]} and {pair[1]} coincide")
                 if pair in dist_rows and abs(dist_rows[pair] - value) > _DIST_TOL:
                     raise fail(lineno, f"conflicting dist rows for pair {pair}")
                 dist_rows[pair] = value

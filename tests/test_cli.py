@@ -442,6 +442,13 @@ def test_error_codes(capsys, tmp_path):
     assert run(capsys, "analyze", "--topology", str(two_power_rows)) == (
         1, "", "E_TOPOLOGY: line 4: duplicate 'power' row\n"
     )
+    coinciding = tmp_path / "coinciding.txt"
+    coinciding.write_text(
+        "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 0\n", encoding="utf-8"
+    )
+    assert run(capsys, "analyze", "--topology", str(coinciding)) == (
+        1, "", "E_TOPOLOGY: line 6: nodes 1 and 2 coincide\n"
+    )
     for flag, value in (("--rate", "nan"), ("--rate", "inf"), ("--power", "-inf"), ("--n", "abc")):
         assert_fails(
             capsys,
@@ -576,6 +583,22 @@ def test_a_closed_stdout_ends_the_run_quietly():
     err = child.stderr.read()
     child.stderr.close()
     assert (child.wait(timeout=120), err) == (1, "")
+
+
+def test_a_pipe_closed_after_ten_bytes_ends_the_run_quietly():
+    # Without a payload replay the JSON still outgrows the pipe's buffer;
+    # the reader takes 10 bytes and closes it.  The failed write points
+    # stdout at devnull and the run exits 1 with nothing on stderr.
+    argv = ["simulate", "--preset", "ring", "--n", "6", "--power", "10", "--blocks", "300"]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "omnirelay.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert child.stdout.read(10) == b'{\n  "comma'
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), err) == (1, b"")
 
 
 def test_a_broken_pipe_on_a_stdout_without_a_descriptor_is_an_io_error(capsys, monkeypatch):

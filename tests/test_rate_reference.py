@@ -3,11 +3,13 @@
 The ``reference_*`` functions are the per-step implementations of
 ``ordered_line_conditions``, ``max_achievable_rate`` and
 ``verify_regular_line_achievability`` from before the conditions became one
-rate-independent table, copied verbatim apart from their names and their
+rate-independent table, copied verbatim apart from their names, their
 float totals, which add left to right from 0 as ``sum()`` did before Python
-3.12 and as the package does on every Python.  Every
-report, rate and check must be ``==`` to theirs: the table must change
-nothing but the amount of work.
+3.12 and as the package does on every Python, and their results: a report
+is the plain tuple of its rate, ordering, entries, verdict and binding
+margin, and a check no longer stores its verdict or a witness's.  Every
+report's facts, every rate and every check must be ``==`` to theirs: the
+table must change nothing but the amount of work.
 """
 
 import math
@@ -22,7 +24,6 @@ from omnirelay.mac_region import EPS_BITS
 from omnirelay.rate_analysis import (
     CheckWitness,
     ConditionEntry,
-    RateReport,
     RegularLineCheck,
     allcast_rate_bound,
     max_achievable_rate,
@@ -43,7 +44,7 @@ from omnirelay.topology import (
 _BISECT_ITERATIONS = 60
 
 
-def reference_ordered_line_conditions(topology: Topology, rate: float) -> RateReport:
+def reference_ordered_line_conditions(topology: Topology, rate: float) -> tuple:
     """Evaluate the per-receiver decode-or-defer conditions at a common rate.
 
     Requires a distance ordering; raises PreconditionError without one.
@@ -120,13 +121,7 @@ def reference_ordered_line_conditions(topology: Topology, rate: float) -> RateRe
 
     achievable = all(e.holds for e in entries)
     binding = min(e.best_margin() for e in entries)
-    return RateReport(
-        rate=rate,
-        ordering=tuple(order),
-        entries=tuple(entries),
-        achievable=achievable,
-        binding_margin=binding,
-    )
+    return rate, tuple(order), tuple(entries), achievable, binding
 
 
 def reference_max_achievable_rate(topology: Topology, tol: float = 1e-6) -> float:
@@ -139,13 +134,13 @@ def reference_max_achievable_rate(topology: Topology, tol: float = 1e-6) -> floa
         raise ValueError("tolerance must be positive")
     hi = allcast_rate_bound(topology)
     lo = 0.0
-    if not reference_ordered_line_conditions(topology, lo).achievable:
+    if not reference_ordered_line_conditions(topology, lo)[3]:
         return 0.0
     for _ in range(_BISECT_ITERATIONS):
         if hi - lo <= tol:
             break
         mid = (lo + hi) / 2.0
-        if reference_ordered_line_conditions(topology, mid).achievable:
+        if reference_ordered_line_conditions(topology, mid)[3]:
             lo = mid
         else:
             hi = mid
@@ -192,14 +187,11 @@ def reference_verify_regular_line_achievability(
     rates = [0.999 * bound] + [bound * rng.random() for _ in range(samples - 1)]
 
     steps: list[CheckWitness] = []
-    verified = True
     checked = 0
 
     def record(description: str, rate: float | None, holds: bool) -> bool:
-        nonlocal verified
         if not holds:
-            verified = False
-            steps.append(CheckWitness(description, rate, holds))
+            steps.append(CheckWitness(description, rate))
         return holds
 
     # Rate-independent: concavity carries the ceiling down to every prefix.
@@ -240,7 +232,6 @@ def reference_verify_regular_line_achievability(
         bound=bound,
         rates=tuple(rates),
         conditions_checked=checked,
-        verified=verified,
         steps=tuple(steps),
     )
 
@@ -291,11 +282,17 @@ def relabelled_line():
     return general_line([coords[p] for p in perm], power_law(2.0), 10.0, 1.0)
 
 
+def facts(report):
+    """A report read as the reference's tuple."""
+    return (report.rate, report.ordering, tuple(report.entries), report.achievable,
+            report.binding_margin)
+
+
 def assert_conditions_match(t, tols):
     bound = allcast_rate_bound(t)
     for factor in RATE_FACTORS:
         rate = factor * bound
-        assert ordered_line_conditions(t, rate) == reference_ordered_line_conditions(t, rate)
+        assert facts(ordered_line_conditions(t, rate)) == reference_ordered_line_conditions(t, rate)
     for tol in tols:
         assert max_achievable_rate(t, tol) == reference_max_achievable_rate(t, tol)
 
@@ -311,7 +308,7 @@ def test_regular_lines_match_the_reference(gain, power):
     for n in range(2, 30):
         t = regular_line(n, 1.0, GAINS[gain], power, 1.0)
         rate = RATE_FACTORS[n % len(RATE_FACTORS)] * allcast_rate_bound(t)
-        assert ordered_line_conditions(t, rate) == reference_ordered_line_conditions(t, rate)
+        assert facts(ordered_line_conditions(t, rate)) == reference_ordered_line_conditions(t, rate)
         if n <= 10:
             tol = (1e-6, 1e-9)[n // 2 % 2]
             assert max_achievable_rate(t, tol) == reference_max_achievable_rate(t, tol)
@@ -343,7 +340,7 @@ def test_long_uneven_lines_match_the_reference():
     # The reference is O(n^3) per rate, so each line takes one rate.
     for k, t in enumerate(long_uneven_lines(4, seed=3060)):
         rate = RATE_FACTORS[k % len(RATE_FACTORS)] * allcast_rate_bound(t)
-        assert ordered_line_conditions(t, rate) == reference_ordered_line_conditions(t, rate)
+        assert facts(ordered_line_conditions(t, rate)) == reference_ordered_line_conditions(t, rate)
 
 
 def test_high_power_line_matches_the_reference():
@@ -355,7 +352,7 @@ def test_high_power_line_matches_the_reference():
         coords.append(coords[-1] + rng.uniform(0.3, 2.0))
     t = general_line(coords, power_law(2.0), 1e6, 1.0)
     rate = 0.999 * allcast_rate_bound(t)
-    assert ordered_line_conditions(t, rate) == reference_ordered_line_conditions(t, rate)
+    assert facts(ordered_line_conditions(t, rate)) == reference_ordered_line_conditions(t, rate)
 
 
 def test_relabelled_line_matches_the_reference():

@@ -69,6 +69,8 @@ def test_gain_parse_rejects_junk():
         power_law(-1.0)
     with pytest.raises(ValueError):
         exponential(-0.5)
+    with pytest.raises(ValueError, match="^unknown gain kind 'foo'$"):
+        GainFunction("foo")(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,8 @@ def test_bad_scalars_rejected():
         ring(4, 0.0, constant(), 1.0, 1.0)
     with pytest.raises(ValueError, match="spacing and radius must be positive"):
         arc(4, 1.0, -1.0, constant(), 1.0, 1.0)
+    with pytest.raises(ValueError, match="^topology needs at least two nodes$"):
+        Topology(np.zeros((1, 1)), constant(), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("power, noise", [
@@ -269,12 +273,18 @@ def test_non_finite_power_and_noise_rejected(power, noise):
         regular_line(3, 1.0, constant(), power, noise)
 
 
-@pytest.mark.parametrize("row", ["power nan", "power inf", "noise nan", "noise inf"])
+@pytest.mark.parametrize("row", [
+    "power nan", "power inf", "noise nan", "noise inf",
+    "power -1", "power 0", "noise 0", "noise -2.5",
+])
 def test_parse_rejects_non_finite_power_and_noise(row):
-    key = row.split()[0]
+    # A value that is finite but not positive is reported at its row too,
+    # not by the Topology constructor without a line.
+    key, token = row.split()
+    fault = "finite" if not math.isfinite(float(token)) else "positive"
     other = "noise 1" if key == "power" else "power 1"
     text = f"nodes 2\ngain const\n{row}\n{other}\npos 1 0\npos 2 1\n"
-    with pytest.raises(TopologyFormatError, match=f"line 3: {key} must be finite"):
+    with pytest.raises(TopologyFormatError, match=f"^line 3: {key} must be {fault}$"):
         parse_topology_text(text)
 
 
@@ -345,6 +355,12 @@ def test_an_overflowing_received_power_is_reported():
     # The gain at 1e-160 is 1e160; its square overflows a float.
     t = topology_from_distances([[0, 1e-160], [1e-160, 0]], power_law(2.0), 1.0, 1.0)
     with pytest.raises(ModelViolationError, match="^received power at node 0 overflows: total inf "):
+        build_power_matrix(t)
+    # Under power_law(4.0) the gain itself, 1e320, overflows.
+    t = topology_from_distances([[0, 1e-160], [1e-160, 0]], power_law(4.0), 1.0, 1.0)
+    with pytest.raises(
+        ModelViolationError, match=r"^gain at distance 1e-160 is inf; must be finite and >= 0$"
+    ):
         build_power_matrix(t)
 
 
@@ -763,6 +779,18 @@ def test_canonical_text_round_trip():
     assert canonical_text(back, one_hop) == text
 
 
+def test_int_and_float_power_and_noise_give_one_text():
+    # Power and noise are kept as floats, so an int given for either writes
+    # the text, and the topology hash, of the float of the same value.
+    d = [[0.0, 1.0], [1.0, 0.0]]
+    ints = Topology(d, constant(), 10, 1)
+    assert (type(ints.power), type(ints.noise)) == (float, float)
+    text = canonical_text(ints)
+    assert text == canonical_text(topology_from_distances(d, constant(), 10.0, 1.0))
+    assert "power 10.0\nnoise 1.0\n" in text
+    assert canonical_text(parse_topology_text(text)[0]) == text
+
+
 def test_canonical_text_rejects_a_gain_without_a_text_form():
     # A gain that is not a GainFunction has no file form; writing its repr
     # put a memory address into the text, and so into the topology hash.
@@ -884,6 +912,18 @@ def test_load_topology_file(tmp_path):
         (
             "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\nhop 1 1\nhop 2 1\n",
             "hop row of node 1 references itself",
+        ),
+        # A bad value, at its row and with the file's node ids.
+        ("nodes 1\ngain const\npower 1\nnoise 1\npos 1 0\n", "^line 1: topology needs at least two nodes$"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\ndist 1 2 nan\n", "^line 5: distances must be finite and nonnegative$"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\ndist 2 1 -1\n", "^line 5: distances must be finite and nonnegative$"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\ndist 2 1 0\n", "^line 5: nodes 1 and 2 coincide$"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 inf\n", "^line 6: positions must be finite$"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\npos 1 nan 0\npos 2 1 0\n", "^line 5: positions must be finite$"),
+        ("nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 -0.0\n", "^line 6: nodes 1 and 2 coincide$"),
+        (
+            "nodes 3\ngain const\npower 1\nnoise 1\npos 3 0 1\npos 1 5 5\npos 2 0 1\n",
+            "^line 7: nodes 2 and 3 coincide$",
         ),
     ],
 )
