@@ -234,14 +234,19 @@ class _Receiver:
     """One node's view of the schedule, fixed for a run.
 
     ``lag`` maps each scheduled source to its decode lag; ``sources`` lists
-    them in order, with ``power`` their received powers.  They are also the
-    senders whose transmissions the node reads (a valid schedule never has a
-    node decode itself).  A sender's foreign block is the first block from
-    which, by its encode sets, its bundles repeat a source the node never
+    them in id order, with ``power`` their received powers.  They are also
+    the senders whose transmissions the node reads (a valid schedule never
+    has a node decode itself).  ``order`` lists the same sources in the
+    order in which the node's decodes list pool members and read senders.
+    It is ``sources`` unless ``run_schedule`` sets it from the run's
+    symmetries: there it is the id-sorted sources of the node's orbit
+    representative, mapped through a symmetry that takes the representative
+    to the node.  A sender's foreign block is the first block from which,
+    by its encode sets, its bundles repeat a source the node never
     schedules; ``floor`` is the latest foreign block over the senders (0 if
     none has one), which the steady-state rule of ``run_schedule`` waits
     for.  ``undecoded`` lists the other nodes it never schedules, whose
-    total power ``static_interference`` adds to its noise.
+    total power ``static_interference`` adds to its noise in id order.
     """
 
     def __init__(self, node: int, schedule: Schedule, powers: np.ndarray):
@@ -250,6 +255,7 @@ class _Receiver:
         self.node = node
         self.lag = lag
         self.sources = tuple(sorted(lag))
+        self.order = self.sources
         self.power = {j: column[j] for j in lag}
         self.undecoded = tuple(j for j in range(schedule.n) if j != node and j not in lag)
         # Added left to right from the int 0, as sum() did before Python 3.12;
@@ -272,6 +278,44 @@ class _Receiver:
             ),
             default=0,
         )
+
+
+def _symmetries(powers: np.ndarray, schedule: Schedule) -> list[tuple[int, ...]]:
+    """The relabelings of node ids that leave a run unchanged, as tuples
+    ``sigma`` with ``sigma[j]`` the new id of node j, identity first.
+
+    The candidates are the 2n dihedral maps ``j -> (+-j + k) mod n``,
+    rotations first.  One passes when it maps the power matrix onto itself
+    bitwise, ``powers[sigma[i], sigma[j]] == powers[i, j]``, and every
+    decode and encode set of node i onto that of node ``sigma[i]`` at the
+    same lag.  The maps that pass form a group.
+    """
+    n = len(powers)
+
+    def trimmed(row: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        return row[:end]
+
+    rows = [(trimmed(d), trimmed(e)) for d, e in zip(schedule.decode_sets, schedule.encode_sets)]
+    found: list[tuple[int, ...]] = []
+    for sign in (1, -1):
+        for k in range(n):
+            sigma = tuple((sign * j + k) % n for j in range(n))
+            perm = np.array(sigma)
+            if (
+                sigma not in found
+                and (powers[perm[0], perm] == powers[0]).all()
+                and (powers[np.ix_(perm, perm)] == powers).all()
+                and all(
+                    tuple(tuple(frozenset([sigma[j] for j in s]) for s in part) for part in rows[i])
+                    == rows[sigma[i]]
+                    for i in range(n)
+                )
+            ):
+                found.append(sigma)
+    return found
 
 
 def _read_bundle(tx: Transmission, done: dict[int, int], node: int) -> list[int] | None:
@@ -309,13 +353,21 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
     counters (``_read_bundle``), so a repeat the sender skipped or a message
     it sent that the node cannot place is seen as it was sent.
 
+    Members are listed, and senders read, in ``rx.order``.  A round's noise
+    adds its senders' powers left to right in that order, and carriers
+    follow it within a block, so receivers of one symmetry orbit build
+    bitwise equal instances for mapped states.  Targets, missing and
+    decoded messages are kept in id order whatever the order.
+
     ``run.solved`` memoizes region solves for the run, keyed by a tuple of
     every instance field that varies within a run (the node's static
     interference too; only rate and noise are fixed), with round ids
-    shifted to start at 0, so the same pool a block later is a hit.  The
-    instance is built and validated only on a miss.
+    shifted to start at 0, so the same pool a block later, or at another
+    receiver of the orbit, is a hit.  As the key holds every field, a hit
+    is correct whatever the order.  The instance is built and validated
+    only on a miss.
     """
-    node, lag, senders = rx.node, rx.lag, rx.sources
+    node, lag, senders = rx.node, rx.lag, rx.order
     due_missing = [
         (j, beta) for j in rx.sources for beta in range(upto[j] + 1, block - lag[j] + 2)
     ]
@@ -328,7 +380,7 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
     sum_rate_ok: bool | None = None
 
     while frontier:
-        members = [j for j in rx.sources if j in frontier]
+        members = [j for j in senders if j in frontier]
         index = {j: idx for idx, j in enumerate(members)}
         first_round = min(frontier.values())
 
@@ -548,6 +600,14 @@ def run_schedule(
     powers = build_power_matrix(topology)
     run = _Run(rate, topology.noise)
     receivers = [_Receiver(i, schedule, powers) for i in range(n)]
+    # Each receiver lists its pool in its orbit representative's order (the
+    # smallest node a symmetry takes to it, through the first such
+    # symmetry), so the receivers of one orbit build bitwise equal instances
+    # and share their solves through the memo.
+    symmetries = _symmetries(powers, schedule)
+    for rx in receivers:
+        rep, k = min((sigma.index(rx.node), k) for k, sigma in enumerate(symmetries))
+        rx.order = tuple(symmetries[k][j] for j in receivers[rep].sources)
     encode_start = max(
         (k + 1 for row in schedule.encode_sets for k, members in enumerate(row, 1) if members),
         default=1,

@@ -206,13 +206,17 @@ def topology_from_positions(
         raise ValueError("all positions must share one dimension")
     if not all(math.isfinite(x) for p in pts for x in p):
         raise ValueError("node positions must be finite")
+    return Topology(_pairwise_distances(pts), gain, power, noise, tuple(pts))
+
+
+def _pairwise_distances(pts: Sequence[tuple[float, ...]]) -> np.ndarray:
+    """Euclidean distances between points of one dimension.  A distance too
+    large for a float overflows to inf, and one too small underflows to 0,
+    without a numpy warning: the callers report both."""
     arr = np.asarray(pts, dtype=float)
-    # A distance too large for a float overflows to inf here, and Topology
-    # rejects it; numpy must not also print a RuntimeWarning.
     with np.errstate(over="ignore"):
         diff = arr[:, None, :] - arr[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-    return Topology(dist, gain, power, noise, tuple(pts))
+        return np.sqrt((diff * diff).sum(axis=2))
 
 
 def topology_from_distances(
@@ -596,6 +600,7 @@ def parse_topology_text(
     power = None
     noise = None
     pos_rows: dict[int, tuple[float, ...]] = {}
+    pos_line: dict[int, int] = {}
     node_at: dict[tuple[float, ...], int] = {}
     dist_rows: dict[tuple[int, int], float] = {}
     hop_rows: dict[int, frozenset[int]] = {}
@@ -657,6 +662,7 @@ def parse_topology_text(
                 if other != node:
                     raise fail(lineno, f"nodes {min(node, other)} and {max(node, other)} coincide")
                 pos_rows[node] = coords
+                pos_line[node] = lineno
             elif key == "dist":
                 a, b, value = parts[1:]
                 a, b, value = int(a), int(b), float(value)
@@ -699,9 +705,19 @@ def parse_topology_text(
         dims = {len(c) for c in pos_rows.values()}
         if len(dims) > 1:
             raise TopologyFormatError("pos rows must share one dimension")
-        topo = topology_from_positions(
-            [pos_rows[i] for i in range(1, n + 1)], gain, power, noise
-        )
+        pts = [pos_rows[i] for i in range(1, n + 1)]
+        dist = _pairwise_distances(pts)
+        # Distinct points whose distance is no float: reported at the row
+        # where the first such pair is complete.
+        bad = np.triu(~np.isfinite(dist) | (dist == 0), 1)
+        if bad.any():
+            at = [pos_line[i] for i in range(1, n + 1)]
+            # The pair whose later row comes first, then whose earlier row does.
+            a, b = min(np.argwhere(bad).tolist(), key=lambda p: sorted((at[p[0]], at[p[1]]))[::-1])
+            what = "too far apart" if dist[a, b] else "too close together"
+            message = f"nodes {a + 1} and {b + 1} are {what} for a float distance"
+            raise fail(max(at[a], at[b]), message)
+        topo = Topology(dist, gain, power, noise, tuple(pts))
     else:
         # Row a misses a pair when it has fewer than n - a; the first missing
         # b is found within its count + 1 tries.

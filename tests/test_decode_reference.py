@@ -8,10 +8,13 @@ sets and stores a knowledge snapshot per block.  The simulator now keeps one
 counter per scheduled source instead, reads each bundle against those
 counters, and derives its snapshots from the decode records, and once a run
 reaches its steady state it emits the remaining blocks by shifting the last
-decoded one.  These tests check that both give the same transmissions,
-decode records, knowledge snapshots, completion blocks and solved region
-instances, and that the invariant the counters rest on holds: a receiver's
-knowledge of each source is a prefix of its blocks.
+decoded one.  It also lists each receiver's pool in the order of its
+symmetry orbit's representative (``orbit_orders``), where the reference
+takes an order as a parameter.  These tests check that both give the same
+transmissions, decode records, knowledge snapshots and completion blocks
+(the reference in id order), and the same solved region instances (the
+reference in orbit order), and that the invariant the counters rest on
+holds: a receiver's knowledge of each source is a prefix of its blocks.
 
 The grid holds distance-regulated lines, rings and an arc, also run long
 enough to reach the steady state; a line whose one-hop sets split it in
@@ -19,7 +22,8 @@ two, so that every node has its own static interference; and hand-built
 schedules under which a sender repeats a source the receiver never
 schedules, also from a block later than the receiver's decode window
 starts, relays a pool member on its own, or sends a bundle that skips one
-repeat and carries another.
+repeat and carries another, one of them mirrored so that a receiver reads
+round noise and carriers in reverse id order.
 """
 
 from __future__ import annotations
@@ -89,12 +93,15 @@ def reference_decode_closure(
     rate: float,
     noise: float,
     solved: dict[tuple, MultiBlockResult],
+    order: Sequence[int],
 ) -> DecodeRecord:
     """Joint decode at ``node`` after block ``block``.
 
     ``solved`` memoizes region solves for the current run.  A solve depends
     on round ids only through their differences, so its key holds them
     shifted to start at 0, and the same pool a block later is a hit.
+    ``order`` lists the scheduled sources in the order in which pool members
+    are listed and senders read.
     """
     due_missing = sorted(
         (j, beta)
@@ -120,7 +127,7 @@ def reference_decode_closure(
         if not frontier:
             break
 
-        members = sorted(frontier)
+        members = [j for j in order if j in frontier]
         index = {j: idx for idx, j in enumerate(members)}
         targets = {(j, frontier[j]): index[j] for j in members}
         first_round = min(frontier.values())
@@ -130,7 +137,7 @@ def reference_decode_closure(
         carriers: list[tuple[int, float, frozenset[int]]] = []
         round_noise: dict[int, float] = {}
         for beta in range(first_round, block + 1):
-            for sender in sorted(lag):
+            for sender in order:
                 if sender == node:
                     continue
                 tx = transmissions[beta - 1][sender]
@@ -204,11 +211,16 @@ def reference_decode_closure(
     )
 
 
-def reference_run(topology, schedule, rate, blocks):
-    """``run_schedule``'s block loop over plain knowledge sets."""
+def reference_run(topology, schedule, rate, blocks, orders=None):
+    """``run_schedule``'s block loop over plain knowledge sets.
+
+    ``orders[i]`` is node i's member and sender order; id order by default.
+    """
     n = topology.n
     powers = build_power_matrix(topology).tolist()
     lag = [schedule.decode_lag(i) for i in range(n)]
+    if orders is None:
+        orders = [sorted(lag[i]) for i in range(n)]
     static = [
         reduce(
             operator.add, (powers[j][i] for j in range(n) if j != i and j not in lag[i]), 0
@@ -228,7 +240,17 @@ def reference_run(topology, schedule, rate, blocks):
         updated = []
         for i in range(n):
             rec = reference_decode_closure(
-                i, b, know[i], tx_rows, lag[i], static[i], powers, rate, topology.noise, solved
+                i,
+                b,
+                know[i],
+                tx_rows,
+                lag[i],
+                static[i],
+                powers,
+                rate,
+                topology.noise,
+                solved,
+                orders[i],
             )
             records.append(rec)
             updated.append(know[i] | set(rec.targets) if rec.success else set(know[i]))
@@ -236,6 +258,49 @@ def reference_run(topology, schedule, rate, blocks):
         decode_rows.append(tuple(records))
         snapshots.append(tuple(frozenset(s) for s in know))
     return tuple(tx_rows), tuple(decode_rows), tuple(snapshots)
+
+
+def orbit_orders(topology, schedule):
+    """Each node's member and sender order in a run: the id-sorted sources
+    of the smallest node that a symmetry maps to it, mapped through the
+    first such symmetry.
+
+    The symmetries are the maps ``j -> (+-j + k) mod n``, rotations first,
+    that keep every received power and every decode and encode set.  They
+    are read off the powers, not the distances: on the cos/sin rings of 3,
+    4, 5 and 8 nodes, chords that differ in their last bit give equal
+    powers, and the run shares those solves.
+    """
+    n = topology.n
+    p = build_power_matrix(topology).tolist()
+
+    def nonempty(row):
+        return {k: s for k, s in enumerate(row) if s}
+
+    rows = [
+        (nonempty(schedule.decode_sets[i]), nonempty(schedule.encode_sets[i])) for i in range(n)
+    ]
+    symmetries = []
+    for sign in (1, -1):
+        for k in range(n):
+            sigma = [(sign * j + k) % n for j in range(n)]
+            keeps_powers = all(
+                p[sigma[i]][sigma[j]] == p[i][j] for i in range(n) for j in range(n)
+            )
+            keeps_schedule = all(
+                rows[sigma[i]]
+                == tuple(
+                    {lag: {sigma[j] for j in s} for lag, s in part.items()} for part in rows[i]
+                )
+                for i in range(n)
+            )
+            if keeps_powers and keeps_schedule and sigma not in symmetries:
+                symmetries.append(sigma)
+    orders = []
+    for node in range(n):
+        rep, first = min((sigma.index(node), k) for k, sigma in enumerate(symmetries))
+        orders.append([symmetries[first][j] for j in sorted(schedule.decode_lag(rep))])
+    return orders
 
 
 def path_one_hop(n):
@@ -271,6 +336,17 @@ def late_schedule(n):
 
 
 LATE_ROWS = {5: [{1, 3}, {0}, {4}], 6: [{1, 3}, (), {0, 4}, (), {5}]}
+
+
+def mirrored_late_schedule(n):
+    """The 6-node late schedule with node 3 given node 2's rows mirrored,
+    ``j -> 5 - j``: the schedule keeps the line's reflection, so node 3
+    decodes in node 2's order reversed, and its round noise and carriers
+    add up in that order.
+    """
+    rows = [list(row) for row in late_schedule(n).decode_sets]
+    rows[3] = [{n - 1 - j for j in s} for s in rows[2]]
+    return Schedule(rows, rows)
 
 
 def foreign_schedule():
@@ -323,6 +399,7 @@ CASES = (
     # interference from the half it never schedules.
     + [("split", 7, share) for share in (0.3, 0.6, 0.9, 1.2)]
     + [("late", n, share) for n in (5, 6) for share in (0.3, 0.9, 1.2)]
+    + [("mirrored-late", 6, share) for share in (0.3, 0.9, 1.2)]
     + [("foreign", 5, share) for share in (0.3, 0.9, 1.2)]
     + [("late-foreign", 3, share) for share in (0.3, 0.9)]
     + [("partial", 4, share) for share in (0.3, 0.9)]
@@ -335,11 +412,19 @@ CASES = (
 )
 HAND_BUILT = {
     "late": late_schedule,
+    "mirrored-late": mirrored_late_schedule,
     "foreign": lambda n: foreign_schedule(),
     "late-foreign": lambda n: late_foreign_schedule(),
     "partial": lambda n: partial_schedule(),
 }
-BLOCKS = {"split": 14, "late": 14, "foreign": 12, "late-foreign": 14, "partial": 12}
+BLOCKS = {
+    "split": 14,
+    "late": 14,
+    "mirrored-late": 14,
+    "foreign": 12,
+    "late-foreign": 14,
+    "partial": 12,
+}
 
 
 def build_case(kind, n, share):
@@ -406,14 +491,19 @@ def test_counter_decode_matches_the_set_reference(monkeypatch, kind, n, share):
     solves = recorded_solves(monkeypatch, protocol_sim)
     reference_solves = recorded_solves(monkeypatch, sys.modules[__name__])
     trace = simulate(kind, n, share)
+    # Records do not depend on the member order: the trace is the id-order
+    # reference's.
     transmissions, decodes, knowledge = reference_run(topology, schedule, rate, blocks)
     assert trace.transmissions == transmissions
     assert trace.decodes == decodes
     assert trace.knowledge == knowledge
     assert trace.completion_block == reference_completion(knowledge)
-    # Both memoize per run on every instance field, so they also solve the
-    # same instances in the same order: a wrong sender role shows here even
-    # where the verdicts happen to agree.
+    # Both memoize per run on every instance field, so with the members of
+    # every receiver listed in its orbit's order they also solve the same
+    # instances in the same order: a wrong sender role shows here even where
+    # the verdicts happen to agree.
+    reference_solves.clear()
+    reference_run(topology, schedule, rate, blocks, orbit_orders(topology, schedule))
     assert solves == reference_solves
 
 

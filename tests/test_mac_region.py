@@ -4,12 +4,14 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from omnirelay.mac_region import (
     EPS_BITS,
     HelperCarrier,
     MultiBlockInstance,
+    _MultiBlockEvaluator,
     multi_block_decodable_subset,
     multi_block_feasible,
 )
@@ -516,3 +518,116 @@ def test_round_ids_cover_all_mentions():
         block_interference=((7, 0.5),),
     )
     assert inst.round_ids() == (2, 4, 7)
+
+
+# ---------------------------------------------------------------------------
+# relabeling invariance
+# ---------------------------------------------------------------------------
+
+
+def relabeled(inst, perm):
+    """``inst`` with member j renamed ``perm[j]``: its fields move with it,
+    and every help and carrier target is renamed too."""
+    m = inst.m
+    moved = [0] * m
+    for j in range(m):
+        moved[perm[j]] = j
+
+    def field(values):
+        return tuple(values[moved[k]] for k in range(m))
+
+    return MultiBlockInstance(
+        field(inst.rates),
+        field(inst.powers),
+        inst.noise,
+        blocks=field(inst.blocks),
+        helps=tuple(frozenset(perm[h] for h in inst.helps[moved[k]]) for k in range(m)),
+        carriers=tuple(
+            HelperCarrier(c.block, c.power, frozenset(perm[h] for h in c.helps))
+            for c in inst.carriers
+        ),
+        interference=inst.interference,
+        block_interference=inst.block_interference,
+        usable=field(inst.usable),
+    )
+
+
+def peel_meets_a_tie(inst):
+    """Whether some step of the peel has two survivor subsets at the top
+    margin, where the lexicographic rule picks by label."""
+    ev = _MultiBlockEvaluator(inst)
+    while surv := sorted(ev.survivors()):
+        margins = ev.margins(surv)[1:]
+        top = margins.max()
+        if top < -EPS_BITS:
+            return False
+        if np.count_nonzero(margins == top) > 1:
+            return True
+        mask = int(margins.argmax()) + 1
+        ev.remove_closure([surv[b] for b in range(len(surv)) if mask >> b & 1])
+    return False
+
+
+def test_a_relabeled_instance_decodes_the_relabeled_set_property():
+    # Powers, noise, interference and rates are small dyadic values, so every
+    # power and rate total is exact in any member order: each subset's margin
+    # is bitwise the margin of its relabeled subset, and a tie is exactly a
+    # tie.  Only a tie may then let the decoded set depend on labels.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    dyadic = st.integers(1, 32).map(lambda k: k / 4)
+
+    @st.composite
+    def instances(draw):
+        m = draw(st.integers(1, 7))
+        rounds = draw(st.integers(1, 3))
+        blocks = draw(st.lists(st.integers(1, rounds), min_size=m, max_size=m))
+        common = draw(st.integers(0, 48)) / 16
+        rates = draw(
+            st.one_of(
+                st.just([common] * m),
+                st.lists(st.integers(0, 48).map(lambda k: k / 16), min_size=m, max_size=m),
+            )
+        )
+        helps = [
+            frozenset(h for h in range(m) if blocks[h] < blocks[j] and draw(st.booleans()))
+            for j in range(m)
+        ]
+        carriers = []
+        for _ in range(draw(st.integers(0, 2))):
+            block = draw(st.integers(2, rounds + 1))
+            targets = frozenset(h for h in range(m) if blocks[h] < block and draw(st.booleans()))
+            if targets:
+                carriers.append(HelperCarrier(block, draw(dyadic), targets))
+        return MultiBlockInstance(
+            tuple(rates),
+            tuple(draw(st.lists(dyadic, min_size=m, max_size=m))),
+            draw(st.sampled_from((0.5, 1.0, 2.0))),
+            blocks=tuple(blocks),
+            helps=tuple(helps),
+            carriers=tuple(carriers),
+            interference=draw(st.sampled_from((0.0, 0.25, 1.5))),
+            block_interference=tuple(
+                (b, draw(dyadic)) for b in range(1, rounds + 2) if draw(st.booleans())
+            ),
+            usable=tuple(draw(st.lists(st.booleans(), min_size=m, max_size=m))),
+        )
+
+    # Outcomes of the untied instances: whole, partly and not decoded.
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(instances(), st.data())
+    def check(inst, data):
+        perm = data.draw(st.permutations(range(inst.m)))
+        result = multi_block_decodable_subset(inst)
+        moved = multi_block_decodable_subset(relabeled(inst, perm))
+        assert moved.sum_rate_ok == result.sum_rate_ok
+        if peel_meets_a_tie(inst):
+            hypothesis.event("exact tie in the peel")
+            return
+        assert moved.decoded == tuple(sorted(perm[j] for j in result.decoded))
+        seen.add(min(len(result.decoded), 1) + (len(result.decoded) == inst.m))
+
+    check()
+    assert seen == {0, 1, 2}

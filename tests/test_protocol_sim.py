@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from omnirelay import protocol_sim
+from omnirelay import cli, protocol_sim
 from omnirelay.binning import build_binning, decode_from_side_info
 from omnirelay.errors import PreconditionError
 from omnirelay.protocol_sim import (
@@ -23,10 +23,16 @@ from omnirelay.protocol_sim import (
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import (
     Schedule,
+    arc,
+    build_power_matrix,
+    distance_regulated_schedule,
     general_line,
+    k_hop_neighbors,
+    parse_topology_text,
     power_law,
     regular_line,
     ring,
+    topology_from_distances,
 )
 
 
@@ -577,3 +583,146 @@ def test_run_schedule_rejects_rule_violations():
 def test_one_hop_sets_must_match_the_topology():
     with pytest.raises(PreconditionError):
         run_distance_regulated(line(3), adjacency(4), 0.1, 2)
+
+
+# ---------------------------------------------------------------------------
+# symmetry orbits
+# ---------------------------------------------------------------------------
+
+
+def chord_rows(n):
+    """A circulant ring's distances: the chord ``2R sin(pi k / n)`` of offset k."""
+    radius = n / (2.0 * math.pi)
+    chord = [2.0 * radius * math.sin(math.pi * min(k, n - k) / n) for k in range(n)]
+    return [[chord[(j - i) % n] for j in range(n)] for i in range(n)]
+
+
+def dist_file(d, one_hop, perm=None):
+    """Topology file text of the distance rows ``d`` and one-hop sets, with
+    node i written as ``perm[i]`` (0-based) when a permutation is given."""
+    n = len(d)
+    perm = perm or list(range(n))
+    rows = [f"nodes {n}", "gain pl 2.0", "power 10.0", "noise 1.0"]
+    rows += [f"dist {perm[i] + 1} {perm[j] + 1} {d[i][j]!r}" for i in range(n) for j in range(i)]
+    moved = [None] * n
+    for i in range(n):
+        moved[perm[i]] = sorted(perm[j] + 1 for j in one_hop[i])
+    rows += [f"hop {i + 1} " + " ".join(map(str, hops)) for i, hops in enumerate(moved)]
+    return "\n".join(rows) + "\n"
+
+
+def ring_adjacency(n):
+    return [frozenset({(i - 1) % n, (i + 1) % n}) for i in range(n)]
+
+
+def symmetries_of(topology, one_hop):
+    schedule = distance_regulated_schedule(k_hop_neighbors(one_hop))
+    return protocol_sim._symmetries(build_power_matrix(topology), schedule)
+
+
+def test_the_symmetry_finder():
+    n = 9
+    line_rows = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
+    circulant, _ = parse_topology_text(dist_file(chord_rows(n), ring_adjacency(n)))
+    dihedral = {tuple((s * j + k) % n for j in range(n)) for s in (1, -1) for k in range(n)}
+    assert len(dihedral) == 2 * n
+    found = symmetries_of(circulant, ring_adjacency(n))
+    assert found[0] == tuple(range(n)) and set(found) == dihedral and len(found) == 2 * n
+    # A regular line: the identity and the reflection j -> n - 1 - j.
+    regular = topology_from_distances(line_rows, power_law(2.0), 10.0, 1.0)
+    assert symmetries_of(regular, adjacency(n)) == [tuple(range(n)), tuple(range(n))[::-1]]
+    # The circulant ring's distances under a line's schedule: the schedule
+    # leaves only the line's own reflection.
+    assert symmetries_of(circulant, adjacency(n)) == [
+        tuple(range(n)),
+        tuple((n - 1 - j) % n for j in range(n)),
+    ]
+    # Asymmetric inputs: an uneven line, an arc, and a regular line whose
+    # one-hop sets are not mirrored.
+    identity = [tuple(range(6))]
+    uneven = general_line([0.0, 0.5, 2.0, 3.0, 5.0, 5.8], power_law(2.0), 10.0, 1.0)
+    assert symmetries_of(uneven, adjacency(6)) == identity
+    assert symmetries_of(arc(6, 1.0, 4.0, power_law(2.0), 10.0, 1.0), adjacency(6)) == identity
+    lopsided = [set(s) for s in adjacency(6)]
+    lopsided[0].add(2)
+    lopsided[2].add(0)
+    assert symmetries_of(line(6), lopsided) == identity
+
+
+def cli_solves(monkeypatch, capsys, argv):
+    """The region solves of one ``simulate`` argv."""
+    calls = []
+    solve = protocol_sim.multi_block_decodable_subset
+
+    def counting(instance):
+        calls.append(instance)
+        return solve(instance)
+
+    monkeypatch.setattr(protocol_sim, "multi_block_decodable_subset", counting)
+    assert cli.main(argv.split()) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_one_solve_per_symmetry_orbit(monkeypatch, capsys, tmp_path):
+    # A regular line's mirror receivers share every solve, and so do all the
+    # receivers of a ring whose distances are exactly circulant: 262 and 322
+    # solves when every receiver listed its pool in id order.  The cos/sin
+    # ring preset's chords differ in their last bits, so its 20 receivers
+    # keep their own solves, as an uneven line's do.
+    rate = 0.999 * allcast_rate_bound(line(12))
+    line_solve = f"simulate --preset regular-line --n 12 --power 10.0 --rate {rate!r} --blocks 16"
+    assert cli_solves(monkeypatch, capsys, line_solve + " --seed 1") == 131
+    path = tmp_path / "circ20.txt"
+    path.write_text(dist_file(chord_rows(20), ring_adjacency(20)))
+    assert cli_solves(monkeypatch, capsys, f"simulate --topology {path} --blocks 24") == 18
+    preset = "simulate --preset ring --n 20 --power 10 --blocks 24"
+    assert cli_solves(monkeypatch, capsys, preset) == 360
+    uneven = "simulate --preset line --spacings 0.5,1.5,1,2,0.8 --power 10 --blocks 10"
+    assert cli_solves(monkeypatch, capsys, uneven) == 6
+
+
+@pytest.mark.parametrize("kind", ["line", "ring", "arc"])
+@pytest.mark.parametrize("share", [0.9, 1.3])
+def test_a_relabeled_topology_runs_the_relabeled_trace(kind, share):
+    # The same dist rows, with node ids permuted: every decoded set, verdict
+    # and completion block moves with its node.  The unpermuted line and
+    # ring decode in their orbits' orders, and the permuted ones keep fewer
+    # symmetries or none, so the two runs list their pools differently.
+    n = {"line": 7, "ring": 8, "arc": 6}[kind]
+    if kind == "line":
+        d, one_hop = [[float(abs(i - j)) for j in range(n)] for i in range(n)], adjacency(n)
+    elif kind == "ring":
+        d, one_hop = chord_rows(n), ring_adjacency(n)
+    else:
+        d = arc(n, 1.0, 4.0, power_law(2.0), 10.0, 1.0).distances.tolist()
+        one_hop = adjacency(n)
+    perm = list(range(n))
+    random.Random(f"{kind}-{share}").shuffle(perm)
+    base, base_hop = parse_topology_text(dist_file(d, one_hop))
+    moved, moved_hop = parse_topology_text(dist_file(d, one_hop, perm))
+    if kind != "arc":
+        assert len(symmetries_of(base, base_hop)) > len(symmetries_of(moved, moved_hop))
+    rate = share * allcast_rate_bound(base)
+    blocks = 2 * n + 6
+    trace = run_distance_regulated(base, base_hop, rate, blocks)
+    other = run_distance_regulated(moved, moved_hop, rate, blocks)
+
+    def rename(messages):
+        return {(perm[j], beta) for j, beta in messages}
+
+    assert other.completion_block == tuple(
+        trace.completion_block[perm.index(i)] for i in range(n)
+    )
+    for row, other_row in zip(trace.decodes, other.decodes):
+        for rec in row:
+            mate = other_row[perm[rec.node]]
+            assert set(mate.decoded) == rename(rec.decoded)
+            assert set(mate.targets) == rename(rec.targets)
+            assert set(mate.missing) == rename(rec.missing)
+            assert (mate.success, mate.sum_rate_ok) == (rec.success, rec.sum_rate_ok)
+    for row, other_row in zip(trace.transmissions, other.transmissions):
+        for tx in row:
+            assert set(other_row[perm[tx.sender]].bundle) == rename(tx.bundle)
+    assert trace.all_success() == (share < 1)

@@ -925,6 +925,24 @@ def test_load_topology_file(tmp_path):
             "nodes 3\ngain const\npower 1\nnoise 1\npos 3 0 1\npos 1 5 5\npos 2 0 1\n",
             "^line 7: nodes 2 and 3 coincide$",
         ),
+        # Distinct points whose distance overflows to inf or underflows to 0.
+        (
+            "nodes 2\ngain const\npower 1\nnoise 1\npos 1 -1e308\npos 2 1e308\n",
+            "^line 6: nodes 1 and 2 are too far apart for a float distance$",
+        ),
+        (
+            "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1e-320\n",
+            "^line 6: nodes 1 and 2 are too close together for a float distance$",
+        ),
+        (
+            "nodes 4\ngain const\npower 1\nnoise 1\n"
+            "pos 3 0\npos 2 5\npos 4 1e-320\npos 1 1e200\n",
+            "^line 7: nodes 3 and 4 are too close together for a float distance$",
+        ),
+        (
+            "nodes 3\ngain const\npower 1\nnoise 1\npos 3 0 1e154\npos 1 5 5\npos 2 0 -1e154\n",
+            "^line 7: nodes 2 and 3 are too far apart for a float distance$",
+        ),
     ],
 )
 def test_parse_structural_errors(text, fragment):
