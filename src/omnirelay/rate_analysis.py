@@ -11,10 +11,9 @@ count * rate`` with S, D and count independent of the rate, so the
 conditions are one rate-independent table of arrays, built once per
 topology object and kept on it.  A ``RateReport`` is that table read at
 one rate, and ``max_achievable_rate`` bisects over such reads.
-``verify_regular_line_achievability`` replays, on an equally spaced line,
-the argument that those conditions follow from the rate ceiling alone, step
-by numeric step, against limits likewise computed once, one array
-comparison per check kind and rate.
+``verify_regular_line_achievability`` reads the same table on an equally
+spaced line: ``regular_line_verified`` means equal spacing, and the line
+conditions hold at 0.999 * bound and at the seeded rates below it.
 """
 
 from __future__ import annotations
@@ -231,10 +230,15 @@ def _chain_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prefix, suffix
 
 
-def _build_line_table(topology: Topology) -> _LineTable:
+def _ordering(topology: Topology) -> tuple[int, ...]:
     order = distance_ordering_check(topology)
     if order is None:
         raise PreconditionError("the topology admits no distance ordering")
+    return order
+
+
+def _build_line_table(topology: Topology) -> _LineTable:
+    order = _ordering(topology)
     n = topology.n
     noise = topology.noise
 
@@ -331,48 +335,33 @@ def max_achievable_rate(topology: Topology, tol: float = 1e-6) -> float:
 
 
 @dataclass(frozen=True)
-class CheckWitness:
-    """A numeric step of the regular-line argument that failed."""
-
-    description: str
-    rate: float | None
-
-
-@dataclass(frozen=True)
 class RegularLineCheck:
-    """Outcome of replaying the achievability argument on an equally spaced line.
+    """The line table of an equally spaced line, read at sampled rates below the ceiling.
 
-    ``steps`` lists the comparisons that failed; the line is ``verified``
-    when it is empty, every check having passed at every sampled rate below
-    the ceiling.
+    ``rates`` are 0.999 * ``bound`` and seeded draws below ``bound``; the
+    line is ``verified`` when the table holds at every one of them.
+    ``conditions_checked`` is the table's row count times the rate count.
     """
 
     bound: float
     rates: tuple[float, ...]
     conditions_checked: int
-    steps: tuple[CheckWitness, ...]
-
-    @property
-    def verified(self) -> bool:
-        return not self.steps
+    verified: bool
 
 
 def verify_regular_line_achievability(
     topology: Topology, samples: int = 100, seed: int = 0
 ) -> RegularLineCheck:
-    """Check, rate sample by rate sample, that below the ceiling every
-    receiver condition on an equally spaced line is satisfied.
+    """Check that on an equally spaced line every ordered-line condition
+    holds at 0.999 of the rate ceiling and at ``samples - 1`` seeded rates
+    below it.
 
-    The argument replayed here: prefix sum constraints follow from the
-    ceiling by concavity, near groups decode on their own, and each far
-    group either joins a joint decode or is deferred behind a nearer relay.
-    Raises PreconditionError when the node spacing is not equal.
+    Raises PreconditionError when the topology admits no distance ordering
+    or its node spacing is not equal along it.
     """
     if samples < 1:
         raise ValueError("need at least one rate sample")
-    order = distance_ordering_check(topology)
-    if order is None:
-        raise PreconditionError("the topology admits no distance ordering")
+    order = _ordering(topology)
     n = topology.n
     along = topology.distances[np.ix_(order, order)]
     steps_apart = np.arange(n)
@@ -380,75 +369,18 @@ def verify_regular_line_achievability(
     if np.any(np.abs(along - want) > 1e-9 * np.maximum(1.0, want)):
         raise PreconditionError("node spacing is not equal along the ordering")
 
-    noise = topology.noise
-    # step_power[k]: received power across k hops of the line (1-based);
-    # step_power[0] is the zero diagonal.
-    step_power = build_power_matrix(topology)[order[0], list(order)].tolist()
-    prefix = [0.0] * n
-    for k in range(1, n):
-        prefix[k] = prefix[k - 1] + step_power[k]
-
-    bound = math.log2(1.0 + prefix[n - 1] / noise) / (n - 1)
+    # The ceiling of the end node's row, its powers added left to right.
+    total = 0.0
+    for power in build_power_matrix(topology)[order[0], list(order)].tolist():
+        total += power
+    bound = math.log2(1.0 + total / topology.noise) / (n - 1)
     rng = random.Random(seed)
-    rates = [0.999 * bound] + [bound * rng.random() for _ in range(samples - 1)]
+    rates = (0.999 * bound, *(bound * rng.random() for _ in range(samples - 1)))
 
-    steps: list[CheckWitness] = []
-
-    def fail(description: str, rate: float | None) -> None:
-        steps.append(CheckWitness(description, rate))
-
-    # Rate-independent: concavity carries the ceiling down to every prefix.
-    for k in range(1, n):
-        lhs = (k / (n - 1)) * math.log2(1.0 + prefix[n - 1] / noise)
-        rhs = math.log2(1.0 + prefix[k] / noise)
-        if not lhs <= rhs + 1e-12:
-            fail(f"prefix {k} concavity step", None)
-
-    # A check "count * rate < log2(1 + signal / denom) - EPS_BITS" compares
-    # the rate against a rate-independent limit, computed once here, check
-    # by check, as arrays, each bitwise the scalar one.
-    def limits(signal: np.ndarray, denom) -> np.ndarray:
-        return _capacities(signal, denom) - EPS_BITS
-
-    sums = np.array(prefix)
-    sum_count, sum_limit = np.arange(1, n), limits(sums[1:], noise)
-    # Left-side far groups, receiver i from 3 to n - 1 and far from 1 to
-    # i - 2, in that order; the mirror symmetry of equal spacing makes the
-    # right-side cases identical under i -> n + 1 - i.  A group close
-    # enough joins the joint decode directly; a farther one joins after its
-    # self-check, and when that fails it is deferred behind the near group.
-    row, col = np.tril_indices(max(n - 3, 0))
-    i, far = row + 3, col + 1
-    direct = i - far <= n - i + 1
-    far_power = sums[i - 1] - sums[i - 1 - far]
-    right_all = sums[n - i]
-    joint_count, joint_limit = far + n - i, limits(far_power + right_all, noise)
-    defer_count, defer_limit = n - i, limits(right_all, far_power + noise)
-    self_count, self_limit = far, limits(far_power, noise)
-    near_count, near_limit = i - 1 - far, limits(sums[i - 1 - far], far_power + noise)
-
-    for rate in rates:
-        for k in np.flatnonzero(~(sum_count * rate < sum_limit)).tolist():
-            fail(f"prefix {k + 1} sum constraint", rate)
-        deferred = ~direct & ~(self_count * rate < self_limit)
-        joint_fail = ~deferred & ~(joint_count * rate < joint_limit)
-        near_fail = deferred & ~(near_count * rate < near_limit)
-        defer_fail = deferred & ~(defer_count * rate < defer_limit)
-        # Witnesses only for failed checks, in group order, near before defer.
-        for g in np.flatnonzero(joint_fail | near_fail | defer_fail).tolist():
-            label = f"receiver {i[g]} far-left {far[g]}"
-            if joint_fail[g]:
-                how = "joint decode" if direct[g] else "joint decode after far group self-check"
-                fail(f"{label}: {how}", rate)
-            if near_fail[g]:
-                fail(f"{label}: near group behind far noise", rate)
-            if defer_fail[g]:
-                fail(f"{label}: defer", rate)
-
-    checked = (n - 1) + len(rates) * (len(sum_count) + len(i))
+    table = _line_table(topology)
     return RegularLineCheck(
         bound=bound,
-        rates=tuple(rates),
-        conditions_checked=checked,
-        steps=tuple(steps),
+        rates=rates,
+        conditions_checked=len(rates) * len(table.position),
+        verified=all(RateReport(rate, table).achievable for rate in rates),
     )

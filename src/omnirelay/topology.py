@@ -210,13 +210,24 @@ def topology_from_positions(
 
 
 def _pairwise_distances(pts: Sequence[tuple[float, ...]]) -> np.ndarray:
-    """Euclidean distances between points of one dimension.  A distance too
-    large for a float overflows to inf, and one too small underflows to 0,
-    without a numpy warning: the callers report both."""
+    """Euclidean distances between points of one dimension.
+
+    Each is the root of the sum of squared coordinate differences, unless
+    that sum overflows to inf or underflows to 0 for distinct points: then
+    the differences are first divided by the largest of them, which
+    multiplies the root.  Only a distance too large for a float is inf,
+    without a numpy warning; the callers report it.
+    """
     arr = np.asarray(pts, dtype=float)
     with np.errstate(over="ignore"):
         diff = arr[:, None, :] - arr[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2))
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        scale = np.abs(diff).max(axis=2)
+        redo = ((dist == 0) | (dist == math.inf)) & (0 < scale) & (scale < math.inf)
+        s = scale[redo]
+        unit = diff[redo] / s[:, None]
+        dist[redo] = s * np.sqrt((unit * unit).sum(axis=1))
+    return dist
 
 
 def topology_from_distances(
@@ -592,8 +603,9 @@ def parse_topology_text(
 
     Returns the topology and, when ``hop`` rows are present, the one-hop sets
     (0-based).  Exactly one of ``pos``/``dist`` must be used.  A bad value is
-    reported at the row that holds it, with the file's node ids; two nodes
-    that coincide, at the later of their rows.
+    reported at the row that holds it, with the file's node ids; a node id
+    outside 1..n, at the first such row, wherever the ``nodes`` row is; two
+    nodes that coincide, at the later of their rows.
     """
     n = None
     gain: GainFunction | None = None
@@ -604,6 +616,9 @@ def parse_topology_text(
     node_at: dict[tuple[float, ...], int] = {}
     dist_rows: dict[tuple[int, int], float] = {}
     hop_rows: dict[int, frozenset[int]] = {}
+    # (line, key, node ids as written) of every pos, dist and hop row, in
+    # file order; the ids are checked once n is known.
+    id_rows: list[tuple[int, str, tuple[int, ...]]] = []
     headers: set[str] = set()
 
     def fail(lineno: int, msg: str) -> TopologyFormatError:
@@ -663,6 +678,7 @@ def parse_topology_text(
                     raise fail(lineno, f"nodes {min(node, other)} and {max(node, other)} coincide")
                 pos_rows[node] = coords
                 pos_line[node] = lineno
+                id_rows.append((lineno, key, (node,)))
             elif key == "dist":
                 a, b, value = parts[1:]
                 a, b, value = int(a), int(b), float(value)
@@ -676,11 +692,16 @@ def parse_topology_text(
                 if pair in dist_rows and abs(dist_rows[pair] - value) > _DIST_TOL:
                     raise fail(lineno, f"conflicting dist rows for pair {pair}")
                 dist_rows[pair] = value
+                id_rows.append((lineno, key, pair))
             elif key == "hop":
                 node = int(parts[1])
                 if node in hop_rows:
                     raise fail(lineno, f"duplicate hop row for node {node}")
-                hop_rows[node] = frozenset(int(x) for x in parts[2:])
+                members = tuple(int(x) for x in parts[2:])
+                if node in members:
+                    raise fail(lineno, f"hop row of node {node} references itself")
+                hop_rows[node] = frozenset(members)
+                id_rows.append((lineno, key, (node, *members)))
             else:
                 raise fail(lineno, f"unknown directive {key!r}")
         except TopologyFormatError:
@@ -696,39 +717,45 @@ def parse_topology_text(
         raise TopologyFormatError("use either pos rows or dist rows, not both")
     if not pos_rows and not dist_rows:
         raise TopologyFormatError("no pos or dist rows found")
+    for lineno, key, ids in id_rows:
+        bad = [i for i in ids if not 1 <= i <= n]
+        if not bad:
+            continue
+        if key == "dist":
+            raise fail(lineno, f"dist row node out of range in pair {ids}")
+        if bad[0] == ids[0]:
+            raise fail(lineno, f"{key} row node {ids[0]} is out of range 1..n")
+        raise fail(lineno, f"hop row of node {ids[0]} references node {bad[0]}")
 
     # Coverage is checked from the rows given, so that a large node count
     # allocates nothing before the file is known to list every node or pair.
+    # Every id is in 1..n and none is given twice, so a count is coverage.
     if pos_rows:
-        if len(pos_rows) != n or min(pos_rows) != 1 or max(pos_rows) != n:
+        if len(pos_rows) != n:
             raise TopologyFormatError("pos rows must cover node ids 1..n exactly")
         dims = {len(c) for c in pos_rows.values()}
         if len(dims) > 1:
             raise TopologyFormatError("pos rows must share one dimension")
         pts = [pos_rows[i] for i in range(1, n + 1)]
         dist = _pairwise_distances(pts)
-        # Distinct points whose distance is no float: reported at the row
+        # Points too far apart for a float distance: reported at the row
         # where the first such pair is complete.
-        bad = np.triu(~np.isfinite(dist) | (dist == 0), 1)
+        bad = np.triu(np.isinf(dist), 1)
         if bad.any():
             at = [pos_line[i] for i in range(1, n + 1)]
             # The pair whose later row comes first, then whose earlier row does.
             a, b = min(np.argwhere(bad).tolist(), key=lambda p: sorted((at[p[0]], at[p[1]]))[::-1])
-            what = "too far apart" if dist[a, b] else "too close together"
-            message = f"nodes {a + 1} and {b + 1} are {what} for a float distance"
+            message = f"nodes {a + 1} and {b + 1} are too far apart for a float distance"
             raise fail(max(at[a], at[b]), message)
         topo = Topology(dist, gain, power, noise, tuple(pts))
     else:
         # Row a misses a pair when it has fewer than n - a; the first missing
         # b is found within its count + 1 tries.
-        row_counts = Counter(a for a, b in dist_rows if a >= 1 and b <= n)
+        row_counts = Counter(a for a, _ in dist_rows)
         a = next((a for a in range(1, n) if row_counts[a] < n - a), None)
         if a is not None:
             b = next(b for b in range(a + 1, n + 1) if (a, b) not in dist_rows)
             raise TopologyFormatError(f"missing dist row for pair ({a}, {b})")
-        for (a, b) in dist_rows:
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise TopologyFormatError(f"dist row node out of range in pair ({a}, {b})")
         matrix = [[0.0] * n for _ in range(n)]
         for (a, b), value in dist_rows.items():
             matrix[a - 1][b - 1] = matrix[b - 1][a - 1] = value
@@ -736,18 +763,9 @@ def parse_topology_text(
 
     one_hop = None
     if hop_rows:
-        if len(hop_rows) != n or min(hop_rows) != 1 or max(hop_rows) != n:
+        if len(hop_rows) != n:
             raise TopologyFormatError("hop rows, when present, must cover node ids 1..n")
-        sets = []
-        for i in range(1, n + 1):
-            members = hop_rows[i]
-            for j in members:
-                if not 1 <= j <= n:
-                    raise TopologyFormatError(f"hop row of node {i} references node {j}")
-                if j == i:
-                    raise TopologyFormatError(f"hop row of node {i} references itself")
-            sets.append(frozenset(j - 1 for j in members))
-        one_hop = tuple(sets)
+        one_hop = tuple(frozenset(j - 1 for j in hop_rows[i]) for i in range(1, n + 1))
     return topo, one_hop
 
 

@@ -530,9 +530,11 @@ def test_first_bad_input_is_the_one_reported(capsys, argv, message):
         (("analyze", "--n", "3", "--gain", "pl:1000", "--d0", "0.01"), "E_MODEL"),
         (("simulate", "--n", "3", "--power", "1e308"), "E_MODEL"),
         (("simulate", "--n", "3", "--power", "1e200", "--noise", "1e-200"), "E_MODEL"),
-        # Finite positions whose distance overflows.
-        (("analyze", "--preset", "line", "--spacings", "1e200", "--power", "10"), "E_VALUE"),
-        (("simulate", "--preset", "ring", "--n", "4", "--d0", "1e200", "--power", "10"),
+        # A line or ring too long for float positions; with finite
+        # positions, neither preset's distances can overflow.
+        (("analyze", "--preset", "line", "--spacings", "1e308,1e308", "--power", "10"),
+         "E_VALUE"),
+        (("simulate", "--preset", "ring", "--n", "4", "--d0", "1e308", "--power", "10"),
          "E_VALUE"),
     ],
     ids=["d0-inf", "gain-overflow", "total-overflow", "snr-overflow", "line-distance-overflow",
@@ -547,6 +549,23 @@ def test_non_finite_spacing_is_one_error_line(argv, code):
     assert done.stdout == ""
     assert done.stderr.startswith(code + ":")
     assert done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "analyze --preset line --spacings 1e200 --power 10 --gain const",
+        "simulate --preset ring --n 4 --d0 1e200 --power 10 --gain const",
+    ],
+    ids=["line", "ring"],
+)
+def test_far_apart_nodes_get_a_float_distance(capsys, argv):
+    # Coordinate differences near 1e200 square to inf, so these runs once
+    # exited with E_VALUE; under constant gain the distance changes nothing.
+    done = run_out_of_process(*argv.split())
+    assert (done.returncode, done.stderr) == (0, "")
+    near = run_json(capsys, *argv.replace("1e200", "1").split())
+    assert json.loads(done.stdout)["rate_bound"] == near["rate_bound"]
 
 
 @pytest.mark.parametrize(

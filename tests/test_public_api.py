@@ -24,6 +24,7 @@ REMOVED = (
     "_distance_tuple",
     "NeighborSets",
     "schedule_from_sets",
+    "CheckWitness",
 )
 
 
@@ -34,7 +35,9 @@ def test_all_is_sorted_unique_and_resolves():
     assert [n for n in names if not hasattr(omnirelay, n)] == []
 
 
-@pytest.mark.parametrize("module", ["omnirelay", "omnirelay.mac_region", "omnirelay.topology"])
+@pytest.mark.parametrize(
+    "module", ["omnirelay", "omnirelay.mac_region", "omnirelay.rate_analysis", "omnirelay.topology"]
+)
 def test_removed_names_stay_removed(module):
     mod = importlib.import_module(module)
     assert [n for n in REMOVED if hasattr(mod, n)] == []

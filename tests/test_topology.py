@@ -925,22 +925,20 @@ def test_load_topology_file(tmp_path):
             "nodes 3\ngain const\npower 1\nnoise 1\npos 3 0 1\npos 1 5 5\npos 2 0 1\n",
             "^line 7: nodes 2 and 3 coincide$",
         ),
-        # Distinct points whose distance overflows to inf or underflows to 0.
+        # Distinct points whose distance overflows to inf.
         (
             "nodes 2\ngain const\npower 1\nnoise 1\npos 1 -1e308\npos 2 1e308\n",
             "^line 6: nodes 1 and 2 are too far apart for a float distance$",
         ),
         (
-            "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1e-320\n",
-            "^line 6: nodes 1 and 2 are too close together for a float distance$",
-        ),
-        (
             "nodes 4\ngain const\npower 1\nnoise 1\n"
-            "pos 3 0\npos 2 5\npos 4 1e-320\npos 1 1e200\n",
-            "^line 7: nodes 3 and 4 are too close together for a float distance$",
+            "pos 3 0\npos 2 5\npos 4 -1e308\npos 1 1e308\n",
+            "^line 8: nodes 1 and 4 are too far apart for a float distance$",
         ),
+        # Pairs (1, 2) and (2, 3) both complete at line 7; (2, 3)'s earlier
+        # row comes first.
         (
-            "nodes 3\ngain const\npower 1\nnoise 1\npos 3 0 1e154\npos 1 5 5\npos 2 0 -1e154\n",
+            "nodes 3\ngain const\npower 1\nnoise 1\npos 3 0 1e154\npos 1 5 5\npos 2 1.5e308 -1.5e308\n",
             "^line 7: nodes 2 and 3 are too far apart for a float distance$",
         ),
     ],
@@ -951,6 +949,41 @@ def test_parse_structural_errors(text, fragment):
 
 
 HEADER = "gain const\npower 1\nnoise 1\n"
+
+
+@pytest.mark.parametrize(
+    "rows, apart",
+    [
+        ("pos 1 0\npos 2 1e-320\n", 1e-320),
+        ("pos 1 0\npos 2 1e200\n", 1e200),
+        ("pos 1 0 1e154\npos 2 0 -1e154\n", 2e154),
+        ("pos 1 0 0\npos 2 3e-170 4e-170\n", 5e-170),
+    ],
+)
+def test_distinct_points_get_their_float_distance(rows, apart):
+    # Each difference squares to 0 or to inf, which once read as
+    # "too close together" or "too far apart".
+    topo, _ = parse_topology_text("nodes 2\n" + HEADER + rows)
+    assert topo.distances[0, 1] == topo.distances[1, 0] == pytest.approx(apart, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "topo",
+    [
+        regular_line(30, 0.7, power_law(2.0), 1.0, 1.0),
+        general_line([0.0, 1e-3, 2.5, 1e5, 1e5 + 0.1], power_law(2.0), 1.0, 1.0),
+        ring(20, 1.0, power_law(2.0), 1.0, 1.0),
+        ring(7, 1e-150, power_law(2.0), 1.0, 1.0),
+        arc(12, 1.0, 40.0, power_law(2.0), 1.0, 1.0),
+    ],
+    ids=["line", "uneven-line", "ring", "tiny-ring", "arc"],
+)
+def test_preset_distances_are_the_squared_form(topo):
+    # Only a pair whose squared form is 0 or inf is taken again, scaled; no
+    # preset at these sizes has one, so every distance keeps its bits.
+    pts = np.array(topo.positions)
+    diff = pts[:, None, :] - pts[None, :, :]
+    assert np.array_equal(topo.distances, np.sqrt((diff * diff).sum(axis=2)))
 
 
 @pytest.mark.parametrize(
@@ -982,9 +1015,34 @@ def test_the_first_missing_dist_pair_is_reported_in_row_order():
     rows += "dist 1 5 1.0\n"
     with pytest.raises(TopologyFormatError, match=r"missing dist row for pair \(2, 4\)"):
         parse_topology_text("nodes 5\n" + HEADER + rows)
-    # A missing pair is reported before a row out of range.
-    with pytest.raises(TopologyFormatError, match=r"missing dist row for pair \(1, 2\)"):
+    # A row out of range is reported at its row, before a missing pair.
+    with pytest.raises(
+        TopologyFormatError, match=r"^line 5: dist row node out of range in pair \(1, 3\)$"
+    ):
         parse_topology_text("nodes 2\n" + HEADER + "dist 1 3 1.0\n")
+
+
+POS3 = "pos 1 0\npos 2 1\npos 3 2\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("pos 1 0\npos 4 2\npos 5 3\n", "^line 5: pos row node 4 is out of range 1..n$"),
+        ("dist 1 2 1\ndist 2 7 1\ndist 0 1 1\n",
+         r"^line 5: dist row node out of range in pair \(2, 7\)$"),
+        (POS3 + "hop 1 2\nhop 5 2\n", "^line 8: hop row node 5 is out of range 1..n$"),
+        (POS3 + "hop 2 1 9\nhop 1 0\n", "^line 7: hop row of node 2 references node 9$"),
+        ("hop 1 4\npos 5 0\n", "^line 4: hop row of node 1 references node 4$"),
+    ],
+    ids=["pos", "dist", "hop", "hop-member", "file-order"],
+)
+def test_an_out_of_range_node_id_is_reported_at_its_row(rows, message):
+    # The nodes row comes after the rows it bounds, and every file also
+    # misses a node or a pair: the first row out of range is reported, in
+    # file order across row kinds, before any coverage check.
+    with pytest.raises(TopologyFormatError, match=message):
+        parse_topology_text(HEADER + rows + "nodes 3\n")
 
 
 def test_parse_errors_carry_line_numbers():
@@ -996,6 +1054,9 @@ def test_parse_errors_carry_line_numbers():
         parse_topology_text(text)
     text = "nodes 2\ngain const\npower 1\nnoise 1\ndist 1 1 1.0\n"
     with pytest.raises(TopologyFormatError, match="line 5"):
+        parse_topology_text(text)
+    text = "nodes 2\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\nhop 1 1\n"
+    with pytest.raises(TopologyFormatError, match="^line 7: hop row of node 1 references itself$"):
         parse_topology_text(text)
 
 
