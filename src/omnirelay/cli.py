@@ -19,8 +19,10 @@ import io
 import math
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -157,6 +159,7 @@ _SEQUENCES = frozenset({list, tuple})
 _BOOL_ONLY = frozenset({bool})
 _STR_ONLY = frozenset({str})
 _DICT_ONLY = frozenset({dict})
+_FROZENSET_ONLY = frozenset({frozenset})
 
 
 def _json_scalar(value) -> str:
@@ -195,10 +198,12 @@ def _column(values: Sequence, indent: str):
     arguments, in order, and a function giving the ``%`` template of a
     shape; or None unless every item is one kind of value.  The kinds are
     exact ints; bools; strs; floats; lists (or tuples) of exact ints; lists
-    of such lists; and plain dicts with the same ``str`` keys in the same
-    order whose fields are each a column.  ``%d`` writes an exact int as
-    its repr, and ``%s`` takes every other scalar as :func:`_json_scalar`
-    encodes it.  An item's arguments are an iterable, to be made a tuple.
+    of such lists; plain dicts with the same ``str`` keys in the same order
+    whose fields are each a column; and records of one dataclass type,
+    written as the dicts of their fields, a ``frozenset`` field as its
+    sorted list.  ``%d`` writes an exact int as its repr, and ``%s`` takes
+    every other scalar as :func:`_json_scalar` encodes it.  An item's
+    arguments are an iterable, to be made a tuple.
     """
     kinds = set(map(type, values))
     if kinds == _INT_ONLY:
@@ -220,23 +225,29 @@ def _column(values: Sequence, indent: str):
                 ),
             )
         return None
-    if kinds != _DICT_ONLY:
+    if kinds == _DICT_ONLY:
+        orders = set(map(tuple, values))
+        if len(orders) != 1:
+            return None
+        (order,) = orders
+        if set(map(type, order)) != _STR_ONLY:
+            return None
+        keyed = sorted(zip(order, zip(*map(dict.values, values))))
+    elif len(kinds) == 1 and is_dataclass(kind := next(iter(kinds))):
+        keyed = sorted((field.name, _record_field(values, field.name)) for field in fields(kind))
+    else:
         return None
-    orders = set(map(tuple, values))
-    if len(orders) != 1:
-        return None
-    (order,) = orders
-    if not order or set(map(type, order)) != _STR_ONLY:
+    if not keyed:
         return None
     heads = []
-    fields = []
-    for key, field in sorted(zip(order, zip(*map(dict.values, values)))):
+    columns = []
+    for key, field in keyed:
         column = _column(field, inner)
         if column is None:
             return None
         heads.append(encode_basestring_ascii(key).replace("%", "%%") + ": ")  # a key's % is text
-        fields.append(column)
-    shapes, args, templates = zip(*fields)
+        columns.append(column)
+    shapes, args, templates = zip(*columns)
     sep = "," + inner
 
     def template(shape) -> str:
@@ -246,11 +257,20 @@ def _column(values: Sequence, indent: str):
     return zip(*shapes), map(chain.from_iterable, zip(*args)), template
 
 
+def _record_field(records: Sequence, name: str) -> list:
+    """Field ``name`` of each record; a column of frozensets as their sorted lists."""
+    field = list(map(attrgetter(name), records))
+    if set(map(type, field)) == _FROZENSET_ONLY:
+        return list(map(sorted, field))
+    return field
+
+
 def _write_json(value, out: list[str], indent: str) -> None:
     """Append the JSON text of container ``value``, whose own line ends in ``indent``.
 
     A list that :func:`_column` takes is written one ``%`` per item, from a
-    template made once per item shape; any other list item by item.
+    template made once per item shape; any other list item by item, where a
+    record is not a value it can write.
     """
     inner = indent + "  "
     sep = "," + inner
@@ -313,10 +333,12 @@ def _json_text(payload) -> str:
 
     Floats are rounded to six decimals and written with ``repr``; inf and nan
     become the strings ``"inf"``, ``"-inf"`` and ``"nan"``; strings are
-    ASCII-escaped; keys must be ``str``.  These are the bytes the standard
-    library encoder gives at ``indent=2, sort_keys=True`` on a rounded copy,
-    written in one pass without the copy: that encoder runs in pure Python
-    whenever an indent is set.
+    ASCII-escaped; keys must be ``str``.  A list of dataclass records of one
+    type is written as the list of their field dicts, a ``frozenset`` field
+    as its sorted list (see :func:`_column`).  These are the bytes the
+    standard library encoder gives at ``indent=2, sort_keys=True`` on a
+    rounded copy (records as those dicts), written in one pass without the
+    copy: that encoder runs in pure Python whenever an indent is set.
     """
     return "".join(_json_pieces(payload))
 
@@ -472,7 +494,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict]]:
             {"node": r.node, "undecoded": list(r.undecoded), "power": r.power}
             for r in interference_accounting(trace)
         ],
-        "trace": trace.to_dict(),
+        "trace": trace.summary(),
     }
     if payload_sizes is not None:
         payload["payload"] = [

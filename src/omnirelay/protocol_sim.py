@@ -44,6 +44,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -155,8 +156,9 @@ class SimulationTrace:
                     return rec
         return None
 
-    def to_dict(self) -> dict:
-        """JSON-ready summary with deterministic ordering."""
+    def summary(self) -> dict:
+        """The fields of :meth:`to_dict`, with ``decodes`` and ``transmissions``
+        as lists of the records themselves, flattened in block order."""
         return {
             "nodes": self.topology.n,
             "rate": self.rate,
@@ -164,30 +166,39 @@ class SimulationTrace:
             "all_success": self.all_success(),
             "completion_block": list(self.completion_block),
             "warnings": list(self.warnings),
-            "decodes": [
-                {
-                    "node": rec.node,
-                    "block": rec.block,
-                    "targets": [list(m) for m in rec.targets],
-                    "decoded": [list(m) for m in rec.decoded],
-                    "missing": [list(m) for m in rec.missing],
-                    "success": rec.success,
-                    "sum_rate_ok": rec.sum_rate_ok,
-                }
-                for row in self.decodes
-                for rec in row
-            ],
-            "transmissions": [
-                {
-                    "sender": tx.sender,
-                    "block": tx.block,
-                    "bundle": [list(m) for m in sorted(tx.bundle)],
-                    "skipped": [list(m) for m in tx.skipped],
-                }
-                for row in self.transmissions
-                for tx in row
-            ],
+            "decodes": list(chain.from_iterable(self.decodes)),
+            "transmissions": list(chain.from_iterable(self.transmissions)),
         }
+
+    def to_dict(self) -> dict:
+        """JSON-ready summary with deterministic ordering.
+
+        Each record is a dict of its fields; a message is a ``[source,
+        block]`` list, and a bundle lists its messages sorted.
+        """
+        summary = self.summary()
+        summary["decodes"] = [
+            {
+                "node": rec.node,
+                "block": rec.block,
+                "targets": [list(m) for m in rec.targets],
+                "decoded": [list(m) for m in rec.decoded],
+                "missing": [list(m) for m in rec.missing],
+                "success": rec.success,
+                "sum_rate_ok": rec.sum_rate_ok,
+            }
+            for rec in summary["decodes"]
+        ]
+        summary["transmissions"] = [
+            {
+                "sender": tx.sender,
+                "block": tx.block,
+                "bundle": [list(m) for m in sorted(tx.bundle)],
+                "skipped": [list(m) for m in tx.skipped],
+            }
+            for tx in summary["transmissions"]
+        ]
+        return summary
 
 
 def _build_transmission(

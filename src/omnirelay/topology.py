@@ -213,17 +213,20 @@ def _pairwise_distances(pts: Sequence[tuple[float, ...]]) -> np.ndarray:
     """Euclidean distances between points of one dimension.
 
     Each is the root of the sum of squared coordinate differences, unless
-    that sum overflows to inf or underflows to 0 for distinct points: then
-    the differences are first divided by the largest of them, which
-    multiplies the root.  Only a distance too large for a float is inf,
-    without a numpy warning; the callers report it.
+    that sum overflows to inf or falls below the smallest normal float
+    (where it loses precision, down to 0) for distinct points: then the
+    differences are first divided by the largest of them, which multiplies
+    the root.  Only a distance too large for a float is inf, without a
+    numpy warning; the callers report it.
     """
     arr = np.asarray(pts, dtype=float)
     with np.errstate(over="ignore"):
         diff = arr[:, None, :] - arr[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
+        squared = (diff * diff).sum(axis=2)
+        dist = np.sqrt(squared)
         scale = np.abs(diff).max(axis=2)
-        redo = ((dist == 0) | (dist == math.inf)) & (0 < scale) & (scale < math.inf)
+        tiny = np.finfo(float).tiny
+        redo = ((squared < tiny) | (squared == math.inf)) & (0 < scale) & (scale < math.inf)
         s = scale[redo]
         unit = diff[redo] / s[:, None]
         dist[redo] = s * np.sqrt((unit * unit).sum(axis=1))
@@ -733,9 +736,12 @@ def parse_topology_text(
     if pos_rows:
         if len(pos_rows) != n:
             raise TopologyFormatError("pos rows must cover node ids 1..n exactly")
-        dims = {len(c) for c in pos_rows.values()}
-        if len(dims) > 1:
-            raise TopologyFormatError("pos rows must share one dimension")
+        # pos_rows is in file order: the first row whose dimension differs
+        # from the first row's is reported.
+        dim = len(next(iter(pos_rows.values())))
+        for node, coords in pos_rows.items():
+            if len(coords) != dim:
+                raise fail(pos_line[node], "pos rows must share one dimension")
         pts = [pos_rows[i] for i in range(1, n + 1)]
         dist = _pairwise_distances(pts)
         # Points too far apart for a float distance: reported at the row

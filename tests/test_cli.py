@@ -15,6 +15,7 @@ import pytest
 import omnirelay
 from omnirelay import cli
 from omnirelay.cli import main
+from omnirelay.protocol_sim import SimulationTrace, interference_accounting
 from omnirelay.topology import (
     arc,
     general_line,
@@ -23,6 +24,7 @@ from omnirelay.topology import (
     ring,
     topology_from_distances,
 )
+from test_decode_reference import CASES, simulated
 
 
 def run(capsys, *argv):
@@ -166,6 +168,43 @@ def test_simulate_with_payload_replay(capsys):
     )
     assert [r["complete"] for r in data["payload"]] == [True, True, True]
     assert [r["recovered"] for r in data["payload"]] == [9, 10, 9]
+
+
+@pytest.mark.parametrize("kind, n, share", CASES)
+def test_simulate_writes_what_to_dict_gives(capsys, monkeypatch, kind, n, share):
+    # Every trace of the decode reference grid, hand-built schedules too,
+    # goes through the CLI's writer in place of the CLI's own run.
+    trace = simulated(kind, n, share)
+    monkeypatch.setattr(cli, "run_distance_regulated", lambda *args: trace)
+    data = run_json(capsys, "simulate", "--preset", "regular-line", "--n", str(trace.topology.n))
+    assert data["trace"] == dict(trace.to_dict(), rate=round(trace.rate, 6))
+    assert data["interference"] == [
+        {"node": r.node, "undecoded": list(r.undecoded), "power": round(r.power, 6)}
+        for r in interference_accounting(trace)
+    ]
+
+
+def test_the_reference_grid_has_missing_and_skipped_messages():
+    traces = [simulated(*case).to_dict() for case in CASES]
+    assert any(rec["missing"] for trace in traces for rec in trace["decodes"])
+    assert any(tx["skipped"] for trace in traces for tx in trace["transmissions"])
+
+
+def test_simulate_never_builds_the_trace_dict(capsys, monkeypatch):
+    calls = []
+    to_dict = SimulationTrace.to_dict
+
+    def spy(trace):
+        calls.append(trace)
+        return to_dict(trace)
+
+    monkeypatch.setattr(SimulationTrace, "to_dict", spy)
+    data = run_json(
+        capsys, "simulate", "--preset", "ring", "--n", "5", "--power", "10",
+        "--blocks", "6", "--payload-sizes", "3",
+    )
+    assert calls == []
+    assert len(data["trace"]["decodes"]) == len(data["trace"]["transmissions"]) == 5 * 6
 
 
 def test_sweep_table(capsys):
@@ -448,6 +487,13 @@ def test_error_codes(capsys, tmp_path):
     )
     assert run(capsys, "analyze", "--topology", str(coinciding)) == (
         1, "", "E_TOPOLOGY: line 6: nodes 1 and 2 coincide\n"
+    )
+    mixed_dimensions = tmp_path / "mixed_dimensions.txt"
+    mixed_dimensions.write_text(
+        "nodes 3\ngain const\npower 1\nnoise 1\npos 1 0\npos 2 1\npos 3 2 1\n", encoding="utf-8"
+    )
+    assert run(capsys, "analyze", "--topology", str(mixed_dimensions)) == (
+        1, "", "E_TOPOLOGY: line 7: pos rows must share one dimension\n"
     )
     for flag, value in (("--rate", "nan"), ("--rate", "inf"), ("--power", "-inf"), ("--n", "abc")):
         assert_fails(

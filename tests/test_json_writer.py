@@ -7,6 +7,7 @@ plus a newline is the byte-for-byte reference.
 
 import json
 import math
+from dataclasses import asdict, dataclass, is_dataclass, make_dataclass
 
 import numpy as np
 import pytest
@@ -142,16 +143,34 @@ def test_a_trace_writes_its_message_lists_in_one_format_each(columns):
     assert all(taken for _, taken in columns)
 
 
-def test_a_trace_writes_its_record_lists_one_record_each():
+def record_pieces(pieces):
+    """The records of the text: each is one piece, which parses to the
+    record after its separator."""
+    return [json.loads(piece[1:]) for piece in pieces if piece[1:].lstrip()[:1] == "{"]
+
+
+def test_a_trace_writes_its_record_lists_one_record_each(monkeypatch, tmp_path):
     payload = ring_trace_payload()
     trace = payload["trace"]
-    # Each record is one piece of the text: the piece after its separator
-    # parses to the record.
-    records = [
-        json.loads(piece[1:]) for piece in _json_pieces(payload) if piece[1:].lstrip()[:1] == "{"
-    ]
+    records = record_pieces(_json_pieces(payload))
     assert records == json.loads(json.dumps(trace["decodes"] + trace["transmissions"]))
     assert len(records) == len(trace["decodes"]) + len(trace["transmissions"]) > 0
+    # The CLI writes the same run from the trace's records, each one piece
+    # too; its interference reports come first, in key order.
+    written = []
+    pieces = cli._json_pieces
+
+    def spy(value):
+        written.append(pieces(value))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "_json_pieces", spy)
+    argv = ["simulate", "--preset", "ring", "--n", "6", "--power", "10", "--blocks", "40"]
+    assert cli.main([*argv, "--out", str(tmp_path / "ring.json")]) == 0
+    (cli_pieces,) = written
+    interference = json.loads("".join(cli_pieces))["interference"]
+    assert len(interference) == 6
+    assert record_pieces(cli_pieces) == interference + records
 
 
 @pytest.mark.parametrize(
@@ -254,3 +273,76 @@ def test_writer_matches_the_reference_on_record_lists(columns):
     # written item by item.
     dict_lists = [taken for values, taken in columns if {type(v) for v in values} == {dict}]
     assert set(dict_lists) == {True, False}
+
+
+def record_dict(record):
+    """``record`` as the dict of its fields, a frozenset field sorted."""
+    return {k: sorted(v) if isinstance(v, frozenset) else v for k, v in asdict(record).items()}
+
+
+def as_dicts(value):
+    """``value`` with every record in it replaced by its dict."""
+    if isinstance(value, dict):
+        return {key: as_dicts(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [as_dicts(item) for item in value]
+    return record_dict(value) if is_dataclass(value) else value
+
+
+def test_writer_matches_the_reference_on_dataclass_records(columns):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    ints = st.integers(-(2**70), 2**70)
+    pairs = st.tuples(ints, ints)
+    floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+    kinds = {
+        "int": ints,
+        "bool": st.booleans(),
+        "float": floats | floats.map(np.float64),
+        "str": st.text(max_size=4) | st.sampled_from(["%", "%s%%", '"', "\n", "é"]),
+        "pair tuple": st.lists(pairs, max_size=3).map(tuple),
+        "pair frozenset": st.frozensets(pairs, max_size=4),
+    }
+    names = ["node", "block", "bundle", "skipped", "a", "Z", "x_1", "_y", "success"]
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        chosen = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=6, unique=True))
+        field_kinds = [data.draw(st.sampled_from(sorted(kinds))) for _ in chosen]
+        record = make_dataclass("Record", chosen, frozen=True)
+        draw = st.tuples(*(kinds[kind] for kind in field_kinds)).map(lambda v: record(*v))
+        records = data.draw(st.lists(draw, min_size=1, max_size=5))
+        where = data.draw(st.sampled_from(["list", "field", "item", "two"]))
+        payload = {
+            "list": records,
+            "field": {"r": records, "s": 1.5},
+            "item": [records, 1, {"q": records}],
+            "two": {"r": records, "t": [records[::-1]]},
+        }[where]
+        with np.errstate(over="ignore"):
+            assert _json_text(payload) == reference_text(as_dicts(payload))
+
+    check()
+    # Every record list was written as a column.
+    record_lists = [taken for values, taken in columns if is_dataclass(values[0])]
+    assert record_lists and all(record_lists)
+
+
+@dataclass(frozen=True)
+class Maybe:
+    value: int | None
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[Maybe(1), Maybe(None)], [Maybe(1), {"value": 1}], [{"a": Maybe(1)}, {"a": Maybe(2)}, {"a": 3}],
+     {"one": Maybe(1)}, [Maybe(1), 1], [frozenset({1})]],
+    ids=["mixed-field", "with-a-dict", "mixed-nested", "alone", "with-an-int", "bare-frozenset"],
+)
+def test_records_the_column_cannot_take_are_not_written(payload):
+    # A record is written only as an item of a column of its type, and a
+    # frozenset only as a field of such records.
+    with pytest.raises(TypeError):
+        _json_text(payload)

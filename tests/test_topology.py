@@ -935,6 +935,15 @@ def test_load_topology_file(tmp_path):
             "pos 3 0\npos 2 5\npos 4 -1e308\npos 1 1e308\n",
             "^line 8: nodes 1 and 4 are too far apart for a float distance$",
         ),
+        # A dimension that differs from the first pos row's, at its row.
+        (
+            "nodes 3\ngain const\npower 1\nnoise 1\npos 2 0 0\npos 1 1 0\npos 3 2\n",
+            "^line 7: pos rows must share one dimension$",
+        ),
+        (
+            "nodes 3\ngain const\npower 1\nnoise 1\npos 3 5\npos 1 0 0\npos 2 1 1\n",
+            "^line 6: pos rows must share one dimension$",
+        ),
         # Pairs (1, 2) and (2, 3) both complete at line 7; (2, 3)'s earlier
         # row comes first.
         (
@@ -967,6 +976,15 @@ def test_distinct_points_get_their_float_distance(rows, apart):
     assert topo.distances[0, 1] == topo.distances[1, 0] == pytest.approx(apart, rel=1e-15)
 
 
+@pytest.mark.parametrize("apart", [3e-162, 1e-160, 2e-155, 5e-324])
+def test_a_subnormal_squared_distance_keeps_its_precision(apart):
+    # The squared form of these distances is subnormal (or 0), so it keeps
+    # fewer bits than the distance itself.
+    topo = topology_from_positions([0.0, apart], constant(), 1.0, 1.0)
+    assert abs(topo.distances[0, 1] - apart) <= math.ulp(apart)
+    assert topo.distances[1, 0] == topo.distances[0, 1]
+
+
 @pytest.mark.parametrize(
     "topo",
     [
@@ -979,8 +997,9 @@ def test_distinct_points_get_their_float_distance(rows, apart):
     ids=["line", "uneven-line", "ring", "tiny-ring", "arc"],
 )
 def test_preset_distances_are_the_squared_form(topo):
-    # Only a pair whose squared form is 0 or inf is taken again, scaled; no
-    # preset at these sizes has one, so every distance keeps its bits.
+    # Only a pair whose squared form is inf or below the smallest normal
+    # float is taken again, scaled; no preset at these sizes has one, so
+    # every distance keeps its bits.
     pts = np.array(topo.positions)
     diff = pts[:, None, :] - pts[None, :, :]
     assert np.array_equal(topo.distances, np.sqrt((diff * diff).sum(axis=2)))
