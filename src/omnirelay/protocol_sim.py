@@ -25,6 +25,14 @@ left to read), every later block is that block with each message index
 moved up by one, so its transmissions and decode records are emitted by
 shifting (``run_schedule`` states the rule and proves it).
 
+Within a block only one receiver per symmetry orbit decodes.  A run first
+finds the relabelings of node ids that map its powers and schedule onto
+themselves (``_symmetries``), and every receiver other than the smallest of
+its orbit takes that representative's decode record of the block with the
+ids relabeled (``run_schedule`` proves it exact).  On a regular line this
+halves the decodes; on a ring given as exactly circulant distances every
+receiver lies in one orbit, so a block costs one decode.
+
 Modeling choices worth knowing about: a receiver attempts the oldest
 missing message of every scheduled source each block, even ones that are
 not yet due, so fresh neighbour traffic is treated as decodable signal
@@ -247,17 +255,17 @@ class _Receiver:
     ``lag`` maps each scheduled source to its decode lag; ``sources`` lists
     them in id order, with ``power`` their received powers.  They are also
     the senders whose transmissions the node reads (a valid schedule never
-    has a node decode itself).  ``order`` lists the same sources in the
-    order in which the node's decodes list pool members and read senders.
-    It is ``sources`` unless ``run_schedule`` sets it from the run's
-    symmetries: there it is the id-sorted sources of the node's orbit
-    representative, mapped through a symmetry that takes the representative
-    to the node.  A sender's foreign block is the first block from which,
-    by its encode sets, its bundles repeat a source the node never
-    schedules; ``floor`` is the latest foreign block over the senders (0 if
-    none has one), which the steady-state rule of ``run_schedule`` waits
-    for.  ``undecoded`` lists the other nodes it never schedules, whose
-    total power ``static_interference`` adds to its noise in id order.
+    has a node decode itself), in that order.  A sender's foreign block is
+    the first block from which, by its encode sets, its bundles repeat a
+    source the node never schedules; ``floor`` is the latest foreign block
+    over the senders (0 if none has one), which the steady-state rule of
+    ``run_schedule`` waits for.  ``undecoded`` lists the other nodes it
+    never schedules, whose total power ``static_interference`` adds to its
+    noise in id order.  Only orbit representatives decode and build solve
+    keys (see ``run_schedule``); every other receiver takes its
+    representative's record, decoded under the representative's sum.  So
+    mirror receivers whose id-order sums differ in their last bits no longer
+    miss each other's solves.
     """
 
     def __init__(self, node: int, schedule: Schedule, powers: np.ndarray):
@@ -266,7 +274,6 @@ class _Receiver:
         self.node = node
         self.lag = lag
         self.sources = tuple(sorted(lag))
-        self.order = self.sources
         self.power = {j: column[j] for j in lag}
         self.undecoded = tuple(j for j in range(schedule.n) if j != node and j not in lag)
         # Added left to right from the int 0, as sum() did before Python 3.12;
@@ -364,34 +371,32 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
     counters (``_read_bundle``), so a repeat the sender skipped or a message
     it sent that the node cannot place is seen as it was sent.
 
-    Members are listed, and senders read, in ``rx.order``.  A round's noise
-    adds its senders' powers left to right in that order, and carriers
-    follow it within a block, so receivers of one symmetry orbit build
-    bitwise equal instances for mapped states.  Targets, missing and
-    decoded messages are kept in id order whatever the order.
+    Members are listed, and senders read, in id order, and a round's noise
+    adds its senders' powers left to right in that order.  Targets, missing
+    and decoded messages are kept in id order too.
 
     ``run.solved`` memoizes region solves for the run, keyed by a tuple of
     every instance field that varies within a run (the node's static
     interference too; only rate and noise are fixed), with round ids
-    shifted to start at 0, so the same pool a block later, or at another
-    receiver of the orbit, is a hit.  As the key holds every field, a hit
-    is correct whatever the order.  The instance is built and validated
-    only on a miss.
+    shifted to start at 0, so the same pool a block later is a hit.  As the
+    key holds every field, a hit is correct whatever receiver built it.
+    The instance is built and validated only on a miss.  ``run_schedule``
+    calls this for orbit representatives only.
     """
-    node, lag, senders = rx.node, rx.lag, rx.order
+    node, lag, sources = rx.node, rx.lag, rx.sources
     due_missing = [
-        (j, beta) for j in rx.sources for beta in range(upto[j] + 1, block - lag[j] + 2)
+        (j, beta) for j in sources for beta in range(upto[j] + 1, block - lag[j] + 2)
     ]
     done = dict(upto)
     # Attempt the oldest missing message of every scheduled source, due or
     # not; messages beyond their decode deadline are opportunistic extras and
     # only the due ones count toward success.
-    frontier = {j: done[j] + 1 for j in rx.sources if done[j] < block}
+    frontier = {j: done[j] + 1 for j in sources if done[j] < block}
     decoded_total: list[Message] = []
     sum_rate_ok: bool | None = None
 
     while frontier:
-        members = [j for j in senders if j in frontier]
+        members = [j for j in sources if j in frontier]
         index = {j: idx for idx, j in enumerate(members)}
         first_round = min(frontier.values())
 
@@ -401,7 +406,7 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
         round_noise: dict[int, float] = {}
         for beta in range(first_round, block + 1):
             row = run.transmissions[beta - 1]
-            for sender in senders:
+            for sender in sources:
                 own = frontier.get(sender)
                 # Interference from a pool sender's fresher blocks is already
                 # charged by the instance's cross-round noise.
@@ -467,6 +472,25 @@ def _decode_closure(rx: _Receiver, block: int, upto: dict[int, int], run: _Run) 
         missing=missing,
         success=not missing,
         sum_rate_ok=True if sum_rate_ok is None else sum_rate_ok,
+    )
+
+
+def _relabeled(rec: DecodeRecord, node: int, sigma: tuple[int, ...]) -> DecodeRecord:
+    """The decode record of ``node``: ``rec``, its orbit representative's of
+    the same block, with every source ``j`` moved to ``sigma[j]`` and the
+    messages re-sorted into id order."""
+
+    def moved(messages: tuple[Message, ...]) -> tuple[Message, ...]:
+        return tuple(sorted([(sigma[j], beta) for j, beta in messages]))
+
+    return DecodeRecord(
+        node,
+        rec.block,
+        moved(rec.targets),
+        moved(rec.decoded),
+        moved(rec.missing),
+        rec.success,
+        rec.sum_rate_ok,
     )
 
 
@@ -593,6 +617,35 @@ def run_schedule(
     The completion blocks need no such step: every counter is at least 1
     after block ``b``, so each node that schedules every other node has its
     completion block by then.
+
+    Within a block only orbit representatives decode.  ``_symmetries`` gives
+    the relabelings ``sigma`` of node ids that map the power matrix onto
+    itself bitwise and the decode and encode sets of each node ``r`` onto
+    those of ``sigma[r]``.  Receiver ``i``'s representative ``r`` is the
+    smallest node that one of them takes to ``i``, through the first such
+    ``sigma``; a representative is its own, through the identity.  Receiver
+    ``i`` takes ``r``'s record of the block with every message ``(j,
+    beta)`` moved to ``(sigma[j], beta)`` and re-sorted into id order
+    (``_relabeled``), and its counters advance from that record.
+
+    Proof, by induction on the block, that this is receiver ``i``'s own
+    decode with its pool listed in ``r``'s order mapped through ``sigma``.
+    Before block 1 every counter is 0, so ``sigma`` maps the counters onto
+    themselves: ``upto[sigma[r]][sigma[j]] == upto[r][j]``.  If it does
+    before block ``b``, it maps each transmission of block ``b`` onto that
+    of the mapped sender, since a bundle is a function of the sender's
+    encode sets and counters.  Receiver ``i`` then reads, through mapped
+    lags and bitwise equal powers, the mapped bundles of ``r``'s window
+    against mapped counters, so each peel round builds ``r``'s instance
+    bitwise, decodes ``r``'s members mapped and leaves ``r``'s round state
+    mapped; the static interference is ``r``'s sum, which equals ``i``'s in
+    exact arithmetic (``interference_accounting`` still prints each node's
+    own id-order sum).  So ``i``'s record is ``r``'s mapped, and ``sigma``
+    maps the counters after block ``b`` onto themselves.  Receivers are
+    handled in id order and ``r`` is at most ``i``, so ``r``'s record of
+    the block exists when ``i`` needs it.  In id order instead of ``r``'s
+    mapped order, only an exact tie, which the solver breaks by member
+    position, could decode differently.
     """
     if not (math.isfinite(rate) and rate >= 0):
         raise ValueError("rate must be finite and nonnegative")
@@ -611,14 +664,14 @@ def run_schedule(
     powers = build_power_matrix(topology)
     run = _Run(rate, topology.noise)
     receivers = [_Receiver(i, schedule, powers) for i in range(n)]
-    # Each receiver lists its pool in its orbit representative's order (the
-    # smallest node a symmetry takes to it, through the first such
-    # symmetry), so the receivers of one orbit build bitwise equal instances
-    # and share their solves through the memo.
+    # Each receiver's orbit representative is the smallest node a symmetry
+    # takes to it, through the first such symmetry; only representatives
+    # decode, and the others relabel their representative's record.
     symmetries = _symmetries(powers, schedule)
-    for rx in receivers:
-        rep, k = min((sigma.index(rx.node), k) for k, sigma in enumerate(symmetries))
-        rx.order = tuple(symmetries[k][j] for j in receivers[rep].sources)
+    orbits = []
+    for i in range(n):
+        rep, k = min((sigma.index(i), k) for k, sigma in enumerate(symmetries))
+        orbits.append((rep, symmetries[k]))
     encode_start = max(
         (k + 1 for row in schedule.encode_sets for k, members in enumerate(row, 1) if members),
         default=1,
@@ -635,8 +688,11 @@ def run_schedule(
         row = tuple(_build_transmission(l, b, upto[l], schedule) for l in range(n))
         run.add_row(row)
         records = []
-        for i in range(n):
-            rec = _decode_closure(receivers[i], b, upto[i], run)
+        for i, (rep, sigma) in enumerate(orbits):
+            if rep == i:
+                rec = _decode_closure(receivers[i], b, upto[i], run)
+            else:
+                rec = _relabeled(records[rep], i, sigma)
             records.append(rec)
             if rec.success:
                 # Extras stay in the decode record only; the knowledge state

@@ -8,13 +8,16 @@ sets and stores a knowledge snapshot per block.  The simulator now keeps one
 counter per scheduled source instead, reads each bundle against those
 counters, and derives its snapshots from the decode records, and once a run
 reaches its steady state it emits the remaining blocks by shifting the last
-decoded one.  It also lists each receiver's pool in the order of its
-symmetry orbit's representative (``orbit_orders``), where the reference
-takes an order as a parameter.  These tests check that both give the same
+decoded one.  It also decodes only one receiver per symmetry orbit and
+gives the others that representative's record relabeled, where the
+reference decodes every receiver and takes the order in which each lists
+its pool as a parameter.  These tests check that both give the same
 transmissions, decode records, knowledge snapshots and completion blocks
 (the reference in id order), and the same solved region instances (the
-reference in orbit order), and that the invariant the counters rest on
-holds: a receiver's knowledge of each source is a prefix of its blocks.
+reference with each receiver in its orbit representative's order,
+``orbit_orders``, so that the receivers of one orbit share solves), and
+that the invariant the counters rest on holds: a receiver's knowledge of
+each source is a prefix of its blocks.
 
 The grid holds distance-regulated lines, rings and an arc, also run long
 enough to reach the steady state; a line whose one-hop sets split it in
@@ -28,6 +31,7 @@ round noise and carriers in reverse id order.
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import replace
@@ -36,7 +40,7 @@ from typing import AbstractSet, Sequence
 
 import pytest
 
-from omnirelay import protocol_sim
+from omnirelay import cli, protocol_sim
 from omnirelay.mac_region import (
     HelperCarrier,
     MultiBlockInstance,
@@ -485,6 +489,16 @@ def recorded_solves(monkeypatch, module):
     return calls
 
 
+def decode_every_receiver(monkeypatch):
+    """Leave a run only the identity symmetry, so every receiver decodes
+    instead of relabeling its orbit representative's record."""
+
+    def identity_only(powers, schedule):
+        return [tuple(range(len(powers)))]
+
+    monkeypatch.setattr(protocol_sim, "_symmetries", identity_only)
+
+
 @pytest.mark.parametrize("kind, n, share", CASES)
 def test_counter_decode_matches_the_set_reference(monkeypatch, kind, n, share):
     topology, _, schedule, rate, blocks = build_case(kind, n, share)
@@ -499,12 +513,16 @@ def test_counter_decode_matches_the_set_reference(monkeypatch, kind, n, share):
     assert trace.knowledge == knowledge
     assert trace.completion_block == reference_completion(knowledge)
     # Both memoize per run on every instance field, so with the members of
-    # every receiver listed in its orbit's order they also solve the same
-    # instances in the same order: a wrong sender role shows here even where
-    # the verdicts happen to agree.
+    # every reference receiver listed in its orbit's order, where a receiver
+    # other than its orbit's representative only hits the memo, they also
+    # solve the same instances in the same order: a wrong sender role shows
+    # here even where the verdicts happen to agree.
     reference_solves.clear()
     reference_run(topology, schedule, rate, blocks, orbit_orders(topology, schedule))
     assert solves == reference_solves
+    # Relabeling off: every receiver decodes, into the same records.
+    decode_every_receiver(monkeypatch)
+    assert simulate(kind, n, share).to_dict() == trace.to_dict()
 
 
 def reference_completion(knowledge):
@@ -526,7 +544,8 @@ def reference_completion(knowledge):
 
 def test_the_long_runs_reach_the_steady_state(monkeypatch):
     # The long cases below the bound stop decoding once the run repeats
-    # itself, so the grid above checks the shifted blocks too.
+    # itself (decoding stops before the last block), so the grid above
+    # checks the shifted blocks too.
     decoded = []
     decode = protocol_sim._decode_closure
 
@@ -540,7 +559,7 @@ def test_the_long_runs_reach_the_steady_state(monkeypatch):
         if kind.startswith("long-"):
             decoded.clear()
             trace = simulate(kind, n, share)
-            if len(decoded) < n * trace.blocks:
+            if max(decoded) < trace.blocks:
                 fast_forwarded.add((kind, share))
     below_the_bound = {
         (kind, share) for kind in ("long-ring", "long-line", "long-arc") for share in (0.5, 0.9)
@@ -581,6 +600,52 @@ def test_runs_of_any_length_match_the_set_reference():
         assert trace.completion_block == reference_completion(knowledge)
 
     check()
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
+def test_relabeled_split_lines_match_decoding_every_receiver(monkeypatch, n):
+    # Mirrored halves: each node has static interference from the half it
+    # never schedules, and mirror receivers' id-order sums of it can differ
+    # in the last bit.  The representative's sum stands for its orbit.
+    topology, one_hop = regular_line(n, 1.0, GAIN, 10.0, 1.0), split_one_hop(n, n // 2)
+    bound = allcast_rate_bound(topology)
+    for share in (0.1, 0.3, 0.5, 0.9):
+        trace = run_distance_regulated(topology, one_hop, share * bound, 2 * n + 6)
+        with monkeypatch.context() as patch:
+            decode_every_receiver(patch)
+            other = run_distance_regulated(topology, one_hop, share * bound, 2 * n + 6)
+        assert other.to_dict() == trace.to_dict()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --preset regular-line --n 16 --power 10 --blocks 20",
+        "simulate --topology circ20.txt --blocks 14",
+    ],
+)
+def test_relabeled_cli_runs_match_decoding_every_receiver(monkeypatch, capsys, tmp_path, argv):
+    # A 16-node line and a ring of 20 given as exactly circulant dist rows,
+    # whose receivers all lie in one orbit.
+    m = 20
+    chords = [2.0 * (m / (2.0 * math.pi)) * math.sin(math.pi * min(k, m - k) / m) for k in range(m)]
+    rows = [f"nodes {m}", "gain pl 2.0", "power 10.0", "noise 1.0"]
+    rows += [f"dist {i + 1} {j + 1} {chords[j - i]!r}" for i in range(m) for j in range(i + 1, m)]
+    (tmp_path / "circ20.txt").write_text("\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    traces = []
+    run = cli.run_distance_regulated
+
+    def keeping(*args):
+        traces.append(run(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "run_distance_regulated", keeping)
+    assert cli.main(argv.split()) == 0
+    decode_every_receiver(monkeypatch)
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(traces) == 2 and traces[1].to_dict() == traces[0].to_dict()
 
 
 def test_knowledge_is_derived_on_first_read():
