@@ -33,6 +33,9 @@ EPS_BITS = 1e-9
 
 _EXACT_SUBSET_LIMIT = 16
 
+# Bits of pattern code per int64 word; the sign bit stays clear.
+_WORD_BITS = 63
+
 
 def _as_floats(values: Iterable[float], label: str) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
@@ -43,15 +46,17 @@ def _as_floats(values: Iterable[float], label: str) -> tuple[float, ...]:
 
 
 def _subset_sums(values: Sequence[float]) -> np.ndarray:
-    """sums[mask] = sum of values over the bits of mask.
+    """sums[mask] = sum of values over the bits of mask, added left to
+    right in bit order.
 
     A sum past the float maximum is inf, which every margin then treats as
     a rate no round can carry, so the overflow is not warned about.
     """
-    sums = np.zeros(1)
+    sums = np.empty(1 << len(values))
+    sums[0] = 0.0
     with np.errstate(over="ignore"):
-        for v in values:
-            sums = np.concatenate([sums, sums + v])
+        for b, v in enumerate(values):
+            np.add(sums[: 1 << b], v, out=sums[1 << b : 2 << b])
     return sums
 
 
@@ -221,45 +226,93 @@ class _MultiBlockEvaluator:
         """``margin`` of every subset of ``members`` at once.
 
         Entry ``mask`` is the subset holding ``members[b]`` for each set bit
-        b.  A send adds its power to the masks that meet its trigger, whose
-        bits are the trigger's members among ``members``.  A round
-        with sends ``0..s-1`` gives each mask a pattern code whose bit i is
-        set when send i fires, and builds the ``2**s`` pattern powers by
+        b.  A send adds its power to the masks that meet its trigger.  A
+        round with sends ``0..s-1`` gives each mask a pattern code whose bit
+        i is set when send i fires, and builds the ``2**s`` pattern powers by
         doubling in send order, so each entry is the left-to-right sum that
-        ``rhs`` takes.  ``math.log2`` runs once per pattern and the masks
-        gather their round's capacity by code; the capacity side is bitwise
-        equal to ``rhs``.  A round instead finds the distinct powers with one
-        ``np.unique`` sort when its table would outnumber the masks (more
-        sends than member bits, as when carriers outnumber the survivors),
-        or would exceed a quarter of them while two sends share a power:
-        then most patterns repeat a sum, and the sort takes far fewer
-        logarithms than the table.
+        ``rhs`` takes; ``math.log2`` runs once per pattern.
+
+        The codes of every round come from one doubling pass over the
+        members.  The rounds' codes are bit fields, packed in round order
+        into as many int64 words of ``_WORD_BITS`` bits as they need;
+        ``flags[b]`` sets the bits of the sends that member b fires, and
+        ``codes[1 << b : 2 << b] = codes[: 1 << b] | flags[b]``.  The leading
+        rounds whose codes fit in ``len(members)`` bits add their capacity
+        tables, round by round, into one table ``head`` over their joint
+        code, which the masks gather once; each later round reads its code
+        with one shift and mask and adds its gather.  Every capacity is
+        added in the round order of ``rhs``, so the capacity side is bitwise
+        equal to it.
+
+        A round instead finds the distinct powers with one ``np.unique``
+        sort when its table would outnumber the masks (more sends than
+        member bits, as when carriers outnumber the survivors; such a round
+        has no bit field and sums its fired powers send by send), or would
+        exceed a quarter of them while two sends share a power: then most
+        patterns repeat a sum, and the sort takes far fewer logarithms than
+        the table.
         """
-        bit = {j: 1 << b for b, j in enumerate(members)}
-        masks = np.arange(1 << len(members), dtype=np.int64)
-        total = np.zeros(len(masks))
+        size = 1 << len(members)
+        position = {j: b for b, j in enumerate(members)}
+        # Each round whose table fits the masks gets a bit field (word, offset).
+        layout = []
+        flags = [[0] for _ in members]
+        word = offset = 0
         for k in self.rounds:
-            sends = [(p, sum(bit.get(h, 0) for h in trigger)) for p, trigger in self.sends[k]]
+            sends = self.sends[k]
             if not sends:
                 continue
-            patterns = 1 << len(sends)
-            if patterns > len(masks) or (
-                4 * patterns > len(masks) and len({p for p, _ in sends}) < len(sends)
-            ):
-                q = np.zeros(len(masks))
-                for p, t in sends:
+            if len(sends) > len(members):
+                layout.append((k, None, 0, sends))
+                continue
+            if offset + len(sends) > _WORD_BITS:
+                word, offset = word + 1, 0
+                for f in flags:
+                    f.append(0)
+            for i, (_, trigger) in enumerate(sends):
+                for h in trigger:
+                    if h in position:
+                        flags[position[h]][word] |= 1 << offset + i
+            layout.append((k, word, offset, sends))
+            offset += len(sends)
+        codes = np.zeros((size, word + 1), dtype=np.int64)
+        for b, f in enumerate(flags):
+            np.bitwise_or(codes[: 1 << b], f, out=codes[1 << b : 2 << b])
+        head, bits, total = np.zeros(1), 0, None
+        for k, word, offset, sends in layout:
+            code = None
+            if word is None:
+                # No room for the table: sum the fired powers send by send.
+                masks = np.arange(size)
+                q = np.zeros(size)
+                for p, trigger in sends:
+                    t = sum(1 << position[h] for h in trigger if h in position)
                     q += p * ((masks & t) != 0)
                 values, code = np.unique(q, return_inverse=True)
                 table = values.tolist()
             else:
-                code = ((masks & sends[0][1]) != 0).astype(np.int64)
-                table = [0.0, sends[0][0]]
-                for i, (p, t) in enumerate(sends[1:], 1):
-                    code += ((masks & t) != 0) << i
-                    table += [v + p for v in table]
+                powers = [p for p, _ in sends]
+                if 4 << len(sends) > size and len(set(powers)) < len(sends):
+                    code = codes[:, word] >> offset & (1 << len(sends)) - 1
+                    values, code = np.unique(_subset_sums(powers)[code], return_inverse=True)
+                    table = values.tolist()
+                else:
+                    table = [0.0]
+                    for p in powers:
+                        table += [v + p for v in table]
             d = self.base_noise[k] + self.extra_noise[k]
-            logs = [math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in table]
-            total += np.array(logs)[code]
+            logs = np.array([math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in table])
+            if total is None and code is None and bits + len(sends) <= len(members):
+                head = np.add.outer(logs, head).ravel()
+                bits += len(sends)
+                continue
+            if total is None:
+                total = head[codes[:, 0] & (1 << bits) - 1]
+            if code is None:
+                code = codes[:, word] >> offset & (1 << len(sends)) - 1
+            total += logs[code]
+        if total is None:
+            total = head[codes[:, 0] & (1 << bits) - 1]
         return _subset_sums([self.inst.rates[j] for j in members]) - total
 
     def remove_closure(self, subset: Iterable[int]) -> None:

@@ -91,6 +91,12 @@ class Transmission:
     bundle: frozenset[Message]
     skipped: tuple[Message, ...] = ()
 
+    @cached_property
+    def repeats(self) -> tuple[Message, ...]:
+        """The bundle without the sender's fresh message, parsed on first read."""
+        fresh = (self.sender, self.block)
+        return tuple([m for m in self.bundle if m != fresh])
+
 
 @dataclass(frozen=True)
 class DecodeRecord:
@@ -275,13 +281,7 @@ class _Receiver:
         self.lag = lag
         self.sources = tuple(sorted(lag))
         self.power = {j: column[j] for j in lag}
-        self.undecoded = tuple(j for j in range(schedule.n) if j != node and j not in lag)
-        # Added left to right from the int 0, as sum() did before Python 3.12;
-        # from 3.12 on sum() compensates float rounding, so printed powers would
-        # depend on the Python version.
-        self.static_interference = reduce(
-            operator.add, (column[j] for j in self.undecoded), 0
-        )
+        self.undecoded, self.static_interference = _static_interference(node, lag, column)
         self.floor = max(
             (
                 next(
@@ -296,6 +296,20 @@ class _Receiver:
             ),
             default=0,
         )
+
+
+def _static_interference(
+    node: int, lag: dict[int, int], column: list[float]
+) -> tuple[tuple[int, ...], float]:
+    """The nodes other than ``node`` outside its decode lags ``lag``, in id
+    order, and their total received power from ``column``.
+
+    The powers add left to right from the int 0, as sum() did before Python
+    3.12; from 3.12 on sum() compensates float rounding, so printed powers
+    would depend on the Python version.
+    """
+    undecoded = tuple(j for j in range(len(column)) if j != node and j not in lag)
+    return undecoded, reduce(operator.add, (column[j] for j in undecoded), 0)
 
 
 def _symmetries(powers: np.ndarray, schedule: Schedule) -> list[tuple[int, ...]]:
@@ -338,12 +352,12 @@ def _symmetries(powers: np.ndarray, schedule: Schedule) -> list[tuple[int, ...]]
 
 def _read_bundle(tx: Transmission, done: dict[int, int], node: int) -> list[int] | None:
     """The sources whose oldest missing message, by the counters ``done``,
-    one transmission repeats, read from its bundle; None if it repeats any
-    other message the node does not know (a newer one, or one of a source
-    the node never schedules).  The sender's fresh message is left out."""
+    one transmission repeats, read from its ``repeats``; None if it repeats
+    any other message the node does not know (a newer one, or one of a
+    source the node never schedules)."""
     sources = []
-    for j, beta in tx.bundle:
-        if j == node or (j == tx.sender and beta == tx.block):
+    for j, beta in tx.repeats:
+        if j == node:
             continue
         d = done.get(j)
         if d is None or beta > d + 1:
@@ -746,10 +760,12 @@ def run_distance_regulated(
 
 def interference_accounting(trace: SimulationTrace) -> tuple[InterferenceReport, ...]:
     """Per node: which sources stay forever undecoded and how much power they add."""
-    topology = trace.topology
-    powers = build_power_matrix(topology)
-    receivers = [_Receiver(i, trace.schedule, powers) for i in range(topology.n)]
-    return tuple(InterferenceReport(r.node, r.undecoded, r.static_interference) for r in receivers)
+    powers = build_power_matrix(trace.topology)
+    reports = []
+    for i in range(trace.topology.n):
+        lag = trace.schedule.decode_lag(i)
+        reports.append(InterferenceReport(i, *_static_interference(i, lag, powers[:, i].tolist())))
+    return tuple(reports)
 
 
 def check_payload_sizes(sizes: Sequence[int], n: int) -> tuple[int, ...]:

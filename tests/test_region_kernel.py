@@ -10,7 +10,9 @@ import importlib
 import math
 import pkgutil
 import random
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +23,15 @@ from omnirelay.mac_region import (
     EPS_BITS,
     HelperCarrier,
     MultiBlockInstance,
+    _WORD_BITS,
     _MultiBlockEvaluator,
     multi_block_decodable_subset,
     multi_block_feasible,
 )
 from omnirelay.protocol_sim import run_distance_regulated
 from omnirelay.topology import power_law, regular_line, ring
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def adjacency(n, closed=False):
@@ -245,15 +250,120 @@ def test_margins_of_full_rounds_of_distinct_powers_use_the_table(sorts):
     assert not sorts
 
 
-@pytest.mark.parametrize("m", [1, 3])
-def test_margins_of_one_send_rounds(sorts, m):
-    # One member per round and no carriers: every round has one send, whose
-    # pattern code must gather, not mask, the round's two capacities.
-    inst = MultiBlockInstance((0.5,) * m, (1.0, 4.0, 0.25)[:m], 1.0, blocks=tuple(range(m)))
+@pytest.mark.parametrize(
+    "m, carriers",
+    [
+        pytest.param(1, (), id="1"),
+        pytest.param(3, (), id="3"),
+        # The three member rounds fill the three member bits; the carrier
+        # rounds after them add their gathers one by one.
+        pytest.param(
+            3,
+            (HelperCarrier(3, 0.5, {0}), HelperCarrier(4, 2.0, {1, 2}), HelperCarrier(5, 1.0, {2})),
+            id="3-then-carriers",
+        ),
+    ],
+)
+def test_margins_of_one_send_rounds(sorts, m, carriers):
+    # One send per round, whose pattern code must gather, not mask, the
+    # round's two capacities.
+    inst = MultiBlockInstance(
+        (0.5,) * m, (1.0, 4.0, 0.25)[:m], 1.0, blocks=tuple(range(m)), carriers=carriers
+    )
     ev = _MultiBlockEvaluator(inst)
     assert all(len(ev.sends[k]) == 1 for k in ev.rounds)
     assert_kernel_matches(ev, common_rate=True)
     assert not sorts
+
+
+def test_margins_of_a_pool_whose_send_bits_span_two_words(sorts):
+    # Eight members in round 1 and six carriers in each of rounds 2 to 13:
+    # 80 send bits, so the codes take a second int64 word.  Every round's
+    # table fits the masks, and round 1 alone fills the members' eight bits,
+    # so rounds 2 to 13 each add their own gather, from both words.
+    rng = random.Random(157)
+    carriers = tuple(
+        HelperCarrier(k, rng.uniform(0.1, 4.0), rng.sample(range(8), rng.randint(1, 4)))
+        for k in range(2, 14)
+        for _ in range(6)
+    )
+    powers = (1.0, 2.0, 0.5, 3.0, 1.5, 0.75, 2.5, 0.25)
+    inst = MultiBlockInstance((0.5,) * 8, powers, 1.0, blocks=(1,) * 8, carriers=carriers)
+    ev = _MultiBlockEvaluator(inst)
+    assert sum(len(ev.sends[k]) for k in ev.rounds) == 80 > _WORD_BITS
+    assert_kernel_matches(ev, common_rate=True)
+    ev.remove_closure([3])
+    assert_kernel_matches(ev, common_rate=True)
+    assert not sorts
+
+
+def test_margins_of_a_carrier_heavy_round_between_table_rounds(sorts):
+    # Round 2 has five carriers for two member bits, so it sorts its powers
+    # send by send; rounds 1 and 3 use their tables, round 3 after the sort.
+    carriers = [
+        HelperCarrier(2, p, t)
+        for p, t in ((0.5, {0}), (1.5, {1}), (0.25, {0, 1}), (0.125, {0}), (2.0, {1}))
+    ]
+    carriers.append(HelperCarrier(3, 3.0, {1}))
+    inst = MultiBlockInstance(
+        (0.75, 0.75), (2.0, 0.5), 1.0, blocks=(1, 1), carriers=tuple(carriers)
+    )
+    ev = _MultiBlockEvaluator(inst)
+    assert [len(ev.sends[k]) for k in ev.rounds] == [2, 5, 1]
+    ev.margins(range(2))
+    assert len(sorts) == 1
+    assert_kernel_matches(ev, common_rate=True)
+
+
+def test_margins_of_repeated_power_rounds_after_the_head(sorts):
+    # Round 0's four distinct powers fill four of the six member bits;
+    # rounds 1 and 2 repeat one power each.  Round 1 (five sends) does not
+    # fit the two bits left and its table exceeds a quarter of the masks,
+    # so it sorts; round 2 (two sends) uses its table after it.
+    carriers = [HelperCarrier(1, 1.5, t) for t in ({0, 1}, {2}, {3})]
+    carriers += [HelperCarrier(2, 0.5, {4}), HelperCarrier(2, 0.5, {5})]
+    inst = MultiBlockInstance(
+        (0.5,) * 6,
+        (1.0, 2.0, 0.5, 3.0, 1.5, 1.5),
+        1.0,
+        blocks=(0, 0, 0, 0, 1, 1),
+        carriers=tuple(carriers),
+    )
+    ev = _MultiBlockEvaluator(inst)
+    assert [len(ev.sends[k]) for k in ev.rounds] == [4, 5, 2]
+    ev.margins(range(6))
+    assert len(sorts) == 1
+    assert_kernel_matches(ev, common_rate=True)
+
+
+def test_margins_property_up_to_sixteen_members():
+    # Pools of up to 16 members, the kernel's whole range: every mask up to
+    # eight members, and a sample of them above, against reference_rhs and
+    # the scalar margin.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.randoms(use_true_random=False), st.booleans())
+    def check(rng, common_rate):
+        inst = build_instance(rng, common_rate, members=(1, 16))
+        for ev in evaluator_states(inst, rng):
+            members = sorted(ev.survivors())
+            margins = ev.margins(members)
+            masks = range(1 << len(members))
+            if len(members) > 8:
+                masks = [0, len(margins) - 1, *rng.sample(masks, 64)]
+            for mask in masks:
+                subset = subset_of(members, mask)
+                reference = reference_rhs(ev.inst, ev.removed, subset)
+                rates = sum(ev.inst.rates[j] for j in subset)
+                assert margins[mask] == pytest.approx(rates - reference, rel=0.0, abs=1e-12)
+                if common_rate:
+                    assert margins[mask] == ev.margin(subset)
+                else:
+                    assert margins[mask] == pytest.approx(ev.margin(subset), rel=0.0, abs=1e-12)
+
+    check()
 
 
 def test_worst_violator_matches_the_scalar_search():
@@ -493,6 +603,35 @@ def test_memo_solves_each_shifted_instance_once_per_run(solver_calls, topo, one_
     assert len(solver_calls) == 2 * per_run
     assert solver_calls[per_run:] == solver_calls[:per_run]
     assert first == second
+
+
+def test_the_benchmark_line_solve_argv_does_a_fixed_amount_of_work(monkeypatch, capsys):
+    # The benchmark's line-solve argv (a 12-node line over 16 blocks at
+    # 0.999 of the bound): 131 region solves, 211 calls of the all-subsets
+    # kernel and 7,584 bundle reads.  A change to what one step costs
+    # leaves these counts alone.
+    build_argv = runpy.run_path(str(BENCH / "workloads.py"))["build_argv"]
+    counts = {"solves": 0, "margins": 0, "reads": 0}
+
+    def counting(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        protocol_sim,
+        "multi_block_decodable_subset",
+        counting("solves", protocol_sim.multi_block_decodable_subset),
+    )
+    monkeypatch.setattr(
+        _MultiBlockEvaluator, "margins", counting("margins", _MultiBlockEvaluator.margins)
+    )
+    monkeypatch.setattr(protocol_sim, "_read_bundle", counting("reads", protocol_sim._read_bundle))
+    assert cli.main(build_argv("line-solve", 1)) == 0
+    capsys.readouterr()
+    assert counts == {"solves": 131, "margins": 211, "reads": 7584}
 
 
 # ---------------------------------------------------------------------------
