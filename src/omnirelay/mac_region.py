@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,19 +45,34 @@ def _as_floats(values: Iterable[float], label: str) -> tuple[float, ...]:
     return out
 
 
-def _subset_sums(values: Sequence[float]) -> np.ndarray:
+@lru_cache(maxsize=_EXACT_SUBSET_LIMIT)
+def _subset_sums(values: tuple[float, ...]) -> np.ndarray:
     """sums[mask] = sum of values over the bits of mask, added left to
     right in bit order.
 
-    A sum past the float maximum is inf, which every margin then treats as
-    a rate no round can carry, so the overflow is not warned about.
+    The simulator gives every member of a run one common rate, so its
+    ``margins`` calls ask for one rate tuple per pool size over and over;
+    each array is built once and kept read-only.  A sum past the float
+    maximum is inf, which every margin then treats as a rate no round can
+    carry, so the overflow is not warned about.
     """
     sums = np.empty(1 << len(values))
     sums[0] = 0.0
     with np.errstate(over="ignore"):
         for b, v in enumerate(values):
             np.add(sums[: 1 << b], v, out=sums[1 << b : 2 << b])
+    sums.flags.writeable = False
     return sums
+
+
+def _pattern_powers(sends: Sequence[tuple[float, frozenset[int]]]) -> list[float]:
+    """Received power of every fired-send pattern of a round: entry i sums
+    the powers of the sends at the set bits of i, left to right, by
+    doubling in send order."""
+    table = [0.0]
+    for p, _ in sends:
+        table += [v + p for v in table]
+    return table
 
 
 @dataclass(frozen=True)
@@ -222,6 +237,11 @@ class _MultiBlockEvaluator:
         # the builtin sum() compensates float rounding from 3.12 on.
         return reduce(operator.add, (self.inst.rates[j] for j in subset), 0) - self.rhs(subset)
 
+    def _capacities(self, k: int, powers: list[float]) -> np.ndarray:
+        """Round ``k``'s capacity at each received power, one ``math.log2`` each."""
+        d = self.base_noise[k] + self.extra_noise[k]
+        return np.array([math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in powers])
+
     def margins(self, members: Sequence[int]) -> np.ndarray:
         """``margin`` of every subset of ``members`` at once.
 
@@ -232,37 +252,40 @@ class _MultiBlockEvaluator:
         doubling in send order, so each entry is the left-to-right sum that
         ``rhs`` takes; ``math.log2`` runs once per pattern.
 
-        The codes of every round come from one doubling pass over the
+        The codes of every table round come from one doubling pass over the
         members.  The rounds' codes are bit fields, packed in round order
         into as many int64 words of ``_WORD_BITS`` bits as they need;
         ``flags[b]`` sets the bits of the sends that member b fires, and
         ``codes[1 << b : 2 << b] = codes[: 1 << b] | flags[b]``.  The leading
-        rounds whose codes fit in ``len(members)`` bits add their capacity
-        tables, round by round, into one table ``head`` over their joint
-        code, which the masks gather once; each later round reads its code
-        with one shift and mask and adds its gather.  Every capacity is
-        added in the round order of ``rhs``, so the capacity side is bitwise
-        equal to it.
+        table rounds whose codes fit in ``len(members)`` bits add their
+        capacity tables, round by round from 0, into one table ``head`` over
+        their joint code, which the masks gather once; each later round
+        reads its code with one shift and mask and adds its gather.  Every
+        capacity is added in the round order of ``rhs``, so the capacity
+        side is bitwise equal to it.
 
-        A round instead finds the distinct powers with one ``np.unique``
-        sort when its table would outnumber the masks (more sends than
-        member bits, as when carriers outnumber the survivors; such a round
-        has no bit field and sums its fired powers send by send), or would
-        exceed a quarter of them while two sends share a power: then most
-        patterns repeat a sum, and the sort takes far fewer logarithms than
-        the table.
+        A round instead sums its fired powers send by send and finds the
+        distinct ones with one ``np.unique`` sort when its table would
+        outnumber the masks (more sends than member bits, as when carriers
+        outnumber the survivors), or would exceed a quarter of them while
+        two sends share a power: then most patterns repeat a sum, and the
+        sort takes far fewer logarithms than the table.  Such a round has no
+        bit field, and the head ends before it.
         """
         size = 1 << len(members)
         position = {j: b for b, j in enumerate(members)}
-        # Each round whose table fits the masks gets a bit field (word, offset).
+        # Each round that builds its table gets a bit field (word, offset);
+        # the first ``lead`` rounds fill the low ``bits`` bits of word 0.
         layout = []
         flags = [[0] for _ in members]
-        word = offset = 0
+        word = offset = lead = bits = 0
         for k in self.rounds:
             sends = self.sends[k]
             if not sends:
                 continue
-            if len(sends) > len(members):
+            if 1 << len(sends) > size or (
+                4 << len(sends) > size and len({p for p, _ in sends}) < len(sends)
+            ):
                 layout.append((k, None, 0, sends))
                 continue
             if offset + len(sends) > _WORD_BITS:
@@ -273,47 +296,31 @@ class _MultiBlockEvaluator:
                 for h in trigger:
                     if h in position:
                         flags[position[h]][word] |= 1 << offset + i
+            if lead == len(layout) and offset + len(sends) <= len(members):
+                lead, bits = lead + 1, offset + len(sends)
             layout.append((k, word, offset, sends))
             offset += len(sends)
         codes = np.zeros((size, word + 1), dtype=np.int64)
         for b, f in enumerate(flags):
             np.bitwise_or(codes[: 1 << b], f, out=codes[1 << b : 2 << b])
-        head, bits, total = np.zeros(1), 0, None
-        for k, word, offset, sends in layout:
-            code = None
+        head = np.zeros(1)
+        for k, _, _, sends in layout[:lead]:
+            head = np.add.outer(self._capacities(k, _pattern_powers(sends)), head).ravel()
+        total = head[codes[:, 0] & (1 << bits) - 1]
+        for k, word, offset, sends in layout[lead:]:
             if word is None:
-                # No room for the table: sum the fired powers send by send.
+                # Sort the fired powers, summed send by send, for the distinct ones.
                 masks = np.arange(size)
                 q = np.zeros(size)
                 for p, trigger in sends:
                     t = sum(1 << position[h] for h in trigger if h in position)
                     q += p * ((masks & t) != 0)
                 values, code = np.unique(q, return_inverse=True)
-                table = values.tolist()
+                total += self._capacities(k, values.tolist())[code]
             else:
-                powers = [p for p, _ in sends]
-                if 4 << len(sends) > size and len(set(powers)) < len(sends):
-                    code = codes[:, word] >> offset & (1 << len(sends)) - 1
-                    values, code = np.unique(_subset_sums(powers)[code], return_inverse=True)
-                    table = values.tolist()
-                else:
-                    table = [0.0]
-                    for p in powers:
-                        table += [v + p for v in table]
-            d = self.base_noise[k] + self.extra_noise[k]
-            logs = np.array([math.log2(1.0 + v / d) if v > 0.0 else 0.0 for v in table])
-            if total is None and code is None and bits + len(sends) <= len(members):
-                head = np.add.outer(logs, head).ravel()
-                bits += len(sends)
-                continue
-            if total is None:
-                total = head[codes[:, 0] & (1 << bits) - 1]
-            if code is None:
                 code = codes[:, word] >> offset & (1 << len(sends)) - 1
-            total += logs[code]
-        if total is None:
-            total = head[codes[:, 0] & (1 << bits) - 1]
-        return _subset_sums([self.inst.rates[j] for j in members]) - total
+                total += self._capacities(k, _pattern_powers(sends))[code]
+        return _subset_sums(tuple([self.inst.rates[j] for j in members])) - total
 
     def remove_closure(self, subset: Iterable[int]) -> None:
         """Drop a violating subset plus everything its loss contaminates.

@@ -316,10 +316,11 @@ def test_margins_of_a_carrier_heavy_round_between_table_rounds(sorts):
 
 
 def test_margins_of_repeated_power_rounds_after_the_head(sorts):
-    # Round 0's four distinct powers fill four of the six member bits;
-    # rounds 1 and 2 repeat one power each.  Round 1 (five sends) does not
-    # fit the two bits left and its table exceeds a quarter of the masks,
-    # so it sorts; round 2 (two sends) uses its table after it.
+    # Round 0's four distinct powers fill four of the six member bits of
+    # the head; rounds 1 and 2 repeat one power each.  Round 1's table (five
+    # sends) exceeds a quarter of the masks, so it sorts and ends the head;
+    # round 2 (two sends) fits the two bits left but, after the sort, adds
+    # its own gather.
     carriers = [HelperCarrier(1, 1.5, t) for t in ({0, 1}, {2}, {3})]
     carriers += [HelperCarrier(2, 0.5, {4}), HelperCarrier(2, 0.5, {5})]
     inst = MultiBlockInstance(
