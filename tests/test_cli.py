@@ -100,6 +100,17 @@ def test_analyze_uneven_line_skips_the_verifier(capsys):
     assert data["ordering"] == [0, 1, 2]
 
 
+def test_analyze_ignores_the_seed(capsys):
+    # The verifier reads the line table at 0.999 * bound only, so no seed
+    # can pick a rate that decides the verdict.
+    argv = ("analyze", "--preset", "regular-line", "--n", "30", "--power", "0.001",
+            "--gain", "exp:3")
+    code, out, err = run(capsys, *argv, "--seed", "0")
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, "--seed", "15") == (0, out, "")
+    assert json.loads(out)["regular_line_verified"] is True
+
+
 @pytest.mark.parametrize(
     "argv, coordinates",
     [

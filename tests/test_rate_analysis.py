@@ -26,6 +26,7 @@ from omnirelay.rate_analysis import (
     verify_regular_line_achievability,
 )
 from omnirelay.topology import (
+    GainFunction,
     arc,
     build_power_matrix,
     constant,
@@ -499,26 +500,48 @@ def test_conditions_require_an_ordering():
 
 def test_verifier_passes_a_regular_line():
     t = regular_line(6, 1.0, power_law(2.0), 10.0, 1.0)
-    check = verify_regular_line_achievability(t, samples=50, seed=3)
+    check = verify_regular_line_achievability(t)
     assert check.verified
-    assert check.conditions_checked == 50 * len(ordered_line_conditions(t, 0.0).entries)
-    assert len(check.rates) == 50
-    assert all(0.0 <= r < check.bound for r in check.rates)
+    assert check.conditions_checked == len(ordered_line_conditions(t, 0.0).entries)
     assert check.bound == pytest.approx(allcast_rate_bound(t))
+    rng = random.Random(3)
+    for _ in range(49):
+        r = check.bound * rng.random()
+        assert 0.0 <= r < check.bound
+        assert ordered_line_conditions(t, r).achievable
 
 
 @pytest.mark.parametrize("gain", [power_law(2.0), power_law(4.0), exponential(1.0), constant()])
 def test_verifier_across_gain_shapes(gain):
     t = regular_line(5, 1.0, gain, 5.0, 1.0)
-    assert verify_regular_line_achievability(t, samples=20, seed=1).verified
+    assert verify_regular_line_achievability(t).verified
 
 
 def test_verifier_agrees_with_the_condition_report():
     t = regular_line(7, 1.5, power_law(3.0), 2.0, 1.0)
-    check = verify_regular_line_achievability(t, samples=25, seed=9)
+    check = verify_regular_line_achievability(t)
     assert check.verified
-    for r in check.rates:
+    rng = random.Random(9)
+    rates = (0.999 * check.bound, *(check.bound * rng.random() for _ in range(24)))
+    for r in rates:
         assert ordered_line_conditions(t, r).achievable
+
+
+def test_verifier_is_the_table_at_0_999_of_the_bound():
+    # Seeded regular lines, down to powers where the strictness slack
+    # outweighs the capacities: the verdict is the table's at 0.999 * bound.
+    rng = random.Random(33)
+    gains = ("pl:2", "pl:4", "exp:0.5", "exp:3", "const")
+    verdicts = set()
+    for _ in range(40):
+        n = rng.randint(2, 30)
+        power = rng.choice((1e-7, 6e-7, 1e-6, 1e-3, 1.0, 10.0, 1e6))
+        t = regular_line(n, 1.0, GainFunction.parse(rng.choice(gains)), power, 1.0)
+        check = verify_regular_line_achievability(t)
+        verdict = ordered_line_conditions(t, 0.999 * check.bound).achievable
+        assert check.verified == verdict, (n, power)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_verifier_rejects_unequal_spacing():
@@ -531,9 +554,3 @@ def test_verifier_needs_a_distance_ordering():
     t = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
     with pytest.raises(PreconditionError, match="^the topology admits no distance ordering$"):
         verify_regular_line_achievability(t)
-
-
-def test_verifier_needs_samples():
-    t = regular_line(3, 1.0, power_law(2.0), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        verify_regular_line_achievability(t, samples=0)
