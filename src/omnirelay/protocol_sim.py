@@ -25,13 +25,15 @@ left to read), every later block is that block with each message index
 moved up by one, so its transmissions and decode records are emitted by
 shifting (``run_schedule`` states the rule and proves it).
 
-Within a block only one receiver per symmetry orbit decodes.  A run first
-finds the relabelings of node ids that map its powers and schedule onto
-themselves (``_symmetries``), and every receiver other than the smallest of
-its orbit takes that representative's decode record of the block with the
-ids relabeled (``run_schedule`` proves it exact).  On a regular line this
-halves the decodes; on a ring given as exactly circulant distances every
-receiver lies in one orbit, so a block costs one decode.
+Within a block only one receiver per symmetry orbit decodes.  A run holds
+its schedule as two n x n lag matrices, decode and encode
+(``_lag_matrices``), and first finds the relabelings of node ids that map
+its powers and both matrices onto themselves (``_symmetries``).  Every
+receiver other than the smallest of its orbit takes that representative's
+decode record of the block with the ids relabeled (``run_schedule`` proves
+it exact).  On a regular line this halves the decodes; on a ring given as
+exactly circulant distances every receiver lies in one orbit, so a block
+costs one decode.
 
 Modeling choices worth knowing about: a receiver attempts the oldest
 missing message of every scheduled source each block, even ones that are
@@ -224,7 +226,7 @@ def _build_transmission(
         src_block = block - k
         if src_block < 1:
             continue
-        for j in sorted(members):
+        for j in members:
             msg = (j, src_block)
             if src_block <= upto.get(j, 0):
                 bundle.add(msg)
@@ -255,47 +257,58 @@ class _Run:
                 self.last_skip = tx.block
 
 
-class _Receiver:
-    """One node's view of the schedule, fixed for a run.
+def _lag_matrices(schedule: Schedule) -> np.ndarray:
+    """A valid schedule's rows as one ``(2, n, n)`` int array: ``[0, i, j]``
+    and ``[1, i, j]`` are the lags at which node i decodes and repeats source
+    j, 0 if never.  ``validate_schedule`` admits a source to at most one
+    decode and one encode set of a row, so the array is exact."""
+    cells = [
+        (part, i, j, k)
+        for part, rows in enumerate((schedule.decode_sets, schedule.encode_sets))
+        for i, row in enumerate(rows)
+        for k, members in enumerate(row, start=1)
+        for j in members
+    ]
+    part, i, j, k = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+    lags = np.zeros((2, schedule.n, schedule.n), dtype=np.int64)
+    lags[part, i, j] = k
+    return lags
 
-    ``lag`` maps each scheduled source to its decode lag; ``sources`` lists
-    them in id order, with ``power`` their received powers.  They are also
-    the senders whose transmissions the node reads (a valid schedule never
-    has a node decode itself), in that order.  A sender's foreign block is
-    the first block from which, by its encode sets, its bundles repeat a
-    source the node never schedules; ``floor`` is the latest foreign block
-    over the senders (0 if none has one), which the steady-state rule of
-    ``run_schedule`` waits for.  ``undecoded`` lists the other nodes it
-    never schedules, whose total power ``static_interference`` adds to its
-    noise in id order.  Only orbit representatives decode and build solve
-    keys (see ``run_schedule``); every other receiver takes its
-    representative's record, decoded under the representative's sum.  So
-    mirror receivers whose id-order sums differ in their last bits no longer
-    miss each other's solves.
+
+class _Receiver:
+    """One node's view of the schedule, fixed for a run, read off the lag
+    matrices ``decode, encode = lags`` of ``_lag_matrices``.
+
+    ``lag`` maps each scheduled source (nonzero in ``decode[node]``) to its
+    decode lag; ``sources`` lists them in id order, with ``power`` their
+    received powers.  They are also the senders whose transmissions the node
+    reads (a valid schedule never has a node decode itself), in that order.
+    The node's foreign sources are the other nodes it never schedules.  A
+    sender's foreign block is one past the smallest lag at which its
+    ``encode`` row repeats a foreign source; ``floor`` is the latest foreign
+    block over the senders (0 if none has one), which the steady-state rule
+    of ``run_schedule`` waits for.  ``static_interference`` adds the foreign
+    sources' powers to the node's noise in id order.  Only orbit
+    representatives decode and build solve keys (see ``run_schedule``);
+    every other receiver takes its representative's record, decoded under
+    the representative's sum.  So mirror receivers whose id-order sums
+    differ in their last bits no longer miss each other's solves.
     """
 
-    def __init__(self, node: int, schedule: Schedule, powers: np.ndarray):
-        lag = schedule.decode_lag(node)
+    def __init__(self, node: int, lags: np.ndarray, powers: np.ndarray):
+        decode, encode = lags
+        senders = np.flatnonzero(decode[node])
+        foreign = np.flatnonzero(decode[node] == 0)
+        foreign = foreign[foreign != node]
         column = powers[:, node].tolist()
         self.node = node
-        self.lag = lag
-        self.sources = tuple(sorted(lag))
-        self.power = {j: column[j] for j in lag}
-        self.undecoded, self.static_interference = _static_interference(node, lag, column)
-        self.floor = max(
-            (
-                next(
-                    (
-                        k + 1
-                        for k, members in enumerate(schedule.encode_sets[l], start=1)
-                        if any(j != node and j not in lag for j in members)
-                    ),
-                    0,
-                )
-                for l in self.sources
-            ),
-            default=0,
-        )
+        self.sources = tuple(senders.tolist())
+        self.lag = dict(zip(self.sources, decode[node, senders].tolist()))
+        self.power = {j: column[j] for j in self.sources}
+        self.static_interference = _static_interference(node, self.lag, column)[1]
+        repeats = encode[np.ix_(senders, foreign)]
+        first = np.where(repeats > 0, repeats, np.inf).min(axis=1, initial=np.inf)
+        self.floor = int(first[first < np.inf].max(initial=-1)) + 1
 
 
 def _static_interference(
@@ -312,25 +325,16 @@ def _static_interference(
     return undecoded, reduce(operator.add, (column[j] for j in undecoded), 0)
 
 
-def _symmetries(powers: np.ndarray, schedule: Schedule) -> list[tuple[int, ...]]:
+def _symmetries(powers: np.ndarray, lags: np.ndarray) -> list[tuple[int, ...]]:
     """The relabelings of node ids that leave a run unchanged, as tuples
     ``sigma`` with ``sigma[j]`` the new id of node j, identity first.
 
     The candidates are the 2n dihedral maps ``j -> (+-j + k) mod n``,
-    rotations first.  One passes when it maps the power matrix onto itself
-    bitwise, ``powers[sigma[i], sigma[j]] == powers[i, j]``, and every
-    decode and encode set of node i onto that of node ``sigma[i]`` at the
-    same lag.  The maps that pass form a group.
+    rotations first.  One passes when it maps the power matrix and both lag
+    matrices of ``lags`` (``_lag_matrices``) onto themselves bitwise, each
+    by ``m[sigma[i], sigma[j]] == m[i, j]``.  The maps that pass form a group.
     """
     n = len(powers)
-
-    def trimmed(row: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
-        end = len(row)
-        while end and not row[end - 1]:
-            end -= 1
-        return row[:end]
-
-    rows = [(trimmed(d), trimmed(e)) for d, e in zip(schedule.decode_sets, schedule.encode_sets)]
     found: list[tuple[int, ...]] = []
     for sign in (1, -1):
         for k in range(n):
@@ -340,11 +344,7 @@ def _symmetries(powers: np.ndarray, schedule: Schedule) -> list[tuple[int, ...]]
                 sigma not in found
                 and (powers[perm[0], perm] == powers[0]).all()
                 and (powers[np.ix_(perm, perm)] == powers).all()
-                and all(
-                    tuple(tuple(frozenset([sigma[j] for j in s]) for s in part) for part in rows[i])
-                    == rows[sigma[i]]
-                    for i in range(n)
-                )
+                and (lags[:, perm[:, None], perm] == lags).all()
             ):
                 found.append(sigma)
     return found
@@ -628,14 +628,15 @@ def run_schedule(
     again: conditions 1 to 3 hold after ``b + 1``, with every decode window
     one block later.
 
-    The completion blocks need no such step: every counter is at least 1
-    after block ``b``, so each node that schedules every other node has its
-    completion block by then.
+    The completion blocks need no such step: a node that schedules every
+    other node completes once each of its counters is at least 1 (no other
+    node ever does), and every counter is at least 1 after block ``b``.
 
     Within a block only orbit representatives decode.  ``_symmetries`` gives
-    the relabelings ``sigma`` of node ids that map the power matrix onto
-    itself bitwise and the decode and encode sets of each node ``r`` onto
-    those of ``sigma[r]``.  Receiver ``i``'s representative ``r`` is the
+    the relabelings ``sigma`` of node ids that map the power matrix and the
+    decode and encode lag matrices onto themselves bitwise: node ``sigma[r]``
+    hears ``sigma[j]`` at ``r``'s power of ``j``, and decodes and repeats it
+    at ``r``'s lags.  Receiver ``i``'s representative ``r`` is the
     smallest node that one of them takes to ``i``, through the first such
     ``sigma``; a representative is its own, through the identity.  Receiver
     ``i`` takes ``r``'s record of the block with every message ``(j,
@@ -677,20 +678,19 @@ def run_schedule(
         )
     powers = build_power_matrix(topology)
     run = _Run(rate, topology.noise)
-    receivers = [_Receiver(i, schedule, powers) for i in range(n)]
+    lags = _lag_matrices(schedule)
+    receivers = [_Receiver(i, lags, powers) for i in range(n)]
     # Each receiver's orbit representative is the smallest node a symmetry
     # takes to it, through the first such symmetry; only representatives
     # decode, and the others relabel their representative's record.
-    symmetries = _symmetries(powers, schedule)
+    symmetries = _symmetries(powers, lags)
     orbits = []
     for i in range(n):
         rep, k = min((sigma.index(i), k) for k, sigma in enumerate(symmetries))
         orbits.append((rep, symmetries[k]))
-    encode_start = max(
-        (k + 1 for row in schedule.encode_sets for k, members in enumerate(row, 1) if members),
-        default=1,
-    )
+    encode_start = int(lags[1].max(initial=0)) + 1
     floors = [rx.floor for rx in receivers]
+    covers = [len(rx.sources) == n - 1 for rx in receivers]
 
     # Node i knows (j, beta) iff beta <= upto[i][j]; see _decode_closure.
     upto = [dict.fromkeys(rx.lag, 0) for rx in receivers]
@@ -715,9 +715,7 @@ def run_schedule(
                     upto[i][j] = beta
         decode_rows.append(tuple(records))
         for i in range(n):
-            if completion[i] is None and all(
-                upto[i].get(j, 0) >= 1 for j in range(n) if j != i
-            ):
+            if completion[i] is None and covers[i] and min(upto[i].values()) >= 1:
                 completion[i] = b
         after = [tuple(counters.values()) for counters in upto]
         if b >= encode_start and _is_steady(before, after, floors, run.last_skip):

@@ -65,6 +65,8 @@ from omnirelay.topology import (
     power_law,
     regular_line,
     ring,
+    topology_from_distances,
+    validate_schedule,
 )
 
 
@@ -264,19 +266,13 @@ def reference_run(topology, schedule, rate, blocks, orders=None):
     return tuple(tx_rows), tuple(decode_rows), tuple(snapshots)
 
 
-def orbit_orders(topology, schedule):
-    """Each node's member and sender order in a run: the id-sorted sources
-    of the smallest node that a symmetry maps to it, mapped through the
-    first such symmetry.
-
-    The symmetries are the maps ``j -> (+-j + k) mod n``, rotations first,
-    that keep every received power and every decode and encode set.  They
-    are read off the powers, not the distances: on the cos/sin rings of 3,
-    4, 5 and 8 nodes, chords that differ in their last bit give equal
-    powers, and the run shares those solves.
-    """
-    n = topology.n
-    p = build_power_matrix(topology).tolist()
+def reference_symmetries(powers, schedule):
+    """The maps ``sigma``, ``j -> (+-j + k) mod n`` with rotations first, as
+    tuples, that keep every received power and map every decode and encode
+    set of each node i, by its rows, onto the set of node ``sigma[i]`` at
+    the same lag.  Empty sets are ignored, trailing or not."""
+    n = len(powers)
+    p = powers.tolist()
 
     def nonempty(row):
         return {k: s for k, s in enumerate(row) if s}
@@ -287,7 +283,7 @@ def orbit_orders(topology, schedule):
     symmetries = []
     for sign in (1, -1):
         for k in range(n):
-            sigma = [(sign * j + k) % n for j in range(n)]
+            sigma = tuple((sign * j + k) % n for j in range(n))
             keeps_powers = all(
                 p[sigma[i]][sigma[j]] == p[i][j] for i in range(n) for j in range(n)
             )
@@ -300,6 +296,42 @@ def orbit_orders(topology, schedule):
             )
             if keeps_powers and keeps_schedule and sigma not in symmetries:
                 symmetries.append(sigma)
+    return symmetries
+
+
+def reference_floor(node, schedule):
+    """The latest foreign block over the senders ``node`` schedules, 0 if
+    none has one: a sender's foreign block is one past the first lag at
+    which its encode rows repeat a source the node never schedules."""
+    lag = schedule.decode_lag(node)
+    return max(
+        (
+            next(
+                (
+                    k + 1
+                    for k, members in enumerate(schedule.encode_sets[l], start=1)
+                    if any(j != node and j not in lag for j in members)
+                ),
+                0,
+            )
+            for l in sorted(lag)
+        ),
+        default=0,
+    )
+
+
+def orbit_orders(topology, schedule):
+    """Each node's member and sender order in a run: the id-sorted sources
+    of the smallest node that a symmetry maps to it, mapped through the
+    first such symmetry.
+
+    The symmetries are ``reference_symmetries``.  They are read off the
+    powers, not the distances: on the cos/sin rings of 3, 4, 5 and 8 nodes,
+    chords that differ in their last bit give equal powers, and the run
+    shares those solves.
+    """
+    n = topology.n
+    symmetries = reference_symmetries(build_power_matrix(topology), schedule)
     orders = []
     for node in range(n):
         rep, first = min((sigma.index(node), k) for k, sigma in enumerate(symmetries))
@@ -493,7 +525,7 @@ def decode_every_receiver(monkeypatch):
     """Leave a run only the identity symmetry, so every receiver decodes
     instead of relabeling its orbit representative's record."""
 
-    def identity_only(powers, schedule):
+    def identity_only(powers, lags):
         return [tuple(range(len(powers)))]
 
     monkeypatch.setattr(protocol_sim, "_symmetries", identity_only)
@@ -654,6 +686,95 @@ def test_knowledge_is_derived_on_first_read():
     trace = run_distance_regulated(topology, one_hop, rate, blocks)
     assert "knowledge" not in vars(trace)
     assert trace.knowledge == reference_run(topology, schedule, rate, blocks)[2]
+
+
+def ragged_schedule(schedule, late_decode=(), late_encode=()):
+    """``schedule``'s rows made ragged, keeping its symmetries: each decode
+    row gets an empty lag 2, so its deeper sets come one lag later, and each
+    encode row repeats all its node decodes at once, one lag past the
+    node's last decode set.  The nodes in ``late_decode`` get a second empty
+    lag 2 but repeat at the same lag, and those in ``late_encode`` repeat
+    one lag later.  Node i of n pads its decode row with ``i % 3`` trailing
+    empty sets and its encode row with ``(n - 1 - i) % 3``, so nodes that a
+    symmetry maps onto each other differ in their trailing empty sets."""
+    n = schedule.n
+    decode, encode = [], []
+    for i, row in enumerate(schedule.decode_sets):
+        wait = [()] * (len(row) + 1 + (i in late_encode))
+        row = list(row[:1]) + [()] * (1 + (i in late_decode)) + list(row[1:])
+        decode.append(row + [()] * (i % 3))
+        encode.append(wait + [set().union(*row)] + [()] * ((n - 1 - i) % 3))
+    return Schedule(decode, encode)
+
+
+def circulant_ring(n):
+    """A ring of n given by exactly circulant chord distances."""
+    chord = [2.0 * (n / (2.0 * math.pi)) * math.sin(math.pi * min(k, n - k) / n) for k in range(n)]
+    return topology_from_distances(
+        [[chord[(j - i) % n] for j in range(n)] for i in range(n)], GAIN, 10.0, 1.0
+    )
+
+
+def schedule_cases():
+    """Every distinct schedule of the grid with its topology's powers, keyed
+    by kind and n, and ragged hand-built rows on a regular line of 6 and a
+    circulant ring of 8, also with node 0's deeper decode sets or its
+    repeats one lag later than the others'."""
+    cases = {}
+    for kind, n, _ in CASES:
+        key = (kind.removeprefix("long-"), n)
+        if key not in cases:
+            topology, _, schedule, _, _ = build_case(kind, n, 1.0)
+            cases[key] = (build_power_matrix(topology), schedule)
+    for kind, topology, one_hop in (
+        ("line", regular_line(6, 1.0, GAIN, 10.0, 1.0), path_one_hop(6)),
+        ("ring", circulant_ring(8), ring_one_hop(8)),
+    ):
+        regulated = distance_regulated_schedule(k_hop_neighbors(one_hop))
+        for name, late in (
+            ("ragged", ((), ())),
+            ("late-decode", ((0,), ())),
+            ("late-encode", ((), (0,))),
+        ):
+            schedule = ragged_schedule(regulated, *late)
+            assert validate_schedule(schedule) == []
+            cases[(f"{name}-{kind}", topology.n)] = (build_power_matrix(topology), schedule)
+    return cases
+
+
+def test_symmetries_match_the_row_mapping_reference():
+    # The lag-matrix compare finds the maps the row mapping finds, in the
+    # same order, on every grid schedule and on rows with empty interior
+    # lags, trailing empty sets and encode rows longer than decode rows.
+    found = {}
+    for key, (powers, schedule) in schedule_cases().items():
+        found[key] = protocol_sim._symmetries(powers, protocol_sim._lag_matrices(schedule))
+        assert found[key] == reference_symmetries(powers, schedule), key
+    # Ragged rows keep the ring's and the line's groups; delaying node 0's
+    # decodes or its repeats leaves only the maps that fix node 0.
+    assert len(found["ragged-ring", 8]) == 16
+    assert found["ragged-line", 6] == [tuple(range(6)), tuple(range(6))[::-1]]
+    for late in ("late-decode", "late-encode"):
+        assert found[f"{late}-ring", 8] == [tuple(range(8)), tuple(-j % 8 for j in range(8))]
+        assert found[f"{late}-line", 6] == [tuple(range(6))]
+    assert len(found["ring", 4]) == 8 and len(found["mirrored-late", 6]) == 2
+
+
+def test_floors_match_the_encode_row_reference():
+    # Each receiver's decode lags and floor, read off the lag matrices, are
+    # those of its schedule's rows; the foreign, late-foreign and partial
+    # schedules give some receivers a floor above 0.
+    positive = set()
+    for (kind, n), (powers, schedule) in schedule_cases().items():
+        lags = protocol_sim._lag_matrices(schedule)
+        for node in range(n):
+            rx = protocol_sim._Receiver(node, lags, powers)
+            assert rx.lag == schedule.decode_lag(node)
+            assert rx.sources == tuple(sorted(rx.lag))
+            assert rx.floor == reference_floor(node, schedule), (kind, n, node)
+            if rx.floor:
+                positive.add(kind)
+    assert positive == {"foreign", "late-foreign", "partial"}
 
 
 def test_the_reference_grid_covers_failures_and_successes():

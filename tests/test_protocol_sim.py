@@ -618,7 +618,9 @@ def ring_adjacency(n):
 
 def symmetries_of(topology, one_hop):
     schedule = distance_regulated_schedule(k_hop_neighbors(one_hop))
-    return protocol_sim._symmetries(build_power_matrix(topology), schedule)
+    return protocol_sim._symmetries(
+        build_power_matrix(topology), protocol_sim._lag_matrices(schedule)
+    )
 
 
 def test_the_symmetry_finder():
