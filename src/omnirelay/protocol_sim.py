@@ -78,6 +78,8 @@ from .topology import (
 )
 
 Message = tuple[int, int]
+# Cells of one chunk of a payload replay's side-value indices.
+_REPLAY_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -780,6 +782,47 @@ def check_payload_sizes(sizes: Sequence[int], n: int) -> tuple[int, ...]:
     return sizes
 
 
+def _message_array(groups: Iterable[Iterable[Message]], count: int) -> np.ndarray:
+    """The ``count`` messages of ``groups``, in order, as a (count, 2) array
+    of (source, block) rows."""
+    flat = chain.from_iterable(chain.from_iterable(groups))
+    return np.fromiter(flat, np.int64, 2 * count).reshape(count, 2)
+
+
+def _bundle_rows(
+    txs: Sequence[Transmission], n: int, sizes: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, list[BinAssignment]]:
+    """Every bundle of ``txs`` as a row of message columns, the column of
+    message (j, beta) being (beta - 1) * n + j: its fresh message first,
+    then its repeats by alphabet size, padded to the longest bundle.  Also
+    returns each row's group, rows of one group having one tuple of
+    alphabet sizes, and each group's bin map."""
+    lengths = [len(tx.bundle) for tx in txs]
+    msgs = _message_array(map(operator.attrgetter("bundle"), txs), sum(lengths))
+    columns = (msgs[:, 1] - 1) * n + msgs[:, 0]
+    fresh = np.array([(tx.block - 1) * n + tx.sender for tx in txs])
+    row = np.repeat(np.arange(len(txs)), lengths)
+    place = np.arange(len(msgs)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # Sort keys: -1 - size rank for the fresh message, the size rank for a
+    # repeat, and len(distinct) for padding.
+    distinct = sorted(set(sizes))
+    rank = np.array([distinct.index(s) for s in sizes])[msgs[:, 0]]
+    keys = np.full((len(txs), max(lengths)), len(distinct))
+    keys[row, place] = np.where(columns == fresh[row], -1 - rank, rank)
+    slots = np.zeros(keys.shape, np.int64)
+    slots[row, place] = columns
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys, slots = np.take_along_axis(keys, order, 1), np.take_along_axis(slots, order, 1)
+
+    ids: dict[tuple[int, ...], int] = {}
+    group = np.array([ids.setdefault(key, len(ids)) for key in map(tuple, keys.tolist())])
+    assignments = []
+    for key in ids:
+        repeats = (distinct[k] for k in key[1:] if k < len(distinct))
+        assignments.append(build_binning([distinct[-1 - key[0]], *repeats]))
+    return slots, group, assignments
+
+
 def payload_demo(
     trace: SimulationTrace, sizes: Sequence[int], seed: int = 0
 ) -> tuple[PayloadReport, ...]:
@@ -802,81 +845,89 @@ def payload_demo(
     message as the one target slot, and a node decodes it when it knows
     that message and has a value for every other slot.
 
-    A node's values change only through the bundles it decodes, in block
-    order, so the replay is bundle-major: each bundle is offered to every
-    node as soon as it is prepared.  Decoding is a pure function of the
-    bundle and the side values, so a bundle is decoded once for each
-    distinct tuple of side values among the nodes that decode it.  The
-    reports, mismatches included, are those of a node-by-node replay.  One
-    thing can differ: when two nodes would raise on two different bundles,
-    the error raised is that of the earlier bundle, not that of the lower
-    node.  The modular-sum map never raises on correct side information.
+    The replay works on arrays.  Every bundle becomes one row of message
+    columns, its fresh message first (the target, slot 0) and then its
+    repeats by alphabet size; rows with one tuple of alphabet sizes share
+    one bin map and one batched ``bin_of`` call.  A node's values change
+    only through the bundles it decodes, and a bundle's side messages are
+    fresh messages of earlier blocks, so block order is the replay's only
+    dependency: each block and size tuple is one step that gathers the side
+    values of every node knowing the fresh message, keeps the nodes that
+    hold all of them and decodes those in one batched
+    ``decode_from_side_info`` call.  The reports, mismatches included, are
+    those of a node-by-node replay, and an error is raised from the earliest
+    block that fails; the modular-sum map never raises on correct side
+    information.  Values are int64 while every bundle's sum of values fits,
+    Python ints (dtype ``object``) otherwise, so the replay is exact for any
+    alphabet.
     """
     n = trace.topology.n
     sizes = check_payload_sizes(sizes, n)
     if trace.blocks == 0:
         return ()
+    # Message (j, beta) is column (beta - 1) * n + j of the value arrays.
+    width = n * trace.blocks
+    txs = list(chain.from_iterable(trace.transmissions))
+    slots, group, assignments = _bundle_rows(txs, n, sizes)
+    fresh = slots[:, 0]
+    dtype = np.result_type(*(a.dtype for a in assignments))
+    draw = random.Random(seed).randrange
+    truth = np.array([draw(s) for _ in range(trace.blocks) for s in sizes], dtype)
+    bins = np.empty(len(txs), dtype)
+    for g, assignment in enumerate(assignments):
+        members = np.flatnonzero(group == g)
+        bins[members] = assignment.bin_of(truth[slots[members, : len(assignment.sizes)]])
 
-    rng = random.Random(seed)
-    truth: dict[Message, int] = {}
-    for beta in range(1, trace.blocks + 1):
-        for j in range(n):
-            truth[(j, beta)] = rng.randrange(sizes[j])
+    done = [rec for rec in chain.from_iterable(trace.decodes) if rec.success]
+    counts = [len(rec.targets) for rec in done]
+    targets = _message_array(map(operator.attrgetter("targets"), done), sum(counts))
+    known = np.zeros((n, width), bool)
+    known[np.repeat(np.array([rec.node for rec in done], np.int64), counts),
+          (targets[:, 1] - 1) * n + targets[:, 0]] = True
 
-    final: list[set[Message]] = [set() for _ in range(n)]
-    for row in trace.decodes:
-        for rec in row:
-            if rec.success:
-                final[rec.node].update(rec.targets)
-    values: list[dict[Message, int]] = [
-        {(i, beta): truth[i, beta] for beta in range(1, trace.blocks + 1)} for i in range(n)
-    ]
+    # Candidates: (bundle, node) pairs whose node knows the fresh message,
+    # ordered by step (block, then size tuple), then bundle, then node.
+    step = fresh // n * len(assignments) + group
+    by_step = np.argsort(step, kind="stable")
+    knows = known[:, fresh[by_step]].T
+    knows[np.arange(len(txs)), fresh[by_step] % n] = False
+    at, node = np.nonzero(knows)
+    bundle = by_step[at]
+    target = node * width + fresh[bundle]
+    pair_bins = bins[bundle]
+    edges = np.flatnonzero(np.diff(step[bundle], prepend=-1, append=-1))
+
+    # A node holds its own values from the start; -1 marks a value not held.
+    values = np.full((n, width), -1, dtype)
+    own = np.arange(width)
+    values[own % n, own] = truth
+    flat = values.reshape(-1)
+    # Side-value indices are built for chunks of about _REPLAY_CELLS cells,
+    # or one step if larger, so a large run never holds every pair's at once.
+    chunk_rows = max(1, _REPLAY_CELLS // max(1, slots.shape[1] - 1))
+    base = stop = 0
+    for lo, hi in zip(edges.tolist(), edges[1:].tolist()):
+        if hi > stop:
+            base, stop = lo, max(hi, lo + chunk_rows)
+            index = node[base:stop, None] * width + slots[bundle[base:stop], 1:]
+        assignment = assignments[group[bundle[lo]]]
+        side = flat[index[lo - base : hi - base, : len(assignment.sizes) - 1]]
+        rows = slice(lo, hi)
+        if not (side >= 0).all():
+            full = (side >= 0).all(axis=1)
+            rows, side = np.flatnonzero(full) + lo, side[full]
+            if not len(rows):
+                continue
+        got = decode_from_side_info(assignment, pair_bins[rows], dict(enumerate(side.T, 1)), 0)
+        flat[target[rows]] = got
+
+    have = values >= 0
+    recovered = (have & known).sum(axis=1).tolist()
+    claimed = known.sum(axis=1).tolist()
     mismatches: list[list[Message]] = [[] for _ in range(n)]
-    # Bundles share few distinct alphabet-size lists, so each gets one bin map.
-    assignments: dict[tuple[int, ...], BinAssignment] = {}
-    for row in trace.transmissions:
-        for tx in row:
-            slots = sorted(tx.bundle)
-            slot_sizes = tuple(sizes[src] for src, _ in slots)
-            assignment = assignments.get(slot_sizes)
-            if assignment is None:
-                assignment = assignments[slot_sizes] = build_binning(slot_sizes)
-            bin_index = assignment.bin_of([truth[m] for m in slots])
-            fresh = (tx.sender, tx.block)
-            target = slots.index(fresh)
-            side_slots = tuple(idx for idx in range(len(slots)) if idx != target)
-            side_msgs = tuple(slots[idx] for idx in side_slots)
-            # Nodes that hold the same side values share one decode.
-            decoded: dict[tuple[int, ...], int] = {}
-            for i in range(n):
-                # The whole bundle is known to the node when its fresh message
-                # is and every repeat already has a value, since values hold
-                # only the node's own messages and fresh messages it knows.
-                if i == tx.sender or fresh not in final[i]:
-                    continue
-                try:
-                    side = tuple(map(values[i].__getitem__, side_msgs))
-                except KeyError:  # a repeat is still unknown: the bundle recovers nothing
-                    continue
-                value = decoded.get(side)
-                if value is None:
-                    value = decoded[side] = decode_from_side_info(
-                        assignment, bin_index, dict(zip(side_slots, side)), target
-                    )
-                values[i][fresh] = value
-                if value != truth[fresh]:
-                    mismatches[i].append(fresh)
-    reports = []
-    for i in range(n):
-        known_msgs = final[i]
-        recovered = len(known_msgs.intersection(values[i]))
-        reports.append(
-            PayloadReport(
-                node=i,
-                recovered=recovered,
-                known=len(known_msgs),
-                complete=recovered == len(known_msgs),
-                mismatches=tuple(sorted(mismatches[i])),
-            )
-        )
-    return tuple(reports)
+    for i, col in zip(*np.nonzero(have & (values != truth))):
+        mismatches[i].append((int(col % n), int(col // n + 1)))
+    return tuple(
+        PayloadReport(i, count, claimed[i], count == claimed[i], tuple(sorted(mismatches[i])))
+        for i, count in enumerate(recovered)
+    )

@@ -137,6 +137,103 @@ def test_side_info_checks():
         decode_from_side_info(build_binning((4, 4, 4)), 1, {0: 9, 1: 0}, 2)
 
 
+def bundle_batches():
+    """A hypothesis strategy of (sizes, rows, target): 1 to 6 slots with
+    alphabets of 1 to 9 values, and 1 to 8 bundles of valid values."""
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def batches(draw):
+        sizes = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=6)))
+        row = st.tuples(*(st.integers(0, s - 1) for s in sizes))
+        rows = draw(st.lists(row, min_size=1, max_size=8))
+        return sizes, rows, draw(st.integers(0, len(sizes) - 1))
+
+    return batches()
+
+
+def outcome(call):
+    """What ``call()`` returns, or the class of the binning error it raises."""
+    try:
+        return call()
+    except (PreconditionError, DecodeError) as error:
+        return type(error)
+
+
+def test_batches_match_single_bundles_row_by_row():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(bundle_batches())
+    def check(case):
+        sizes, rows, target = case
+        a = build_binning(sizes)
+        batch = np.array(rows)
+        singles = [a.bin_of(row) for row in rows]
+        assert all(type(b) is int for b in singles)
+        bins = a.bin_of(batch)
+        assert bins.tolist() == singles
+        side = [j for j in range(len(sizes)) if j != target]
+        expected = [
+            decode_from_side_info(a, b, {j: row[j] for j in side}, target)
+            for b, row in zip(singles, rows)
+        ]
+        assert all(type(v) is int for v in expected)
+        got = decode_from_side_info(a, bins, {j: batch[:, j] for j in side}, target)
+        assert got.tolist() == expected == batch[:, target].tolist()
+
+    check()
+
+
+def test_a_batch_with_one_bad_row_raises_as_that_row_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(bundle_batches(), st.data())
+    def check(case, data):
+        sizes, rows, target = case
+        a = build_binning(sizes)
+        # Row r gets values, and a bin index, from a little outside their ranges.
+        r = data.draw(st.integers(0, len(rows) - 1))
+        bad = tuple(data.draw(st.integers(-2, s + 1)) for s in sizes)
+        bad_bin = data.draw(st.integers(-2, a.bin_count + 1))
+        single = outcome(lambda: a.bin_of(bad))
+        batch = outcome(lambda: a.bin_of(np.array(rows[:r] + [bad] + rows[r + 1 :])))
+        assert batch is single if isinstance(single, type) else batch[r] == single
+
+        bins = [a.bin_of(row) for row in rows]
+        bins[r] = bad_bin
+        values = np.array(rows)
+        values[r] = bad
+        side = [j for j in range(len(sizes)) if j != target]
+        single = outcome(
+            lambda: decode_from_side_info(a, bad_bin, {j: bad[j] for j in side}, target)
+        )
+        batch = outcome(
+            lambda: decode_from_side_info(
+                a, np.array(bins), {j: values[:, j] for j in side}, target
+            )
+        )
+        assert batch is single if isinstance(single, type) else batch[r] == single
+        hypothesis.event(f"bad row raises {getattr(single, '__name__', 'nothing')}")
+
+    check()
+
+
+def test_sums_beyond_int64_are_exact():
+    a = build_binning([2**70, 2**70, 3])
+    # Two values below 2**62 sum below 2**63, three may not.
+    assert a.dtype is object and build_binning([2**62] * 3).dtype is object
+    assert build_binning([2**62] * 2).dtype is np.int64
+    rows = [(2**70 - 1, 2**70 - 2, 2), (5, 2**69, 0)]
+    bins = a.bin_of(np.array(rows, dtype=object))
+    assert bins.tolist() == [a.bin_of(row) for row in rows] == [sum(r) % 2**70 for r in rows]
+    got = decode_from_side_info(a, bins, {0: np.array([r[0] for r in rows], dtype=object),
+                                          2: np.array([2, 0])}, 1)
+    assert got.tolist() == [2**70 - 2, 2**69]
+
+
 def test_construction_checks():
     with pytest.raises(ValueError):
         build_binning([])

@@ -34,6 +34,7 @@ from omnirelay.topology import (
     ring,
     topology_from_distances,
 )
+from test_decode_reference import CASES, simulated
 
 
 def adjacency(n):
@@ -408,30 +409,40 @@ def test_integer_valued_payload_sizes_are_taken_as_ints():
     assert all(type(s) is int for s in sizes)
 
 
-def test_a_replay_decodes_each_bundle_once_for_all_nodes(monkeypatch):
+def ring6_trace(share, blocks):
     topology = ring(6, 1.0, power_law(2.0), 10.0, 1.0)
     one_hop = [frozenset({(i - 1) % 6, (i + 1) % 6}) for i in range(6)]
-    trace = run_distance_regulated(topology, one_hop, 0.999 * allcast_rate_bound(topology), 40)
+    return run_distance_regulated(topology, one_hop, share * allcast_rate_bound(topology), blocks)
+
+
+def test_a_replay_decodes_each_block_and_size_tuple_in_one_call(monkeypatch):
+    trace = ring6_trace(0.999, 40)
     assert trace.all_success()
+    sizes = (2, 3, 4, 5, 2, 3)
     calls = []
 
     def spy(assignment, bin_index, known, target):
-        calls.append((assignment, bin_index, target))
+        calls.append((assignment.sizes, len(bin_index)))
         return decode_from_side_info(assignment, bin_index, known, target)
 
     monkeypatch.setattr(protocol_sim, "decode_from_side_info", spy)
-    reports = payload_demo(trace, (4,) * 6, seed=2)
+    reports = payload_demo(trace, sizes, seed=2)
     assert all(r.complete and not r.mismatches for r in reports)
     known = [set() for _ in range(6)]
     for rec in (rec for row in trace.decodes for rec in row if rec.success):
         known[rec.node].update(rec.targets)
-    decoded = [
-        tx for row in trace.transmissions for tx in row
+    # A bundle's size tuple: its fresh message's alphabet, then its repeats'
+    # in increasing order.  Every node holds the true values, so each
+    # bundle whose fresh message some other node knows is recovered.
+    groups = {
+        (tx.block, (sizes[tx.sender], *sorted(sizes[src] for src, _ in tx.repeats)))
+        for row in trace.transmissions for tx in row
         if any((tx.sender, tx.block) in known[i] for i in range(6) if i != tx.sender)
-    ]
-    # Every node holds the true values, so the nodes that decode a bundle
-    # share one call; a node-by-node replay makes one call per recovery.
-    assert len(calls) == len(decoded) < sum(r.recovered for r in reports)
+    }
+    # One call per block and size tuple with a recovery, one row per recovery.
+    assert sorted(slot_sizes for slot_sizes, _ in calls) == sorted(t for _, t in groups)
+    assert sum(rows for _, rows in calls) == sum(r.recovered for r in reports)
+    assert len(calls) < sum(map(len, trace.transmissions))
 
 
 def reference_replay(trace, sizes, seed, decode=decode_from_side_info):
@@ -530,6 +541,58 @@ def test_payload_replay_matches_the_multi_pass_reference(kind, sizes):
     sizes = {"2": (2,) * n, "4": (4,) * n, "mixed": tuple(2 + j % 4 for j in range(n))}[sizes]
     for seed in (0, 3):
         assert payload_demo(trace, sizes, seed=seed) == reference_replay(trace, sizes, seed)
+
+
+@pytest.mark.parametrize("kind, n, share", CASES)
+def test_payload_replay_matches_the_reference_on_the_decode_grid(kind, n, share):
+    trace = simulated(kind, n, share)
+    sizes = tuple(2 + j % 4 for j in range(n))
+    for seed in (0, 5):
+        assert payload_demo(trace, sizes, seed=seed) == reference_replay(trace, sizes, seed)
+
+
+@lru_cache(maxsize=None)
+def long_ring():
+    return ring6_trace(0.999, 300)
+
+
+@pytest.mark.parametrize("lost", [None, (2, 250), (5, 290)])
+def test_payload_replay_matches_the_reference_on_a_long_ring(lost):
+    # Taking a late decode away leaves one node unable to recover the
+    # messages it lost, and every later bundle that repeats them.
+    trace = long_ring() if lost is None else without_decode(long_ring(), *lost)
+    assert trace.all_success() == (lost is None)
+    for sizes in ((4,) * 6, (2, 3, 4, 5, 2, 3)):
+        for seed in (0, 1, 7):
+            reports = payload_demo(trace, sizes, seed=seed)
+            assert reports == reference_replay(trace, sizes, seed)
+            assert all(r.complete for r in reports) == (lost is None)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_payload_replay_in_small_chunks_matches_the_reference(monkeypatch, cells):
+    # The side-value indices are built a chunk of steps at a time; with a
+    # few cells per chunk every chunk holds one step, or a step and part of
+    # the next.
+    monkeypatch.setattr(protocol_sim, "_REPLAY_CELLS", cells)
+    trace = without_decode(long_ring(), 2, 250)
+    sizes = (2, 3, 4, 5, 2, 3)
+    assert payload_demo(trace, sizes, seed=1) == reference_replay(trace, sizes, 1)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2**70,) * 4, (2**62,) * 4, (2**62, 3, 2**70, 5), (2**63 - 1, 2, 2, 2)]
+)
+def test_payload_replay_is_exact_beyond_int64(sizes):
+    # Values whose sums do not fit int64 are replayed as Python ints.
+    topology = ring(4, 1.0, power_law(2.0), 10.0, 1.0)
+    one_hop = [frozenset({(i - 1) % 4, (i + 1) % 4}) for i in range(4)]
+    for share in (0.999, 1.3):
+        trace = run_distance_regulated(topology, one_hop, share * allcast_rate_bound(topology), 6)
+        for seed in (0, 3):
+            reports = payload_demo(trace, sizes, seed=seed)
+            assert reports == reference_replay(trace, sizes, seed)
+            assert all(r.complete for r in reports) or not trace.all_success()
 
 
 def test_the_reference_runs_cover_bundles_that_recover_nothing():
