@@ -25,9 +25,9 @@ left to read), every later block is that block with each message index
 moved up by one, so its transmissions and decode records are emitted by
 shifting (``run_schedule`` states the rule and proves it).
 
-Within a block only one receiver per symmetry orbit decodes.  A run holds
-its schedule as two n x n lag matrices, decode and encode
-(``_lag_matrices``), and first finds the relabelings of node ids that map
+Within a block only one receiver per symmetry orbit decodes.  A run reads
+its schedule as its two n x n lag matrices, decode and encode
+(``Schedule.lags``), and first finds the relabelings of node ids that map
 its powers and both matrices onto themselves (``_symmetries``).  Every
 receiver other than the smallest of its orbit takes that representative's
 decode record of the block with the ids relabeled (``run_schedule`` proves
@@ -220,20 +220,21 @@ class SimulationTrace:
 
 
 def _build_transmission(
-    sender: int, block: int, upto: dict[int, int], schedule: Schedule
+    sender: int, block: int, upto: dict[int, int], repeats: Sequence[tuple[int, int]]
 ) -> Transmission:
+    """The sender's fresh message plus, per ``(lag, source)`` pair of its
+    encode row ``repeats`` (by lag), ``(source, block - lag)`` if its
+    counters ``upto`` hold it, listed as skipped otherwise."""
     bundle = {(sender, block)}
     skipped = []
-    for k, members in enumerate(schedule.encode_sets[sender], start=1):
-        src_block = block - k
-        if src_block < 1:
-            continue
-        for j in members:
-            msg = (j, src_block)
-            if src_block <= upto.get(j, 0):
-                bundle.add(msg)
-            else:
-                skipped.append(msg)
+    for k, j in repeats:
+        beta = block - k
+        if beta < 1:
+            break
+        if beta <= upto.get(j, 0):
+            bundle.add((j, beta))
+        else:
+            skipped.append((j, beta))
     return Transmission(sender, block, frozenset(bundle), tuple(sorted(skipped)))
 
 
@@ -259,27 +260,9 @@ class _Run:
                 self.last_skip = tx.block
 
 
-def _lag_matrices(schedule: Schedule) -> np.ndarray:
-    """A valid schedule's rows as one ``(2, n, n)`` int array: ``[0, i, j]``
-    and ``[1, i, j]`` are the lags at which node i decodes and repeats source
-    j, 0 if never.  ``validate_schedule`` admits a source to at most one
-    decode and one encode set of a row, so the array is exact."""
-    cells = [
-        (part, i, j, k)
-        for part, rows in enumerate((schedule.decode_sets, schedule.encode_sets))
-        for i, row in enumerate(rows)
-        for k, members in enumerate(row, start=1)
-        for j in members
-    ]
-    part, i, j, k = np.array(cells, dtype=np.int64).reshape(-1, 4).T
-    lags = np.zeros((2, schedule.n, schedule.n), dtype=np.int64)
-    lags[part, i, j] = k
-    return lags
-
-
 class _Receiver:
     """One node's view of the schedule, fixed for a run, read off the lag
-    matrices ``decode, encode = lags`` of ``_lag_matrices``.
+    matrices ``decode, encode = lags`` of ``Schedule.lags``.
 
     ``lag`` maps each scheduled source (nonzero in ``decode[node]``) to its
     decode lag; ``sources`` lists them in id order, with ``power`` their
@@ -300,30 +283,28 @@ class _Receiver:
     def __init__(self, node: int, lags: np.ndarray, powers: np.ndarray):
         decode, encode = lags
         senders = np.flatnonzero(decode[node])
-        foreign = np.flatnonzero(decode[node] == 0)
-        foreign = foreign[foreign != node]
         column = powers[:, node].tolist()
         self.node = node
         self.sources = tuple(senders.tolist())
         self.lag = dict(zip(self.sources, decode[node, senders].tolist()))
         self.power = {j: column[j] for j in self.sources}
-        self.static_interference = _static_interference(node, self.lag, column)[1]
+        foreign, self.static_interference = _static_interference(node, decode[node], column)
         repeats = encode[np.ix_(senders, foreign)]
         first = np.where(repeats > 0, repeats, np.inf).min(axis=1, initial=np.inf)
         self.floor = int(first[first < np.inf].max(initial=-1)) + 1
 
 
 def _static_interference(
-    node: int, lag: dict[int, int], column: list[float]
+    node: int, decode: np.ndarray, column: list[float]
 ) -> tuple[tuple[int, ...], float]:
-    """The nodes other than ``node`` outside its decode lags ``lag``, in id
-    order, and their total received power from ``column``.
+    """The nodes other than ``node`` at lag 0 in its decode row ``decode``,
+    in id order, and their total received power from ``column``.
 
     The powers add left to right from the int 0, as sum() did before Python
     3.12; from 3.12 on sum() compensates float rounding, so printed powers
     would depend on the Python version.
     """
-    undecoded = tuple(j for j in range(len(column)) if j != node and j not in lag)
+    undecoded = tuple(j for j in np.flatnonzero(decode == 0).tolist() if j != node)
     return undecoded, reduce(operator.add, (column[j] for j in undecoded), 0)
 
 
@@ -333,7 +314,7 @@ def _symmetries(powers: np.ndarray, lags: np.ndarray) -> list[tuple[int, ...]]:
 
     The candidates are the 2n dihedral maps ``j -> (+-j + k) mod n``,
     rotations first.  One passes when it maps the power matrix and both lag
-    matrices of ``lags`` (``_lag_matrices``) onto themselves bitwise, each
+    matrices of ``lags`` (``Schedule.lags``) onto themselves bitwise, each
     by ``m[sigma[i], sigma[j]] == m[i, j]``.  The maps that pass form a group.
     """
     n = len(powers)
@@ -680,7 +661,7 @@ def run_schedule(
         )
     powers = build_power_matrix(topology)
     run = _Run(rate, topology.noise)
-    lags = _lag_matrices(schedule)
+    lags = schedule.lags
     receivers = [_Receiver(i, lags, powers) for i in range(n)]
     # Each receiver's orbit representative is the smallest node a symmetry
     # takes to it, through the first such symmetry; only representatives
@@ -691,6 +672,8 @@ def run_schedule(
         rep, k = min((sigma.index(i), k) for k, sigma in enumerate(symmetries))
         orbits.append((rep, symmetries[k]))
     encode_start = int(lags[1].max(initial=0)) + 1
+    # Each sender's (lag, source) pairs, its encode row's nonzero cells, by lag.
+    repeats = [sorted((k, j) for j, k in enumerate(row) if k) for row in lags[1].tolist()]
     floors = [rx.floor for rx in receivers]
     covers = [len(rx.sources) == n - 1 for rx in receivers]
 
@@ -701,7 +684,7 @@ def run_schedule(
     before = [tuple(counters.values()) for counters in upto]
 
     for b in range(1, blocks + 1):
-        row = tuple(_build_transmission(l, b, upto[l], schedule) for l in range(n))
+        row = tuple(_build_transmission(l, b, upto[l], repeats[l]) for l in range(n))
         run.add_row(row)
         records = []
         for i, (rep, sigma) in enumerate(orbits):
@@ -746,26 +729,26 @@ def run_distance_regulated(
     blocks: int,
 ) -> SimulationTrace:
     """Simulate the schedule that decodes and relays the k-hop layers at lag k."""
-    layers = k_hop_neighbors(one_hop)
-    if len(layers) != topology.n:
+    hops = k_hop_neighbors(one_hop)
+    if len(hops) != topology.n:
         raise PreconditionError("one-hop sets and topology disagree on the node count")
     warnings = []
-    for i, covered in enumerate(coverage_check(layers)):
+    for i, covered in enumerate(coverage_check(hops)):
         if not covered:
-            missing = sorted(set(range(topology.n)) - {i}.union(*layers[i]))
+            missing = [j for j in np.flatnonzero(hops[i] == 0).tolist() if j != i]
             warnings.append(f"node {i} never reaches nodes {missing}")
-    schedule = distance_regulated_schedule(layers)
+    schedule = distance_regulated_schedule(hops)
     return run_schedule(topology, schedule, rate, blocks, warnings=warnings)
 
 
 def interference_accounting(trace: SimulationTrace) -> tuple[InterferenceReport, ...]:
     """Per node: which sources stay forever undecoded and how much power they add."""
     powers = build_power_matrix(trace.topology)
-    reports = []
-    for i in range(trace.topology.n):
-        lag = trace.schedule.decode_lag(i)
-        reports.append(InterferenceReport(i, *_static_interference(i, lag, powers[:, i].tolist())))
-    return tuple(reports)
+    decode = trace.schedule.lags[0]
+    return tuple(
+        InterferenceReport(i, *_static_interference(i, decode[i], powers[:, i].tolist()))
+        for i in range(trace.topology.n)
+    )
 
 
 def check_payload_sizes(sizes: Sequence[int], n: int) -> tuple[int, ...]:

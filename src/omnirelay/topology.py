@@ -3,9 +3,9 @@
 Nodes are indexed 0..n-1.  A topology couples pairwise distances with a
 non-increasing amplitude gain g(d), a common transmit power P and a common
 noise level N; the only channel quantity used downstream is the received
-power g(d_ij)^2 * P.  On top of that sit the k-hop neighbor recursion, the
-decode/encode schedule structures, and the distance-ordering test used by
-the line-network analysis.
+power g(d_ij)^2 * P.  On top of that sit the hop-distance matrix of one-hop
+sets, the schedule as one array of decode and repeat lags, and the
+distance-ordering test used by the line-network analysis.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, permutations, zip_longest
+from itertools import chain, permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -368,50 +368,35 @@ def _received_powers(topology: Topology) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-Layers = tuple[tuple[frozenset[int], ...], ...]
-
-
-def k_hop_neighbors(one_hop: Sequence[Iterable[int]]) -> Layers:
-    """Unroll one-hop sets into one row of layers per node.
-
-    Layer k of node i (entry k-1 of row i) collects every j that is a
-    one-hop neighbor of some layer-(k-1) member and has not appeared in an
-    earlier layer (nor is i itself).  Layers stop as soon as one comes up
-    empty, so a row is never padded and an isolated node's row is empty.
-    """
+def k_hop_neighbors(one_hop: Sequence[Iterable[int]]) -> np.ndarray:
+    """Hop distances along one-hop sets, as an n x n int64 array: ``[i, j]``
+    is the number of hops in which node i first reaches node j (its k-hop
+    layer is the j at k), 0 on the diagonal and where j is never reached.
+    Each step moves every node's frontier one hop by a boolean matrix product."""
     sets = [frozenset(s) for s in one_hop]
     n = len(sets)
+    adjacent = np.zeros((n, n), dtype=bool)
     for i, s in enumerate(sets):
         for j in s:
             if not (0 <= j < n):
                 raise ValueError(f"one-hop neighbor {j} of node {i} out of range")
+            adjacent[i, j] = True
         if i in s:
             raise ValueError(f"node {i} lists itself as a one-hop neighbor")
-    all_layers = []
-    for i in range(n):
-        layers: list[frozenset[int]] = []
-        seen = {i} | set(sets[i])
-        frontier = sets[i]
-        if frontier:
-            layers.append(frontier)
-        while frontier:
-            nxt: set[int] = set()
-            for l in frontier:
-                nxt |= sets[l]
-            nxt -= seen
-            if not nxt:
-                break
-            frontier = frozenset(nxt)
-            layers.append(frontier)
-            seen |= nxt
-        all_layers.append(tuple(layers))
-    return tuple(all_layers)
+    hops = adjacent.astype(np.int64)
+    reached = adjacent | np.eye(n, dtype=bool)
+    frontier, k = adjacent, 1
+    while frontier.any():
+        k += 1
+        frontier = (frontier @ adjacent) & ~reached
+        hops[frontier] = k
+        reached |= frontier
+    return hops
 
 
-def coverage_check(layers: Layers) -> tuple[bool, ...]:
-    """Per node: does the union of its row reach every other node?"""
-    everyone = frozenset(range(len(layers)))
-    return tuple(frozenset().union(*row) == everyone - {i} for i, row in enumerate(layers))
+def coverage_check(hops: np.ndarray) -> tuple[bool, ...]:
+    """Per node: does its row of the hop matrix ``hops`` reach every other node?"""
+    return tuple(((hops > 0) | np.eye(len(hops), dtype=bool)).all(axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -419,44 +404,92 @@ def coverage_check(layers: Layers) -> tuple[bool, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """Per-node decode-set and encode-set rows, both indexed by hop lag.
+    """Per node, the lag at which it decodes and at which it repeats each source.
 
-    ``decode_sets[i][k-1]`` is the set of sources whose lag-k message node i
-    decodes each block; ``encode_sets[i][k-1]`` is the set whose lag-k message
-    node i re-transmits.  Rows may be ragged; missing entries mean empty.
-    Any nested iterables are kept as tuples of frozensets.
+    ``lags`` is kept as a read-only ``(2, n, n)`` int64 array, copied once
+    from any integer array or nested sequence: ``lags[0, i, j]`` is the lag
+    at which node i decodes source j, ``lags[1, i, j]`` the lag at which it
+    repeats j, and 0 means never.  Schedules compare and hash by identity.
     """
 
-    decode_sets: Layers
-    encode_sets: Layers
+    lags: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("decode_sets", "encode_sets"):
-            rows = tuple(tuple(frozenset(s) for s in row) for row in getattr(self, name))
-            object.__setattr__(self, name, rows)
-        if len(self.decode_sets) != len(self.encode_sets):
+        lags = np.array(self.lags)
+        if lags.ndim != 3 or lags.shape[0] != 2 or lags.shape[1] != lags.shape[2]:
+            raise ValueError("schedule lags must have shape (2, n, n)")
+        if not np.issubdtype(lags.dtype, np.integer):
+            raise ValueError("schedule lags must be integers")
+        lags = lags.astype(np.int64, copy=False)
+        if (lags < 0).any():
+            raise ValueError("schedule lags must be nonnegative")
+        lags.flags.writeable = False
+        object.__setattr__(self, "lags", lags)
+
+    @classmethod
+    def from_rows(cls, decode_sets: Iterable, encode_sets: Iterable) -> Schedule:
+        """The schedule whose node i decodes (repeats) the sources of entry
+        k-1 of ``decode_sets[i]`` (``encode_sets[i]``) at lag k; missing
+        entries of ragged rows are empty.  Raises ValueError, naming the
+        node and lag, on what a lag array cannot hold: a member out of
+        range, or a source in two decode or two encode sets of one row.
+        """
+        decode_sets, encode_sets = tuple(decode_sets), tuple(encode_sets)
+        if len(decode_sets) != len(encode_sets):
             raise ValueError("decode and encode rows must cover the same nodes")
+        n = len(decode_sets)
+        lags = np.zeros((2, n, n), dtype=np.int64)
+        for i in range(n):
+            for part, row in enumerate((decode_sets[i], encode_sets[i])):
+                for k, members in enumerate(row, start=1):
+                    for j in sorted(set(members)):
+                        if not (0 <= j < n):
+                            raise ValueError(f"node {i} lag {k}: member {j} out of range")
+                        if lags[part, i, j]:
+                            fault = (
+                                f"encode set members [{j}] not available at lag {k}"
+                                if part
+                                else f"decode set repeats [{j}] from earlier lags"
+                            )
+                            raise ValueError(f"node {i} lag {k}: {fault}")
+                        lags[part, i, j] = k
+        return cls(lags)
 
     @property
     def n(self) -> int:
-        return len(self.decode_sets)
+        return self.lags.shape[1]
+
+    @cached_property
+    def decode_sets(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """Per node, the sources it decodes at lag 1, 2, ... up to its last."""
+        return _lag_rows(self.lags[0])
+
+    @cached_property
+    def encode_sets(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """Per node, the sources it repeats at lag 1, 2, ... up to its last."""
+        return _lag_rows(self.lags[1])
 
     def decode_lag(self, node: int) -> dict[int, int]:
-        """Map each scheduled source to its (unique) decode lag for ``node``."""
-        lag: dict[int, int] = {}
-        for k, members in enumerate(self.decode_sets[node], start=1):
-            for j in members:
-                if j in lag:
-                    raise ValueError(f"source {j} appears in two decode sets of node {node}")
-                lag[j] = k
-        return lag
+        """Map each source ``node`` decodes to its decode lag, in id order."""
+        row = self.lags[0, node]
+        sources = np.flatnonzero(row)
+        return dict(zip(sources.tolist(), row[sources].tolist()))
 
 
-def distance_regulated_schedule(layers: Layers) -> Schedule:
-    """Schedule that decodes and re-transmits layer k at lag k for every node."""
-    return Schedule(layers, layers)
+def _lag_rows(lags: np.ndarray) -> tuple[tuple[frozenset[int], ...], ...]:
+    """Each row of the n x n lag matrix ``lags`` as the sets of its nodes at
+    lag 1, 2, ... up to the row's largest lag."""
+    return tuple(
+        tuple(frozenset(np.flatnonzero(row == k).tolist()) for k in range(1, top + 1))
+        for row, top in zip(lags, lags.max(axis=1, initial=0).tolist())
+    )
+
+
+def distance_regulated_schedule(hops: np.ndarray) -> Schedule:
+    """Schedule that decodes and repeats each node's hop-k nodes at lag k."""
+    return Schedule(np.stack((hops, hops)))
 
 
 @dataclass(frozen=True)
@@ -467,50 +500,32 @@ class ScheduleViolation:
 
 
 def validate_schedule(schedule: Schedule) -> list[ScheduleViolation]:
-    """Check the schedule containment rules; return one entry per violation.
+    """Check the schedule rules; return one entry per violation, by node, then lag.
 
-    Rules per node i: encode lag-1 within decode lag-1; decode lag-1 excludes
-    i; each deeper decode set is disjoint from i and all shallower decode
-    sets; each encode set draws only from decode sets up to the same lag and
-    never repeats an earlier encode member.
+    Rules per node i: it never decodes itself (at lag 2 or later, reported
+    also as a repeat of i), and it repeats a source at lag e only if it
+    decodes it at a lag d with 0 < d <= e, reported once per lag (listing
+    the sources from lag 2 on).  A node's own decode comes first at its lag.
     """
-    total = schedule.n
+    decode, encode = schedule.lags
+    late = (encode > 0) & ((decode == 0) | (decode > encode))
     out: list[ScheduleViolation] = []
-    for i in range(total):
-        rows = zip_longest(schedule.decode_sets[i], schedule.encode_sets[i], fillvalue=frozenset())
-        dec_union: set[int] = set()
-        enc_union: set[int] = set()
-        for k, (d, e) in enumerate(rows, start=1):
-            for j in d | e:
-                if not (0 <= j < total):
-                    out.append(ScheduleViolation(i, k, f"member {j} out of range"))
-            if i in d:
-                out.append(ScheduleViolation(i, k, "decode set contains the node itself"))
-            if k == 1:
-                if not e <= d:
-                    out.append(
-                        ScheduleViolation(i, 1, "lag-1 encode set not within lag-1 decode set")
-                    )
+    for i in np.flatnonzero((np.diagonal(decode) > 0) | late.any(axis=1)).tolist():
+        found = []
+        own = int(decode[i, i])
+        if own:
+            found.append((own, "decode set contains the node itself"))
+        if own >= 2:
+            found.append((own, f"decode set repeats [{i}] from earlier lags"))
+        bad = np.flatnonzero(late[i])
+        for e in sorted(set(encode[i, bad].tolist())):
+            if e == 1:
+                found.append((1, "lag-1 encode set not within lag-1 decode set"))
             else:
-                overlap = d & (dec_union | {i})
-                if overlap:
-                    out.append(
-                        ScheduleViolation(
-                            i, k, f"decode set repeats {sorted(overlap)} from earlier lags"
-                        )
-                    )
-            dec_union |= d
-            if k >= 2:
-                allowed = dec_union - enc_union
-                if not e <= allowed:
-                    out.append(
-                        ScheduleViolation(
-                            i,
-                            k,
-                            f"encode set members {sorted(e - allowed)} not available at lag {k}",
-                        )
-                    )
-            enc_union |= e
+                members = bad[encode[i, bad] == e].tolist()
+                found.append((e, f"encode set members {members} not available at lag {e}"))
+        found.sort(key=lambda entry: entry[0])
+        out += [ScheduleViolation(i, k, message) for k, message in found]
     return out
 
 

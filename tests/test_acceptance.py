@@ -154,7 +154,7 @@ def test_criterion_5_end_to_end_achievability():
     """Protocol runs below the ceiling: every decode lands, nothing interferes."""
     for n in range(2, 9):
         one_hop = adjacency(n)
-        horizons = k_hop_neighbors(one_hop)
+        hops = k_hop_neighbors(one_hop)
         for gain in GAINS:
             for p in POWERS:
                 t = regular_line(n, 1.0, gain, p, 1.0)
@@ -163,7 +163,7 @@ def test_criterion_5_end_to_end_achievability():
                 assert trace.all_success(), (n, gain.label(), p, trace.first_failure())
                 for i, done in enumerate(trace.completion_block):
                     assert done is not None
-                    assert done <= len(horizons[i]) + 1
+                    assert done <= hops[i].max() + 1
                 for report in interference_accounting(trace):
                     assert report.undecoded == ()
                     assert report.power == 0.0

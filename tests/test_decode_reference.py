@@ -368,7 +368,7 @@ def late_schedule(n):
     regulated = distance_regulated_schedule(k_hop_neighbors(path_one_hop(n)))
     rows = [list(row) for row in regulated.decode_sets]
     rows[2] = LATE_ROWS[n]
-    return Schedule(rows, rows)
+    return Schedule.from_rows(rows, rows)
 
 
 LATE_ROWS = {5: [{1, 3}, {0}, {4}], 6: [{1, 3}, (), {0, 4}, (), {5}]}
@@ -382,7 +382,7 @@ def mirrored_late_schedule(n):
     """
     rows = [list(row) for row in late_schedule(n).decode_sets]
     rows[3] = [{n - 1 - j for j in s} for s in rows[2]]
-    return Schedule(rows, rows)
+    return Schedule.from_rows(rows, rows)
 
 
 def foreign_schedule():
@@ -391,7 +391,7 @@ def foreign_schedule():
     carry foreign content at node 2.  Nodes 0 and 4 decode node 2 directly
     at lag 2, as nobody relays it.
     """
-    return Schedule(
+    return Schedule.from_rows(
         [[{1}, {2}], [{0, 2}], [{1, 3}, (), {4}], [{2, 4}], [{3}, {2}]],
         [[{1}], [{0}], [{1}], [{4}], [{3}]],
     )
@@ -404,7 +404,7 @@ def late_foreign_schedule():
     the first block whose transmissions repeat everything they schedule,
     still starts at block 2, before that content arrives.
     """
-    return Schedule(
+    return Schedule.from_rows(
         [[(), (), (), {1}], [(), {2}, {0}], [{1}]],
         [[(), (), (), {1}], [(), (), {2}], [{1}]],
     )
@@ -418,7 +418,7 @@ def partial_schedule():
     built on its success in block 1 alone, skips ``(2, 2)`` but repeats
     ``(0, 1)``, which node 2 decodes at lag 3.
     """
-    return Schedule(
+    return Schedule.from_rows(
         [[{1}, {2}], [{0, 2}], [{1, 3}, (), {0}], [{2}]],
         [[()], [{2}, {0}], [{3}], [()]],
     )
@@ -704,7 +704,7 @@ def ragged_schedule(schedule, late_decode=(), late_encode=()):
         row = list(row[:1]) + [()] * (1 + (i in late_decode)) + list(row[1:])
         decode.append(row + [()] * (i % 3))
         encode.append(wait + [set().union(*row)] + [()] * ((n - 1 - i) % 3))
-    return Schedule(decode, encode)
+    return Schedule.from_rows(decode, encode)
 
 
 def circulant_ring(n):
@@ -748,7 +748,7 @@ def test_symmetries_match_the_row_mapping_reference():
     # lags, trailing empty sets and encode rows longer than decode rows.
     found = {}
     for key, (powers, schedule) in schedule_cases().items():
-        found[key] = protocol_sim._symmetries(powers, protocol_sim._lag_matrices(schedule))
+        found[key] = protocol_sim._symmetries(powers, schedule.lags)
         assert found[key] == reference_symmetries(powers, schedule), key
     # Ragged rows keep the ring's and the line's groups; delaying node 0's
     # decodes or its repeats leaves only the maps that fix node 0.
@@ -766,9 +766,8 @@ def test_floors_match_the_encode_row_reference():
     # schedules give some receivers a floor above 0.
     positive = set()
     for (kind, n), (powers, schedule) in schedule_cases().items():
-        lags = protocol_sim._lag_matrices(schedule)
         for node in range(n):
-            rx = protocol_sim._Receiver(node, lags, powers)
+            rx = protocol_sim._Receiver(node, schedule.lags, powers)
             assert rx.lag == schedule.decode_lag(node)
             assert rx.sources == tuple(sorted(rx.lag))
             assert rx.floor == reference_floor(node, schedule), (kind, n, node)

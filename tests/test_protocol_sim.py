@@ -337,7 +337,7 @@ def test_full_schedules_leave_no_interference():
 def test_truncated_decode_sets_show_up_as_interference():
     t = line(4)
     rows = [[{1}], [{0, 2}], [{1, 3}], [{2}]]
-    schedule = Schedule(rows, rows)
+    schedule = Schedule.from_rows(rows, rows)
     trace = run_schedule(t, schedule, 0.05, 4)
     reports = interference_accounting(trace)
     assert reports[0].undecoded == (2, 3)
@@ -350,7 +350,12 @@ def test_unreached_nodes_produce_warnings():
     t = line(4)
     split = [frozenset({1}), frozenset({0}), frozenset({3}), frozenset({2})]
     trace = run_distance_regulated(t, split, 0.1, 3)
-    assert any("never reaches" in w for w in trace.warnings)
+    assert trace.warnings == (
+        "node 0 never reaches nodes [2, 3]",
+        "node 1 never reaches nodes [2, 3]",
+        "node 2 never reaches nodes [0, 1]",
+        "node 3 never reaches nodes [0, 1]",
+    )
     assert trace.completion_block == (None,) * 4
 
 
@@ -490,7 +495,7 @@ def partial_schedule():
     """The decode-reference grid's hand-built 4-node schedule: node 2
     relays node 3, which node 1 never schedules, so node 1's decodes fail
     from block 2 on and its bundle of block 3 skips ``(2, 2)``."""
-    return Schedule(
+    return Schedule.from_rows(
         [[{1}, {2}], [{0, 2}], [{1, 3}, (), {0}], [{2}]],
         [[()], [{2}, {0}], [{3}], [()]],
     )
@@ -628,7 +633,7 @@ def test_wrong_decoded_values_are_reported_as_mismatches(monkeypatch):
 def test_run_schedule_rejects_bad_inputs():
     t = line(3)
     rows = [[{1}], [{0, 2}], [{1}]]
-    schedule = Schedule(rows, rows)
+    schedule = Schedule.from_rows(rows, rows)
     with pytest.raises(ValueError):
         run_schedule(t, schedule, -0.1, 3)
     with pytest.raises(ValueError):
@@ -639,7 +644,7 @@ def test_run_schedule_rejects_bad_inputs():
 
 def test_run_schedule_rejects_rule_violations():
     t = line(2)
-    bad = Schedule([[{0, 1}], [{0}]], [[set()], [set()]])
+    bad = Schedule.from_rows([[{0, 1}], [{0}]], [[set()], [set()]])
     with pytest.raises(PreconditionError, match="rule"):
         run_schedule(t, bad, 0.1, 2)
 
@@ -681,9 +686,7 @@ def ring_adjacency(n):
 
 def symmetries_of(topology, one_hop):
     schedule = distance_regulated_schedule(k_hop_neighbors(one_hop))
-    return protocol_sim._symmetries(
-        build_power_matrix(topology), protocol_sim._lag_matrices(schedule)
-    )
+    return protocol_sim._symmetries(build_power_matrix(topology), schedule.lags)
 
 
 def test_the_symmetry_finder():

@@ -9,9 +9,10 @@ import omnirelay
 # Names the package no longer exports: the one-round region facade and its
 # exhaustive solver (a one-round instance is a MultiBlockInstance with every
 # member in round 0), and the received-power wrapper and distance tuples (the
-# topology keeps each as one read-only array), and the wrappers around
-# schedule rows (k-hop layers are plain rows, and Schedule converts any
-# nested iterables itself).
+# topology keeps each as one read-only array), the wrappers around schedule
+# rows, and the row type of k-hop layers and the run's rows-to-lags
+# conversion (a Schedule keeps one read-only lag array, k_hop_neighbors
+# returns a hop-distance matrix, and Schedule.from_rows converts rows).
 REMOVED = (
     "MacInstance",
     "mac_feasible",
@@ -25,6 +26,8 @@ REMOVED = (
     "NeighborSets",
     "schedule_from_sets",
     "CheckWitness",
+    "Layers",
+    "_lag_matrices",
 )
 
 
@@ -36,7 +39,14 @@ def test_all_is_sorted_unique_and_resolves():
 
 
 @pytest.mark.parametrize(
-    "module", ["omnirelay", "omnirelay.mac_region", "omnirelay.rate_analysis", "omnirelay.topology"]
+    "module",
+    [
+        "omnirelay",
+        "omnirelay.mac_region",
+        "omnirelay.protocol_sim",
+        "omnirelay.rate_analysis",
+        "omnirelay.topology",
+    ],
 )
 def test_removed_names_stay_removed(module):
     mod = importlib.import_module(module)

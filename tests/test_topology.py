@@ -17,6 +17,7 @@ from omnirelay.topology import (
     _is_distance_ordered,
     GainFunction,
     Schedule,
+    ScheduleViolation,
     Topology,
     arc,
     build_power_matrix,
@@ -408,13 +409,49 @@ def adjacency(n):
     return [frozenset(x for x in (i - 1, i + 1) if 0 <= x < n) for i in range(n)]
 
 
+def reference_layers(one_hop):
+    """The frozenset BFS that ``k_hop_neighbors`` replaced: per node, its
+    k-hop layers as one tuple of frozensets, stopping at the first empty
+    layer."""
+    sets = [frozenset(s) for s in one_hop]
+    all_layers = []
+    for i in range(len(sets)):
+        layers = []
+        seen = {i} | set(sets[i])
+        frontier = sets[i]
+        if frontier:
+            layers.append(frontier)
+        while frontier:
+            nxt = set()
+            for l in frontier:
+                nxt |= sets[l]
+            nxt -= seen
+            if not nxt:
+                break
+            frontier = frozenset(nxt)
+            layers.append(frontier)
+            seen |= nxt
+        all_layers.append(tuple(layers))
+    return tuple(all_layers)
+
+
+def layers_of(hops):
+    """Each row of a hop matrix as the sets of nodes at 1, 2, ... hops, up
+    to the row's largest."""
+    return tuple(
+        tuple(frozenset(j for j, h in enumerate(row) if h == k) for k in range(1, max(row, default=0) + 1))
+        for row in hops.tolist()
+    )
+
+
 def test_line_layers():
-    nb = k_hop_neighbors(adjacency(5))
-    assert len(nb) == 5
+    hops = k_hop_neighbors(adjacency(5))
+    assert hops.dtype == np.int64 and hops.shape == (5, 5)
+    assert hops.tolist()[0] == [0, 1, 2, 3, 4]
+    assert hops.tolist()[2] == [2, 1, 0, 1, 2]
+    nb = layers_of(hops)
     assert nb[0] == (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4}))
     assert nb[2] == (frozenset({1, 3}), frozenset({0, 4}))
-    assert len(nb[0]) == 4
-    assert len(nb[2]) == 2
     assert frozenset().union(*nb[2]) == frozenset({0, 1, 3, 4})
 
 
@@ -425,7 +462,8 @@ def test_layers_partition_the_reachable_set():
     one_hop[5] |= {0}
     one_hop[1] |= {4}
     one_hop[4] |= {1}
-    nb = k_hop_neighbors(one_hop)
+    hops = k_hop_neighbors(one_hop)
+    nb = layers_of(hops)
     for i in range(6):
         seen = set()
         for layer in nb[i]:
@@ -433,20 +471,49 @@ def test_layers_partition_the_reachable_set():
             assert not (layer & seen)
             assert i not in layer
             seen |= layer
-    assert all(coverage_check(nb))
+    assert all(coverage_check(hops))
 
 
 def test_coverage_reports_unreachable_nodes():
-    nb = k_hop_neighbors([{1}, {0}, set()])
-    assert coverage_check(nb) == (False, False, False)
-    assert len(nb[2]) == 0
+    hops = k_hop_neighbors([{1}, {0}, set()])
+    assert coverage_check(hops) == (False, False, False)
+    assert hops.tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    # One-way links towards larger ids: node 0 reaches every node, node 4 none.
+    hops = k_hop_neighbors([{1}, {2}, {3}, {4}, set()])
+    assert hops.tolist()[0] == [0, 1, 2, 3, 4]
+    assert hops.tolist()[4] == [0] * 5
+    assert coverage_check(hops) == (True, False, False, False, False)
 
 
 def test_one_hop_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^node 0 lists itself as a one-hop neighbor$"):
         k_hop_neighbors([{0}, {0}])  # self loop
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^one-hop neighbor 5 of node 0 out of range$"):
         k_hop_neighbors([{5}, {0}])  # out of range
+
+
+def test_hop_matrix_matches_the_layer_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def directed_one_hop(draw):
+        n = draw(st.integers(1, 9))
+        links = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        return [{j for j in range(n) if j != i and links[i * n + j]} for i in range(n)]
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(directed_one_hop())
+    def check(one_hop):
+        hops = k_hop_neighbors(one_hop)
+        reference = reference_layers(one_hop)
+        assert layers_of(hops) == reference
+        everyone = frozenset(range(len(one_hop)))
+        assert coverage_check(hops) == tuple(
+            frozenset().union(*row) == everyone - {i} for i, row in enumerate(reference)
+        )
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -454,73 +521,210 @@ def test_one_hop_validation():
 # ---------------------------------------------------------------------------
 
 
+def reference_validate(decode_sets, encode_sets):
+    """The row walk that ``validate_schedule`` replaced, on decode and encode
+    rows of per-lag sets."""
+    total = len(decode_sets)
+    out = []
+    for i in range(total):
+        depth = max(len(decode_sets[i]), len(encode_sets[i]))
+        rows = [
+            (
+                frozenset(decode_sets[i][k]) if k < len(decode_sets[i]) else frozenset(),
+                frozenset(encode_sets[i][k]) if k < len(encode_sets[i]) else frozenset(),
+            )
+            for k in range(depth)
+        ]
+        dec_union = set()
+        enc_union = set()
+        for k, (d, e) in enumerate(rows, start=1):
+            for j in d | e:
+                if not (0 <= j < total):
+                    out.append(ScheduleViolation(i, k, f"member {j} out of range"))
+            if i in d:
+                out.append(ScheduleViolation(i, k, "decode set contains the node itself"))
+            if k == 1:
+                if not e <= d:
+                    out.append(
+                        ScheduleViolation(i, 1, "lag-1 encode set not within lag-1 decode set")
+                    )
+            else:
+                overlap = d & (dec_union | {i})
+                if overlap:
+                    out.append(
+                        ScheduleViolation(
+                            i, k, f"decode set repeats {sorted(overlap)} from earlier lags"
+                        )
+                    )
+            dec_union |= d
+            if k >= 2:
+                allowed = dec_union - enc_union
+                if not e <= allowed:
+                    out.append(
+                        ScheduleViolation(
+                            i,
+                            k,
+                            f"encode set members {sorted(e - allowed)} not available at lag {k}",
+                        )
+                    )
+            enc_union |= e
+    return out
+
+
 def test_distance_regulated_schedule_matches_layers():
-    nb = k_hop_neighbors(adjacency(4))
-    s = distance_regulated_schedule(nb)
-    assert s.decode_sets == nb
-    assert s.encode_sets == nb
+    hops = k_hop_neighbors(adjacency(4))
+    s = distance_regulated_schedule(hops)
+    assert np.array_equal(s.lags, np.stack((hops, hops)))
+    assert s.decode_sets == reference_layers(adjacency(4))
+    assert s.encode_sets == s.decode_sets
     assert validate_schedule(s) == []
     assert s.decode_lag(0) == {1: 1, 2: 2, 3: 3}
     assert max(len(row) for row in s.decode_sets + s.encode_sets) == 3
 
 
+def test_schedule_keeps_one_read_only_lag_array():
+    lags = [[[0, 1], [1, 0]], [[0, 2], [1, 0]]]
+    s = Schedule(np.array(lags, dtype=np.int32))
+    assert s.lags.dtype == np.int64 and s.lags.tolist() == lags
+    assert not s.lags.flags.writeable
+    assert s.n == 2
+    source = np.array(lags)
+    t = Schedule(source)
+    source[0, 0, 1] = 5
+    assert t.lags[0, 0, 1] == 1
+    assert s != Schedule(lags)  # compared by identity
+    with pytest.raises(ValueError, match="shape"):
+        Schedule(np.zeros((2, 2, 3), dtype=int))
+    with pytest.raises(ValueError, match="shape"):
+        Schedule(np.zeros((3, 2, 2), dtype=int))
+    with pytest.raises(ValueError, match="integers"):
+        Schedule(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Schedule(-np.ones((2, 2, 2), dtype=int))
+
+
 def test_ragged_rows_read_as_empty():
     f = frozenset
-    s = Schedule([[{1}], [{0}, {2}], []], [[{1}], [], []])
-    assert s == Schedule(((f({1}),), (f({0}), f({2})), ()), ((f({1}),), (), ()))
+    s = Schedule.from_rows([[{1}], [{0}, {2}], []], [[{1}], [], []])
+    padded = Schedule.from_rows([[{1}, ()], [{0}, {2}, set()], [()]], [[{1}], [(), ()], []])
+    assert np.array_equal(s.lags, padded.lags)
+    # Rows read back without trailing empty sets, which carry no lag.
+    assert s.decode_sets == padded.decode_sets == ((f({1}),), (f({0}), f({2})), ())
+    assert s.encode_sets == padded.encode_sets == ((f({1}),), (), ())
     # Missing entries validate as empty sets: the same violations as on
     # rows padded to one length.
+    dec, enc = [[{1}], [{0}], [{1}]], [[{1, 2}], [(), {0}], []]
+    padded = Schedule.from_rows([[{1}, ()], [{0}, ()], [{1}]], [[{1, 2}, ()], [(), {0}], [()]])
+    assert validate_schedule(Schedule.from_rows(dec, enc)) == validate_schedule(padded)
+    assert [(v.node, v.hop) for v in validate_schedule(padded)] == [(0, 1)]
+    # What a lag array cannot hold raises, the first fault by node, on
+    # ragged and padded rows alike.
     dec, enc = [[{1}, {1}], [{0}], [{7}]], [[{1, 2}], [{0}, {0}], []]
-    padded = Schedule([[{1}, {1}], [{0}, set()], [{7}]], [[{1, 2}, set()], [{0}, {0}], [set()]])
-    assert validate_schedule(Schedule(dec, enc)) == validate_schedule(padded)
-    assert [(v.node, v.hop) for v in validate_schedule(padded)] == [(0, 1), (0, 2), (1, 2), (2, 1)]
+    padded = [[{1}, {1}], [{0}, set()], [{7}]], [[{1, 2}, set()], [{0}, {0}], [set()]]
+    for rows in ((dec, enc), padded):
+        with pytest.raises(ValueError, match=r"^node 0 lag 2: decode set repeats \[1\] from earlier lags$"):
+            Schedule.from_rows(*rows)
+    with pytest.raises(
+        ValueError, match=r"^node 1 lag 2: encode set members \[0\] not available at lag 2$"
+    ):
+        Schedule.from_rows([[{1}], [{0}], [{7}]], enc)
+    with pytest.raises(ValueError, match=r"^node 2 lag 1: member 7 out of range$"):
+        Schedule.from_rows([[{1}], [{0}], [{7}]], [[{1, 2}], [{0}], []])
 
 
-def test_decode_lag_rejects_duplicate_sources():
-    s = Schedule([[{1}, {1}], []], [[], []])
-    with pytest.raises(ValueError):
-        s.decode_lag(0)
+def test_from_rows_rejects_duplicate_sources():
+    with pytest.raises(ValueError, match=r"^node 0 lag 2: decode set repeats \[1\] from earlier lags$"):
+        Schedule.from_rows([[{1}, {1}], []], [[], []])
+    with pytest.raises(
+        ValueError, match=r"^node 1 lag 3: encode set members \[0\] not available at lag 3$"
+    ):
+        Schedule.from_rows([[{1}], [{0}]], [[], [{0}, (), {0}]])
 
 
 def test_schedule_rules():
     def violations(dec, enc):
-        return validate_schedule(Schedule(dec, enc))
+        return validate_schedule(Schedule.from_rows(dec, enc))
 
     # Encode lag 1 outside decode lag 1.
     v = violations([[{1}], [{0}]], [[{1}], [{0, 1}]])
-    assert any(x.node == 1 and x.hop == 1 for x in v)
+    assert v == [ScheduleViolation(1, 1, "lag-1 encode set not within lag-1 decode set")]
 
     # Node inside its own decode set.
     v = violations([[{0, 1}], [{0}]], [[], []])
-    assert any("itself" in x.message for x in v)
+    assert v == [ScheduleViolation(0, 1, "decode set contains the node itself")]
+
+    # Node inside a deeper decode set: it also repeats the node's own id.
+    v = violations([[{1}, {0}], [{0}]], [[], []])
+    assert v == [
+        ScheduleViolation(0, 2, "decode set contains the node itself"),
+        ScheduleViolation(0, 2, "decode set repeats [0] from earlier lags"),
+    ]
 
     # Repeated source at a deeper lag.
-    v = violations([[{1}, {1}], [{0}]], [[], []])
-    assert any(x.hop == 2 and "repeats" in x.message for x in v)
+    with pytest.raises(ValueError, match=r"^node 0 lag 2: decode set repeats \[1\] from earlier lags$"):
+        violations([[{1}, {1}], [{0}]], [[], []])
 
     # Encode draws on a source never decoded.
     v = violations([[{1}], [{0}], [{1}]], [[{1}], [{0}], [set(), {0}]])
-    assert any(x.node == 2 and x.hop == 2 for x in v)
+    assert v == [ScheduleViolation(2, 2, "encode set members [0] not available at lag 2")]
+
+    # Encode draws on a source decoded later.
+    v = violations([[{1}, (), {2}], [], []], [[{1}, {0, 2}], [], []])
+    assert v == [ScheduleViolation(0, 2, "encode set members [0, 2] not available at lag 2")]
 
     # Encode repeats an earlier encode member.
-    v = violations([[{1}, {2}], [], []], [[{1}, {1}], [], []])
-    assert any(x.node == 0 and x.hop == 2 for x in v)
+    with pytest.raises(
+        ValueError, match=r"^node 0 lag 2: encode set members \[1\] not available at lag 2$"
+    ):
+        violations([[{1}, {2}], [], []], [[{1}, {1}], [], []])
 
-    # Out-of-range member.
-    v = violations([[{7}], []], [[], []])
-    assert any("out of range" in x.message for x in v)
+    # Out-of-range member, in a decode or an encode row.
+    with pytest.raises(ValueError, match=r"^node 0 lag 1: member 7 out of range$"):
+        violations([[{7}], []], [[], []])
+    with pytest.raises(ValueError, match=r"^node 1 lag 2: member -1 out of range$"):
+        violations([[{1}], [{0}, {-1}]], [[], []])
+    with pytest.raises(ValueError, match=r"^node 0 lag 1: member 2 out of range$"):
+        violations([[{1}], [{0}]], [[{2}], []])
+
+
+def test_validate_schedule_matches_the_row_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def lag_arrays(draw):
+        n = draw(st.integers(1, 6))
+        cells = draw(st.lists(st.integers(0, 4), min_size=2 * n * n, max_size=2 * n * n))
+        lags = np.array(cells, dtype=np.int64).reshape(2, n, n)
+        if draw(st.booleans()):
+            # A valid schedule: no self-decode, every repeat at or after
+            # its decode.
+            np.fill_diagonal(lags[0], 0)
+            lags[1] = np.where(lags[0] > 0, np.maximum(lags[0], lags[1]), 0)
+        return lags
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(lag_arrays())
+    def check(lags):
+        s = Schedule(lags)
+        expected = reference_validate(s.decode_sets, s.encode_sets)
+        assert validate_schedule(s) == expected
+        # The rows carry the array: reading them back gives it again.
+        assert np.array_equal(Schedule.from_rows(s.decode_sets, s.encode_sets).lags, lags)
+
+    check()
 
 
 def test_relay_after_decode_is_legal():
     # Decoding at lag 1 and repeating at lag 2 is the canonical relay pattern.
-    s = Schedule([[{1}, {2}], [{0, 2}], [{1}, {0}]],
-                 [[{1}], [{0, 2}], [{1}, {0}]])
+    s = Schedule.from_rows([[{1}, {2}], [{0, 2}], [{1}, {0}]],
+                           [[{1}], [{0, 2}], [{1}, {0}]])
     assert validate_schedule(s) == []
 
 
 def test_mismatched_rows_rejected():
-    with pytest.raises(ValueError):
-        Schedule((tuple(),), tuple())
+    with pytest.raises(ValueError, match="^decode and encode rows must cover the same nodes$"):
+        Schedule.from_rows((tuple(),), tuple())
 
 
 # ---------------------------------------------------------------------------
