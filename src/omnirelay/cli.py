@@ -18,12 +18,13 @@ import hashlib
 import io
 import math
 import os
+import re
 import sys
 from dataclasses import fields, is_dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import NoReturn, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .errors import (
     TopologyFormatError,
 )
 from .protocol_sim import (
+    _Periodic,
     check_payload_sizes,
     interference_accounting,
     payload_demo,
@@ -153,7 +155,7 @@ def _csv_cell(value):
     return value
 
 
-_JSON_CONTAINERS = (dict, list, tuple)
+_JSON_CONTAINERS = (dict, list, tuple, _Periodic)
 _INT_ONLY = frozenset({int})
 _SEQUENCES = frozenset({list, tuple})
 _BOOL_ONLY = frozenset({bool})
@@ -265,12 +267,100 @@ def _record_field(records: Sequence, name: str) -> list:
     return field
 
 
+def _write_column(column, out: list[str], sep: str) -> None:
+    """Append each item of a :func:`_column` result as one piece after
+    ``sep``, from a template made once per item shape."""
+    shapes, args, template = column
+    templates: dict = {}
+    for shape, item in zip(shapes, args):
+        form = templates.get(shape)
+        if form is None:
+            form = templates[shape] = sep + template(shape)
+        out.append(form % tuple(item))
+
+
+_SLOT = re.compile("%[%ds]")
+
+
+def _filled(form: str, args: tuple, moving: list[bool]) -> str:
+    """``form`` with the argument of every slot written in except the
+    ``moving`` ones, each of which stays a ``%d`` slot."""
+    slots = iter(zip(args, moving))
+
+    def fill(match: re.Match) -> str:
+        token = match.group()
+        if token == "%%":
+            return token
+        arg, moves = next(slots)
+        return "%d" if moves else (token % arg).replace("%", "%%")
+
+    return _SLOT.sub(fill, form)
+
+
+def _write_periodic(value: _Periodic, out: list[str], indent: str) -> bool:
+    """Append the JSON text of a periodic sequence with shifted items, whose
+    own line ends in ``indent``; False, with nothing appended, unless it
+    has some and every item can be written as below.
+
+    The prefix is written as a column (:func:`_write_column`).  Each item of
+    the steady period gets one template, with every slot that its first
+    shifted copy keeps written in; every other slot must be an int that
+    moves up by exactly one there, and stays a ``%d`` slot.  A shift moves
+    such a slot by ``s`` in copy ``s``, so each shifted item is one ``%``
+    of its template with the ints ``base + s``.
+    """
+    if not value.shifts:
+        return False
+    inner = indent + "  "
+    prefix, p = value.prefix, value.period
+    steady = prefix[len(prefix) - p :]
+    column = _column(prefix, inner)
+    probe = _column(steady + tuple([value.move(item, 1) for item in steady]), inner)
+    if column is None or probe is None:
+        return False
+    shapes, args, template = probe
+    shapes, args = list(shapes), list(map(tuple, args))
+    sep = "," + inner
+    forms = []
+    for k in range(p):
+        if shapes[p + k] != shapes[k]:
+            return False
+        moving = []
+        for a, b in zip(args[k], args[p + k]):
+            if type(a) is int and type(b) is int and b == a + 1:
+                moving.append(True)
+            elif type(a) is type(b) and a == b:
+                moving.append(False)
+            else:
+                return False
+        bases = [a for a, moves in zip(args[k], moving) if moves]
+        forms.append((_filled(sep + template(shapes[k]), args[k], moving), bases))
+    # Copy s reads its ints off one list of every distinct base plus s.
+    distinct = sorted(set(chain.from_iterable(bases for _, bases in forms)))
+    place = {base: k for k, base in enumerate(distinct)}
+    forms = [
+        (form, itemgetter(*map(place.__getitem__, bases)) if bases else lambda ints: ())
+        for form, bases in forms
+    ]
+    start = len(out)
+    _write_column(column, out, sep)
+    for s in range(1, value.shifts + 1):
+        ints = [base + s for base in distinct]
+        for form, get in forms:
+            out.append(form % get(ints))
+    # Each item was written after a separator; the first opens the list.
+    out[start] = "[" + out[start][1:]
+    out.append(indent + "]")
+    return True
+
+
 def _write_json(value, out: list[str], indent: str) -> None:
     """Append the JSON text of container ``value``, whose own line ends in ``indent``.
 
     A list that :func:`_column` takes is written one ``%`` per item, from a
     template made once per item shape; any other list item by item, where a
-    record is not a value it can write.
+    record is not a value it can write.  A periodic sequence is written by
+    :func:`_write_periodic`, or else as the tuple of its items.
     """
     inner = indent + "  "
     sep = "," + inner
@@ -289,19 +379,17 @@ def _write_json(value, out: list[str], indent: str) -> None:
             lead = sep
         out.append(indent + "}")
         return
+    if isinstance(value, _Periodic):
+        if _write_periodic(value, out, indent):
+            return
+        value = tuple(value)
     if not value:
         out.append("[]")
         return
     column = _column(value, inner)
     if column is not None:
-        shapes, args, template = column
-        templates: dict = {}
         start = len(out)
-        for shape, item in zip(shapes, args):
-            form = templates.get(shape)
-            if form is None:
-                form = templates[shape] = sep + template(shape)
-            out.append(form % tuple(item))
+        _write_column(column, out, sep)
         # Each item was written after a separator; the first opens the list.
         out[start] = "[" + out[start][1:]
         out.append(indent + "]")
@@ -335,31 +423,61 @@ def _json_text(payload) -> str:
     become the strings ``"inf"``, ``"-inf"`` and ``"nan"``; strings are
     ASCII-escaped; keys must be ``str``.  A list of dataclass records of one
     type is written as the list of their field dicts, a ``frozenset`` field
-    as its sorted list (see :func:`_column`).  These are the bytes the
-    standard library encoder gives at ``indent=2, sort_keys=True`` on a
+    as its sorted list (see :func:`_column`).  A trace's periodic record
+    sequence (``SimulationTrace.summary``) is written as the list of its
+    records: its prefix as a column, and each shifted record as one ``%``
+    of a template made once per record of the steady row, without building
+    the shifted records (see :func:`_write_periodic`).  These are the bytes
+    the standard library encoder gives at ``indent=2, sort_keys=True`` on a
     rounded copy (records as those dicts), written in one pass without the
     copy: that encoder runs in pure Python whenever an indent is set.
     """
     return "".join(_json_pieces(payload))
 
 
-def _emit(payload: dict, rows: list[dict], args: argparse.Namespace) -> int:
+# Each command's CSV columns, in order.
+_CSV_FIELDS = {
+    "analyze": ("key", "value"),
+    "simulate": ("block", "node", "success", "sum_rate_ok", "targets", "decoded", "missing"),
+    "sweep": (
+        "gain", "nodes", "rate_bound", "rate", "all_success", "max_completion", "topology_hash"
+    ),
+    "bin-demo": ("target_slot", "recovered"),
+}
+# Rows per piece of CSV text.
+_CSV_CHUNK = 4096
+
+
+def _csv_pieces(rows: Iterable[dict], fields: Sequence[str]) -> Iterator[str]:
+    """The CSV text of ``rows``, dicts keyed by ``fields``, in pieces of up
+    to ``_CSV_CHUNK`` rows: a header of ``fields`` and then the rows, or
+    nothing if there are none.  ``rows`` is read as the pieces are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for count, row in enumerate(rows):
+        if not count:
+            writer.writerow(fields)
+        writer.writerow([_csv_cell(row[field]) for field in fields])
+        if count % _CSV_CHUNK == _CSV_CHUNK - 1:
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    yield buf.getvalue()
+
+
+def _emit(payload: dict, rows: Iterable[dict], args: argparse.Namespace) -> int:
     """Write ``payload`` as JSON, or ``rows`` as CSV, to ``--out`` or stdout.
 
-    The JSON pieces are written as they are, without joining them first.
-    Returns the exit status: 0, or 1 when the reader of stdout closed it
-    early (``| head``), which ends the run without a message.
+    The JSON pieces are written as they are, without joining them first;
+    the CSV pieces as they are made, with the command's columns
+    (``_CSV_FIELDS``) as the header.  Returns the exit status: 0, or 1 when
+    the reader of stdout closed it early (``| head``), which ends the run
+    without a message.
     """
     if args.format == "json":
         pieces = _json_pieces(payload)
     else:
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({key: _csv_cell(value) for key, value in row.items()})
-        pieces = [buf.getvalue()]
+        pieces = _csv_pieces(rows, _CSV_FIELDS[args.command])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -398,7 +516,7 @@ def _stdout_to_devnull() -> bool:
 
 # Each handler returns ``(payload, rows)``: the JSON report without its
 # ``format_version`` and ``command`` keys, which ``main`` adds, and the CSV
-# rows.
+# rows, a list (an iterable read as it is written for ``simulate``).
 
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[dict]]:
@@ -460,7 +578,7 @@ def _run(args: argparse.Namespace, n: int, gain_label: str, spacings: tuple[floa
     return topology, one_hop, bound, run_distance_regulated(topology, one_hop, rate, args.blocks)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, Iterable[dict]]:
     spacings = _run_prelude(args)
     payload_sizes = (
         _parse_list(args.payload_sizes, int, "payload size") if args.payload_sizes else None
@@ -473,7 +591,9 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict]]:
             payload_sizes *= topology.n
         payload_sizes = check_payload_sizes(payload_sizes, topology.n)
     if args.format == "csv":
-        rows = [
+        # Read row by row as the CSV is written: a shifted row is built
+        # only when its turn comes.
+        rows = (
             {
                 "block": rec.block,
                 "node": rec.node,
@@ -485,7 +605,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, list[dict]]:
             }
             for row in trace.decodes
             for rec in row
-        ]
+        )
         return {}, rows
     payload: dict = {
         "topology_hash": _topology_hash(topology, one_hop),

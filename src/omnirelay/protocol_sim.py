@@ -22,8 +22,12 @@ Once a block moves every counter up by exactly one and nothing in it
 depends on the block index any more (a repeat cut off before block 1, a
 sender's foreign content starting inside a decode window, a skipped repeat
 left to read), every later block is that block with each message index
-moved up by one, so its transmissions and decode records are emitted by
-shifting (``run_schedule`` states the rule and proves it).
+moved up by one (``run_schedule`` states the rule and proves it).  So a
+trace holds its transmissions and decode records as the decoded prefix of
+rows, through that steady block, plus a count of shifted rows; a shifted
+row is built when it is read, and a slice of rows is a tuple.  The JSON
+writer and the payload replay read the steady row and the count without
+building the shifted rows.
 
 Within a block only one receiver per symmetry orbit decodes.  A run reads
 its schedule as its two n x n lag matrices, decode and encode
@@ -52,10 +56,10 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -139,18 +143,127 @@ class PayloadReport:
     mismatches: tuple[Message, ...] = ()
 
 
+class _Periodic(Sequence):
+    """A read-only sequence: the items ``prefix``, then ``shifts`` periods,
+    period ``s`` being the last ``period`` items of the prefix each moved by
+    ``move(item, s)``.
+
+    An item past the prefix is built when it is read, and a slice is a
+    tuple.  It compares ``==`` item by item with a tuple or another such
+    sequence, and hashes as the tuple of its items.  A trace holds its rows
+    this way with ``period`` 1 (see ``run_schedule``), and ``summary()``
+    its records, flattened, with ``period`` the steady row's length.
+    """
+
+    __slots__ = ("prefix", "shifts", "move", "period")
+
+    def __init__(self, prefix: tuple, shifts: int = 0, move=None, period: int = 1):
+        self.prefix = prefix
+        self.shifts = shifts
+        self.move = move
+        self.period = period
+
+    def __len__(self) -> int:
+        return len(self.prefix) + self.shifts * self.period
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple([self[i] for i in range(*index.indices(len(self)))])
+        size = len(self)
+        index = operator.index(index)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("trace index out of range")
+        past = index - len(self.prefix)
+        if past < 0:
+            return self.prefix[index]
+        s, k = divmod(past, self.period)
+        return self.move(self.prefix[k - self.period], s + 1)
+
+    def __iter__(self):
+        yield from self.prefix
+        steady = self.prefix[len(self.prefix) - self.period :]
+        for s in range(1, self.shifts + 1):
+            for item in steady:
+                yield self.move(item, s)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Periodic, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"_Periodic({tuple(self)!r})"
+
+
+def _moved_messages(messages: tuple[Message, ...], s: int) -> tuple[Message, ...]:
+    """``messages`` with every message index moved up by ``s``."""
+    return tuple([(j, beta + s) for j, beta in messages])
+
+
+def _moved_transmission(tx: Transmission, s: int) -> Transmission:
+    """``tx`` with its block and every message index moved up by ``s``."""
+    bundle = frozenset([(j, beta + s) for j, beta in tx.bundle])
+    return Transmission(tx.sender, tx.block + s, bundle, _moved_messages(tx.skipped, s))
+
+
+def _moved_record(rec: DecodeRecord, s: int) -> DecodeRecord:
+    """``rec`` with its block and every message index moved up by ``s``."""
+    return DecodeRecord(
+        rec.node,
+        rec.block + s,
+        _moved_messages(rec.targets, s),
+        _moved_messages(rec.decoded, s),
+        _moved_messages(rec.missing, s),
+        rec.success,
+        rec.sum_rate_ok,
+    )
+
+
+def _moved_row(move, row: tuple, s: int) -> tuple:
+    """Each record of ``row`` moved by ``move(record, s)``."""
+    return tuple([move(item, s) for item in row])
+
+
+def _records(rows: _Periodic, move) -> _Periodic:
+    """The records of the trace rows ``rows`` in block order, shifted
+    records moved by ``move``: one sequence whose period is the rows' last
+    ``rows.period`` rows."""
+    prefix = tuple(chain.from_iterable(rows.prefix))
+    period = sum(map(len, rows.prefix[len(rows.prefix) - rows.period :]))
+    return _Periodic(prefix, rows.shifts, move, period)
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Complete record of a protocol run."""
+    """Complete record of a protocol run.
+
+    ``transmissions`` and ``decodes`` hold one row per block.  Past the
+    steady state (see ``run_schedule``) they are the decoded rows through
+    the steady block plus a count of shifted rows, each built when it is
+    read; a slice of rows is a tuple.  Rows given as any other sequence, a
+    tuple from ``dataclasses.replace`` for one, are held the same way with
+    no shifted rows.
+    """
 
     topology: Topology
     schedule: Schedule
     rate: float
     blocks: int
-    transmissions: tuple[tuple[Transmission, ...], ...]
-    decodes: tuple[tuple[DecodeRecord, ...], ...]
+    transmissions: Sequence[tuple[Transmission, ...]]
+    decodes: Sequence[tuple[DecodeRecord, ...]]
     completion_block: tuple[int | None, ...]
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("transmissions", "decodes"):
+            rows = getattr(self, name)
+            if not isinstance(rows, _Periodic):
+                object.__setattr__(self, name, _Periodic(tuple(rows)))
 
     @cached_property
     def knowledge(self) -> tuple[tuple[frozenset[Message], ...], ...]:
@@ -164,11 +277,13 @@ class SimulationTrace:
             states.append(tuple(know))
         return tuple(states)
 
+    # A shifted record succeeds as the steady record it moves, so the
+    # verdicts below read the decoded prefix only.
     def all_success(self) -> bool:
-        return all(rec.success for row in self.decodes for rec in row)
+        return all(rec.success for row in self.decodes.prefix for rec in row)
 
     def first_failure(self) -> DecodeRecord | None:
-        for row in self.decodes:
+        for row in self.decodes.prefix:
             for rec in row:
                 if not rec.success:
                     return rec
@@ -176,7 +291,9 @@ class SimulationTrace:
 
     def summary(self) -> dict:
         """The fields of :meth:`to_dict`, with ``decodes`` and ``transmissions``
-        as lists of the records themselves, flattened in block order."""
+        as read-only sequences of the records themselves, flattened in block
+        order: the decoded prefix's records, then the steady row's moved up
+        one block per shifted row."""
         return {
             "nodes": self.topology.n,
             "rate": self.rate,
@@ -184,8 +301,8 @@ class SimulationTrace:
             "all_success": self.all_success(),
             "completion_block": list(self.completion_block),
             "warnings": list(self.warnings),
-            "decodes": list(chain.from_iterable(self.decodes)),
-            "transmissions": list(chain.from_iterable(self.transmissions)),
+            "decodes": _records(self.decodes, _moved_record),
+            "transmissions": _records(self.transmissions, _moved_transmission),
         }
 
     def to_dict(self) -> dict:
@@ -491,48 +608,6 @@ def _relabeled(rec: DecodeRecord, node: int, sigma: tuple[int, ...]) -> DecodeRe
     )
 
 
-def _shifted_rows(
-    row: tuple[Transmission, ...],
-    records: list[DecodeRecord],
-    block: int,
-    last: int,
-) -> tuple[list[tuple[Transmission, ...]], list[tuple[DecodeRecord, ...]]]:
-    """Blocks ``block + 1`` to ``last``: the transmissions ``row`` and the
-    successful decode ``records`` of ``block``, moved up one block each time.
-
-    Every message of the block is ``(j, block - d)`` with ``d < span``; it is
-    keyed ``j * span + d``, so each later block looks its messages up in one
-    table of its own ``(j, beta)`` pairs.
-    """
-    messages = [m for tx in row for m in tx.bundle]
-    messages += [m for rec in records for m in rec.targets + rec.decoded]
-    span = 1 + max(block - beta for _, beta in messages)
-
-    def keys(msgs: Iterable[Message]) -> tuple[int, ...]:
-        return tuple([j * span + block - beta for j, beta in msgs])
-
-    bundles = [(tx.sender, keys(tx.bundle)) for tx in row]
-    decodes = [
-        (rec.node, keys(rec.targets), keys(rec.decoded), rec.sum_rate_ok) for rec in records
-    ]
-    n = len(row)
-    tx_rows, decode_rows = [], []
-    for b in range(block + 1, last + 1):
-        at = [(j, b - d) for j in range(n) for d in range(span)].__getitem__
-        tx_rows.append(
-            tuple(Transmission(l, b, frozenset(map(at, bundle))) for l, bundle in bundles)
-        )
-        decode_rows.append(
-            tuple(
-                DecodeRecord(
-                    i, b, tuple(map(at, targets)), tuple(map(at, decoded)), (), True, ok
-                )
-                for i, targets, decoded, ok in decodes
-            )
-        )
-    return tx_rows, decode_rows
-
-
 def _is_steady(
     before: list[tuple[int, ...]],
     after: list[tuple[int, ...]],
@@ -581,7 +656,8 @@ def run_schedule(
 
     Then every later block ``b + s`` is block ``b`` with every message index,
     and the block of every transmission and decode record, moved up by
-    ``s``; those rows are emitted by shifting, without decoding.
+    ``s``.  The trace holds the rows of blocks 1 to ``b`` and the count of
+    later blocks, and builds a later row only when it is read.
 
     Proof, by induction on ``s``.  Block ``b + 1`` is built from the
     counters after ``b``, which are those after ``b - 1`` plus one (1).  A
@@ -682,6 +758,7 @@ def run_schedule(
     decode_rows: list[tuple[DecodeRecord, ...]] = []
     completion: list[int | None] = [None] * n
     before = [tuple(counters.values()) for counters in upto]
+    shifts = 0
 
     for b in range(1, blocks + 1):
         row = tuple(_build_transmission(l, b, upto[l], repeats[l]) for l in range(n))
@@ -704,9 +781,7 @@ def run_schedule(
                 completion[i] = b
         after = [tuple(counters.values()) for counters in upto]
         if b >= encode_start and _is_steady(before, after, floors, run.last_skip):
-            shifted_tx, shifted_decodes = _shifted_rows(row, records, b, blocks)
-            run.transmissions += shifted_tx
-            decode_rows += shifted_decodes
+            shifts = blocks - b
             break
         before = after
 
@@ -715,8 +790,10 @@ def run_schedule(
         schedule=schedule,
         rate=rate,
         blocks=blocks,
-        transmissions=tuple(run.transmissions),
-        decodes=tuple(decode_rows),
+        transmissions=_Periodic(
+            tuple(run.transmissions), shifts, partial(_moved_row, _moved_transmission)
+        ),
+        decodes=_Periodic(tuple(decode_rows), shifts, partial(_moved_row, _moved_record)),
         completion_block=tuple(completion),
         warnings=tuple(warnings),
     )
@@ -806,6 +883,17 @@ def _bundle_rows(
     return slots, group, assignments
 
 
+def _tiled(head: np.ndarray, count: int, shifts: int, step: int) -> np.ndarray:
+    """``head`` followed by ``shifts`` copies of its last ``count`` rows,
+    copy ``s`` plus ``s * step``."""
+    if not (shifts and count):
+        return head
+    tail = head[len(head) - count :]
+    moves = np.arange(1, shifts + 1) * step
+    tiled = tail + moves.reshape((-1,) + (1,) * tail.ndim)
+    return np.concatenate([head, tiled.reshape((-1,) + tail.shape[1:])])
+
+
 def payload_demo(
     trace: SimulationTrace, sizes: Sequence[int], seed: int = 0
 ) -> tuple[PayloadReport, ...]:
@@ -840,40 +928,53 @@ def payload_demo(
     ``decode_from_side_info`` call.  The reports, mismatches included, are
     those of a node-by-node replay, and an error is raised from the earliest
     block that fails; the modular-sum map never raises on correct side
-    information.  Values are int64 while every bundle's sum of values fits,
-    Python ints (dtype ``object``) otherwise, so the replay is exact for any
-    alphabet.
+    information.  The bundle and target arrays of the shifted blocks are
+    the steady row's tiled, message columns moved up ``s * n`` for shift
+    ``s``, so the replay never builds a shifted row.  Values are int64 while
+    every bundle's sum of values fits, Python ints (dtype ``object``)
+    otherwise, so the replay is exact for any alphabet.
     """
     n = trace.topology.n
     sizes = check_payload_sizes(sizes, n)
     if trace.blocks == 0:
         return ()
-    # Message (j, beta) is column (beta - 1) * n + j of the value arrays.
+    # Message (j, beta) is column (beta - 1) * n + j of the value arrays, so
+    # a shifted block's bundles are the steady row's, each column plus s * n.
+    # (Padding moves too; no step reads it.)
     width = n * trace.blocks
-    txs = list(chain.from_iterable(trace.transmissions))
-    slots, group, assignments = _bundle_rows(txs, n, sizes)
+    sent = trace.transmissions
+    slots, group, assignments = _bundle_rows(list(chain.from_iterable(sent.prefix)), n, sizes)
+    steady = len(sent.prefix[-1])
+    slots = _tiled(slots, steady, sent.shifts, n)
+    group = _tiled(group, steady, sent.shifts, 0)
     fresh = slots[:, 0]
     dtype = np.result_type(*(a.dtype for a in assignments))
     draw = random.Random(seed).randrange
     truth = np.array([draw(s) for _ in range(trace.blocks) for s in sizes], dtype)
-    bins = np.empty(len(txs), dtype)
+    bins = np.empty(len(slots), dtype)
     for g, assignment in enumerate(assignments):
         members = np.flatnonzero(group == g)
         bins[members] = assignment.bin_of(truth[slots[members, : len(assignment.sizes)]])
 
-    done = [rec for rec in chain.from_iterable(trace.decodes) if rec.success]
+    # A shifted record succeeds as the steady record it moves, so the targets
+    # of the shifted blocks are the steady row's successful ones, tiled.
+    decodes = trace.decodes
+    done = [rec for rec in chain.from_iterable(decodes.prefix) if rec.success]
     counts = [len(rec.targets) for rec in done]
     targets = _message_array(map(operator.attrgetter("targets"), done), sum(counts))
+    nodes = np.repeat(np.array([rec.node for rec in done], np.int64), counts)
+    columns = (targets[:, 1] - 1) * n + targets[:, 0]
+    steady = sum(len(rec.targets) for rec in decodes.prefix[-1] if rec.success)
+    shifts = decodes.shifts
     known = np.zeros((n, width), bool)
-    known[np.repeat(np.array([rec.node for rec in done], np.int64), counts),
-          (targets[:, 1] - 1) * n + targets[:, 0]] = True
+    known[_tiled(nodes, steady, shifts, 0), _tiled(columns, steady, shifts, n)] = True
 
     # Candidates: (bundle, node) pairs whose node knows the fresh message,
     # ordered by step (block, then size tuple), then bundle, then node.
     step = fresh // n * len(assignments) + group
     by_step = np.argsort(step, kind="stable")
     knows = known[:, fresh[by_step]].T
-    knows[np.arange(len(txs)), fresh[by_step] % n] = False
+    knows[np.arange(len(slots)), fresh[by_step] % n] = False
     at, node = np.nonzero(knows)
     bundle = by_step[at]
     target = node * width + fresh[bundle]

@@ -14,7 +14,7 @@ import pytest
 
 from omnirelay import cli
 from omnirelay.cli import _default_one_hop, _json_pieces, _json_text
-from omnirelay.protocol_sim import run_distance_regulated
+from omnirelay.protocol_sim import _Periodic, run_distance_regulated
 from omnirelay.rate_analysis import allcast_rate_bound
 from omnirelay.topology import power_law, ring
 
@@ -346,3 +346,160 @@ def test_records_the_column_cannot_take_are_not_written(payload):
     # frozenset only as a field of such records.
     with pytest.raises(TypeError):
         _json_text(payload)
+
+
+@pytest.fixture
+def periodic(monkeypatch):
+    """Whether ``_write_periodic`` wrote each periodic sequence it was given."""
+    calls = []
+    write = cli._write_periodic
+
+    def spy(value, out, indent):
+        calls.append(write(value, out, indent))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "_write_periodic", spy)
+    return calls
+
+
+def is_record_piece(piece):
+    return piece[:1] in "[," and piece[1:].lstrip()[:1] == "{"
+
+
+@pytest.mark.parametrize("blocks", [300, 3000])
+def test_the_cli_writes_a_periodic_trace_as_its_materialized_lists(
+    monkeypatch, tmp_path, periodic, blocks
+):
+    # The ring-long shape: the run decodes a few blocks and holds the rest
+    # as shifted rows.  Its JSON must be the bytes of the same summary with
+    # every record built, one piece per record, and the shifted records
+    # must come from the steady row's templates.
+    written = []
+    pieces = cli._json_pieces
+
+    def spy(value):
+        written.append((value, pieces(value)))
+        return written[-1][1]
+
+    monkeypatch.setattr(cli, "_json_pieces", spy)
+    argv = ["simulate", "--preset", "ring", "--n", "6", "--power", "10", "--blocks", str(blocks),
+            "--payload-sizes", "4", "--out", str(tmp_path / "ring.json")]
+    assert cli.main(argv) == 0
+    ((payload, cli_pieces),) = written
+    trace = payload["trace"]
+    assert periodic == [True, True]
+    assert trace["decodes"].shifts == trace["transmissions"].shifts > blocks - 10
+    plain = {**payload, "trace": {**trace, "decodes": list(trace["decodes"]),
+                                  "transmissions": list(trace["transmissions"])}}
+    assert "".join(cli_pieces) == _json_text(plain)
+    records = [piece for piece in cli_pieces if is_record_piece(piece)]
+    assert len(records) == 6 + 6 + 2 * 6 * blocks
+    if blocks == 300:
+        reference = json.loads(_json_text(plain))
+        assert [json.loads(piece[1:]) for piece in records] == (
+            reference["interference"] + reference["payload"]
+            + reference["trace"]["decodes"] + reference["trace"]["transmissions"]
+        )
+
+
+@dataclass(frozen=True)
+class Step:
+    block: int
+    label: str
+    pairs: tuple
+    seen: frozenset
+
+
+def step_moved_by(delta):
+    """A move of ``Step`` records by ``delta`` per shift."""
+
+    def move(step, s):
+        return Step(
+            step.block + delta * s,
+            step.label,
+            tuple((j, beta + delta * s) for j, beta in step.pairs),
+            frozenset((j, beta + delta * s) for j, beta in step.seen),
+        )
+
+    return move
+
+
+@pytest.mark.parametrize("delta, taken", [(1, True), (0, True), (2, False), (-1, False)])
+def test_a_periodic_sequence_whose_slots_do_not_move_by_one_is_written_item_by_item(
+    periodic, delta, taken
+):
+    # Constant slots are written into the steady templates, a "%" in a str
+    # included, and a move of 0 leaves every slot constant; a slot that
+    # moves by anything but one or nothing (2, or down one) sends the
+    # sequence to the generic path, with the same bytes as its items
+    # written one by one.
+    prefix = (
+        Step(1, "a%d%%s", ((0, 1),), frozenset({(2, 1), (1, 0)})),
+        Step(2, "%", ((0, 2), (3, 1)), frozenset({(2, 2), (1, 1)})),
+        Step(3, "c", ((0, 3), (3, 2)), frozenset({(2, 3), (1, 2)})),
+    )
+    value = _Periodic(prefix, 4, step_moved_by(delta), 2)
+    items = list(value)
+    assert len(items) == 3 + 4 * 2 and items[:3] == list(prefix)
+    assert items[3] == step_moved_by(delta)(prefix[1], 1)
+    assert items[-1] == step_moved_by(delta)(prefix[2], 4)
+    payload = {"steps": value, "after": [value, 1]}
+    assert _json_text(payload) == reference_text(as_dicts({"steps": items, "after": [items, 1]}))
+    assert periodic == [taken, taken]
+    # With no shifted items the prefix is written as a plain list.
+    periodic.clear()
+    assert _json_text(_Periodic(prefix)) == reference_text(as_dicts(list(prefix)))
+    assert periodic == [False]
+
+
+def test_writer_matches_the_reference_on_periodic_sequences(periodic):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+    ints = st.integers(-(2**70), 2**70)
+    pairs = st.tuples(st.integers(0, 3), st.integers(-3, 9))
+    kinds = {
+        "int": ints,
+        "bool": st.booleans(),
+        "float": floats,
+        "str": st.text(max_size=3) | st.sampled_from(["%", "%d", "%%s"]),
+        "pair tuple": st.lists(pairs, max_size=3).map(tuple),
+        "pair frozenset": st.frozensets(pairs, max_size=3),
+    }
+
+    def moved(kind, value, delta, s):
+        if kind == "int":
+            return value + delta * s
+        if kind == "pair tuple":
+            return tuple((j, beta + delta * s) for j, beta in value)
+        if kind == "pair frozenset":
+            return frozenset((j, beta + delta * s) for j, beta in value)
+        return value
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def check(data):
+        names = data.draw(st.lists(st.sampled_from(["block", "node", "a", "b", "Z"]),
+                                   min_size=1, max_size=4, unique=True))
+        field_kinds = [data.draw(st.sampled_from(sorted(kinds))) for _ in names]
+        deltas = [data.draw(st.sampled_from([1, 1, 0, 2, -1])) for _ in names]
+        record = make_dataclass("Record", names, frozen=True)
+        draw = st.tuples(*(kinds[kind] for kind in field_kinds)).map(lambda v: record(*v))
+        prefix = tuple(data.draw(st.lists(draw, min_size=1, max_size=4)))
+        period = data.draw(st.integers(1, len(prefix)))
+        shifts = data.draw(st.integers(0, 3))
+
+        def move(item, s):
+            return record(*(
+                moved(kind, getattr(item, name), delta, s)
+                for name, kind, delta in zip(names, field_kinds, deltas)
+            ))
+
+        value = _Periodic(prefix, shifts, move, period)
+        with np.errstate(over="ignore"):
+            assert _json_text({"r": value}) == reference_text(as_dicts({"r": list(value)}))
+
+    check()
+    # Both ways were taken: the steady templates, and the items one by one.
+    assert set(periodic) == {True, False}

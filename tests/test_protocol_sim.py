@@ -305,6 +305,89 @@ def test_runs_that_never_repeat_decode_every_block(monkeypatch):
     assert decoded == [b for b in range(1, 31) for _ in range(4)]
 
 
+def periodic_run(name):
+    """A run of the periodic-trace property: its topology, one-hop sets,
+    rate share and block count."""
+    if name == "circulant-ring-20":
+        circulant, hops = parse_topology_text(dist_file(chord_rows(20), ring_adjacency(20)))
+        return circulant, hops, 0.999, 24
+    return {
+        "ring-6": (ring(6, 1.0, power_law(2.0), 10.0, 1.0), ring_adjacency(6), 0.999, 300),
+        "line-12": (line(12), adjacency(12), 0.999, 16),
+        "line-16": (line(16), adjacency(16), 0.999, 20),
+        "line-7-over-bound": (line(7), adjacency(7), 1.2, 30),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["ring-6", "line-12", "line-16", "circulant-ring-20", "line-7-over-bound"]
+)
+def test_a_periodic_trace_equals_a_run_that_decodes_every_block(monkeypatch, name):
+    # The trace holds the rows through its steady block plus a count of
+    # shifted rows; a run whose steady test always fails decodes and holds
+    # every row.  Both must read the same through every sequence operation.
+    topology, one_hop, share, blocks = periodic_run(name)
+    rate = share * allcast_rate_bound(topology)
+    trace = run_distance_regulated(topology, one_hop, rate, blocks)
+    monkeypatch.setattr(protocol_sim, "_is_steady", lambda *args: False)
+    full = run_distance_regulated(topology, one_hop, rate, blocks)
+
+    assert full.decodes.shifts == full.transmissions.shifts == 0
+    shifted = trace.decodes.shifts
+    assert trace.transmissions.shifts == shifted
+    assert (shifted > 0) == (name != "line-7-over-bound")
+    assert len(trace.decodes.prefix) == blocks - shifted
+    # Schedules compare by identity, and each run builds its own.
+    assert trace == replace(full, schedule=trace.schedule)
+    assert trace.to_dict() == full.to_dict()
+    rng = random.Random(name)
+    for mine, theirs in ((trace.transmissions, full.transmissions),
+                         (trace.decodes, full.decodes)):
+        reference = tuple(theirs)
+        assert len(mine) == len(reference) == blocks
+        assert mine == reference and reference == mine and mine == theirs
+        assert not mine != reference
+        assert tuple(mine) == reference and list(reversed(mine)) == list(reference[::-1])
+        for b in range(-blocks, blocks):
+            assert mine[b] == reference[b]
+        for b in (-blocks - 1, blocks):
+            with pytest.raises(IndexError):
+                mine[b]
+        for _ in range(200):
+            cut = slice(*(rng.choice([None, rng.randint(-blocks - 2, blocks + 2)]) for _ in "ab"),
+                        rng.choice([None, 1, 2, 7, -1, -3]))
+            part = mine[cut]
+            assert type(part) is tuple and part == reference[cut]
+        assert hash(mine) == hash(reference)
+        assert mine != reference[:-1] and mine != list(reference)
+    # A tuple of rows given back is held with no shifted rows and reads equal.
+    for field in ("decodes", "transmissions"):
+        copied = replace(trace, **{field: tuple(getattr(trace, field))})
+        assert copied == trace and getattr(copied, field).shifts == 0
+    assert trace.all_success() == full.all_success() == (share < 1)
+    assert trace.first_failure() == full.first_failure()
+    assert (trace.first_failure() is None) == (share < 1)
+    assert trace.knowledge == full.knowledge
+    sizes = [2 + i % 3 for i in range(topology.n)]
+    assert payload_demo(trace, sizes, seed=3) == payload_demo(full, sizes, seed=3)
+
+
+def test_the_cli_prints_a_periodic_run_as_a_run_that_decodes_every_block(monkeypatch, capsys):
+    # The CSV rows stream from the shifted rows, and the JSON writer and
+    # the payload replay read the steady row: the bytes must be those of a
+    # run that decodes and holds every row.
+    argv = "simulate --preset ring --n 6 --power 10 --blocks 300".split()
+    printed = []
+    for steady in (True, False):
+        if not steady:
+            monkeypatch.setattr(protocol_sim, "_is_steady", lambda *args: False)
+        for extra in (["--format", "csv"], ["--payload-sizes", "4,2,3,4,2,3"]):
+            assert cli.main(argv + extra) == 0
+            printed.append(capsys.readouterr().out)
+    assert printed[:2] == printed[2:]
+    assert printed[0].count("\n") == 1 + 6 * 300
+
+
 def test_the_steady_state_waits_for_each_decode_window():
     # Counters before and after one block for two receivers; receiver 0's
     # decode window of the block started at block 3, receiver 1's at 4.
